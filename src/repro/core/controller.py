@@ -69,8 +69,7 @@ class Incident:
     """One entry in the controller's incident log."""
 
     # rebuild-error | synthesize-error | deploy-error | watchdog-mismatch |
-    # netlink-overrun-resync | optimizer-fallback | optimizer-reject |
-    # jit-fallback | cpu-* | router-* | retry-give-up
+    # netlink-overrun-resync | jit-fallback | cpu-* | router-* | retry-give-up
     kind: str
     detail: str
     at_ns: int
@@ -93,7 +92,6 @@ class Controller:
         custom_fpms: Optional[List] = None,
         flow_cache: Optional[bool] = None,
         watchdog_every: Optional[int] = None,
-        optimize: Optional[bool] = None,
         jit: Optional[bool] = None,
     ) -> None:
         self.kernel = kernel
@@ -107,13 +105,11 @@ class Controller:
         self.watchdog: Optional[Watchdog] = None
         self.target_interfaces = interfaces
         self.topology = TopologyManager(enable_ipvs=enable_ipvs)
-        # optimize=None defers to the LINUXFP_OPT env opt-in (Synthesizer);
-        # jit=None likewise defers to LINUXFP_JIT.
+        # jit=None defers to the LINUXFP_JIT env opt-in (Synthesizer).
         self.synthesizer = Synthesizer(
             capabilities,
             customs=custom_fpms,
             num_cpus=kernel.num_cores,
-            optimize=optimize,
             jit=jit,
         )
         # The data plane's JIT engine follows the controller's decision, so
@@ -388,19 +384,9 @@ class Controller:
                 continue
             if self.deployer.deploy(path):
                 redeployed.append(ifname)
-                report = path.opt_report
-                if report is not None:
-                    # Optimizer outcomes are incidents, not failures: the
-                    # interface is serving either way (fail-closed).
-                    if report.status == "fallback":
-                        self._incident(
-                            "optimizer-fallback", report.error or "optimizer failed", ifname
-                        )
-                    for cex in report.rejected:
-                        self._incident("optimizer-reject", str(cex), ifname)
                 jit_report = path.jit_report
                 if jit_report is not None and jit_report.status == "fallback":
-                    # Same contract as the optimizer: the interface serves
+                    # An incident, not a failure: the interface serves
                     # under the interpreter, operators get told why.
                     self._incident(
                         "jit-fallback", jit_report.error or "jit compile failed", ifname

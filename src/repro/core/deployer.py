@@ -251,37 +251,6 @@ class Deployer:
             report.migrated[new_map.name] = copied
         return report, frozen
 
-    def optimizer_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-interface superoptimizer outcome for the *serving* program.
-
-        ``status`` is ``"baseline"`` when the serving path carries no
-        optimization report (the pass was not enabled for its synthesis).
-        Withdrawn interfaces (``current is None``) are omitted — there is no
-        serving bytecode to describe.
-        """
-        out: Dict[str, Dict[str, object]] = {}
-        for ifname, entry in sorted(self.deployed.items()):
-            if entry.current is None:
-                continue
-            report = entry.current.opt_report
-            if report is None:
-                out[ifname] = {
-                    "status": "baseline",
-                    "insns": len(entry.current.program),
-                    "insns_removed": 0,
-                    "rejected": 0,
-                    "unproven": 0,
-                }
-            else:
-                out[ifname] = {
-                    "status": report.status,
-                    "insns": len(entry.current.program),
-                    "insns_removed": report.insns_removed,
-                    "rejected": len(report.rejected),
-                    "unproven": report.unproven,
-                }
-        return out
-
     def jit_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-interface JIT outcome for the *serving* program.
 

@@ -10,7 +10,6 @@ always correct).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -18,13 +17,15 @@ from repro.core.capability import CapabilityManager
 from repro.core.fpm.library import render_fast_path
 from repro.core.graph import InterfaceGraph, ProcessingGraph
 from repro.ebpf.analysis.lint import lint_program
-from repro.ebpf.analysis.opt import OptimizationReport, optimize_program
 from repro.ebpf.jit import JitReport, compile_program
 from repro.ebpf.jit.engine import jit_env_default
 from repro.ebpf.maps import BpfMap, HashMap, LruHashMap, PercpuLruHashMap
 from repro.ebpf.minic import compile_c
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import verify
+
+#: Placeholder with nothing behind it: bench/trace.py wraps this name on traced runs.
+optimize_program = None
 
 
 @dataclass
@@ -41,10 +42,6 @@ class SynthesizedPath:
     #: compiled against. The Deployer rebinds ``custom.maps`` to the clones
     #: once this path is serving, so userspace reads live state.
     custom_rebinds: List[tuple] = field(default_factory=list)
-    #: What the superoptimizer did (None when optimization was not enabled).
-    #: ``status == "fallback"`` means the pass failed and ``program`` is the
-    #: unoptimized bytecode — fail-closed, the interface still deploys.
-    opt_report: Optional[OptimizationReport] = None
     #: What the bytecode→Python JIT said about this program (None when the
     #: JIT was not enabled). ``status == "fallback"`` means the program will
     #: run under the interpreter — fail-closed, the interface still deploys.
@@ -56,23 +53,19 @@ class SynthesizedPath:
 
 
 class Synthesizer:
+    #: Placeholder with nothing behind it: bench/workloads.py reports it in Workload.config.
+    optimize = False
+
     def __init__(
         self,
         capabilities: Optional[CapabilityManager] = None,
         customs: Optional[list] = None,
         num_cpus: int = 1,
-        optimize: Optional[bool] = None,
         jit: Optional[bool] = None,
     ) -> None:
         self.capabilities = capabilities or CapabilityManager.linuxfp()
         self.customs = list(customs or [])  # CustomFpm modules to weave in
         self.num_cpus = max(1, num_cpus)  # target kernel's data-plane CPUs
-        if optimize is None:
-            optimize = os.environ.get("LINUXFP_OPT", "").lower() in ("1", "true", "on")
-        #: Opt-in superoptimization: equivalence-checked rewrites applied
-        #: after verification, re-verified, fail-closed to the unoptimized
-        #: bytecode (see :mod:`repro.ebpf.analysis.opt`).
-        self.optimize = optimize
         if jit is None:
             jit = jit_env_default()
         #: Opt-in bytecode→Python JIT: compile-checked here so deploys
@@ -142,9 +135,6 @@ class Synthesizer:
             source, name=f"linuxfp_{iface_graph.ifname}_{hook}", hook=hook, maps=custom_maps
         )
         verify(program)
-        opt_report = None
-        if self.optimize:
-            program, opt_report = optimize_program(program)
         jit_report = None
         if self.jit:
             __, jit_report = compile_program(program)
@@ -155,7 +145,6 @@ class Synthesizer:
             pruned_nfs=pruned,
             lint_findings=[str(f) for f in lint_program(program)],
             custom_rebinds=rebinds,
-            opt_report=opt_report,
             jit_report=jit_report,
         )
 

@@ -28,8 +28,8 @@ that
 
 Everything is fail-closed: any analysis or codegen surprise produces a
 ``fallback`` :class:`JitReport` and the interpreter keeps serving, with
-a ``jit-fallback`` incident surfaced by the controller — exactly the
-contract PR 8's superoptimizer established. Opt-in via ``LINUXFP_JIT``
+a ``jit-fallback`` incident surfaced by the controller: a lost win,
+never an outage. Opt-in via ``LINUXFP_JIT``
 or ``Synthesizer(jit=True)`` / ``Controller(jit=True)``.
 """
 

@@ -32,7 +32,7 @@ __all__ = ["JitEngine", "jit_env_default"]
 
 
 def jit_env_default() -> bool:
-    """The ``LINUXFP_JIT`` opt-in, mirroring ``LINUXFP_OPT``'s idiom."""
+    """The ``LINUXFP_JIT`` opt-in."""
     return os.environ.get("LINUXFP_JIT", "").lower() in ("1", "true", "on")
 
 

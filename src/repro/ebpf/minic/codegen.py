@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ebpf import helpers as helpers_mod
-from repro.ebpf.analysis.opt.dce import eliminate_unreachable
+from repro.ebpf.minic.dce import eliminate_unreachable
 from repro.ebpf.isa import Insn, Op
 from repro.testing import faults
 from repro.ebpf.maps import BpfMap

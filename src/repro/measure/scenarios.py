@@ -40,21 +40,19 @@ def setup_router(
     num_prefixes: int = NUM_PREFIXES,
     num_queues: int = 1,
     hook: str = "xdp",
-    optimize: Optional[bool] = None,
     jit: Optional[bool] = None,
 ) -> LineTopology:
     """Build the virtual-router DUT for one platform.
 
-    ``optimize`` enables the equivalence-checked superoptimizer on the
-    linuxfp controller (None defers to ``LINUXFP_OPT``); ``jit`` enables
-    the bytecode→Python JIT (None defers to ``LINUXFP_JIT``).
+    ``jit`` enables the bytecode→Python JIT on the linuxfp controller
+    (None defers to ``LINUXFP_JIT``).
     """
     topo = LineTopology(num_queues=num_queues, dut_forwarding=platform in ("linux", "linuxfp"))
     if platform in ("linux", "linuxfp"):
         for i in range(num_prefixes):
             ip(topo.dut, f"route add 10.{100 + i}.0.0/16 via 10.0.2.2")
         if platform == "linuxfp":
-            topo.controller = Controller(topo.dut, hook=hook, optimize=optimize, jit=jit)
+            topo.controller = Controller(topo.dut, hook=hook, jit=jit)
             topo.controller.start()
     elif platform == "polycube":
         pcn = Polycube(topo.dut)
@@ -95,7 +93,6 @@ def setup_gateway(
     num_prefixes: int = NUM_PREFIXES,
     num_queues: int = 1,
     hook: str = "xdp",
-    optimize: Optional[bool] = None,
     jit: Optional[bool] = None,
 ) -> LineTopology:
     """Router + IP-blacklist filtering (the virtual-gateway scenario)."""
@@ -104,7 +101,6 @@ def setup_gateway(
         num_prefixes=num_prefixes,
         num_queues=num_queues,
         hook=hook,
-        optimize=optimize,
         jit=jit,
     )
     if platform in ("linux", "linuxfp"):

@@ -119,7 +119,6 @@ class MetricsRegistry:
                 "reactions": len(ctl.reactions),
                 "incidents_by_kind": _incidents_by_kind(ctl),
                 "deployed": ctl.deployed_summary(),
-                "optimizer": ctl.deployer.optimizer_summary(),
                 "jit": ctl.deployer.jit_summary(),
             }
             data["map_pressure"] = {
@@ -293,21 +292,6 @@ class MetricsRegistry:
                 family("linuxfp_map_evictions_total", "counter", "LRU-map entries displaced under capacity pressure.")
                 for name, stats in sorted(pressure.items()):
                     sample("linuxfp_map_evictions_total", stats["evictions"], map=name)
-            optimizer = ctl.deployer.optimizer_summary()
-            if optimizer:
-                family("linuxfp_optimizer_status", "gauge", "Serving-program superoptimizer outcome (1 for the active status label).")
-                for ifname, info in sorted(optimizer.items()):
-                    for status in ("baseline", "unchanged", "optimized", "fallback"):
-                        sample("linuxfp_optimizer_status", 1 if info["status"] == status else 0, interface=ifname, status=status)
-                family("linuxfp_optimizer_insns_removed", "gauge", "Instructions the equivalence-checked rewriter removed from the serving program.")
-                for ifname, info in sorted(optimizer.items()):
-                    sample("linuxfp_optimizer_insns_removed", info["insns_removed"], interface=ifname)
-                family("linuxfp_optimizer_rejected_total", "counter", "Rewrite candidates refuted by the equivalence checker (counterexample recorded).")
-                for ifname, info in sorted(optimizer.items()):
-                    sample("linuxfp_optimizer_rejected_total", info["rejected"], interface=ifname)
-                family("linuxfp_optimizer_unproven_total", "counter", "Rewrite candidates skipped because equivalence could not be proven.")
-                for ifname, info in sorted(optimizer.items()):
-                    sample("linuxfp_optimizer_unproven_total", info["unproven"], interface=ifname)
             jit = ctl.deployer.jit_summary()
             if jit:
                 family("linuxfp_jit_status", "gauge", "Serving-program JIT outcome (1 for the active status label).")

@@ -14,11 +14,6 @@ Sites
                           dispatcher builds)
 ``verify``                :func:`repro.ebpf.verifier.verify` (every load
                           re-verifies, as in Linux)
-``optimize``              :func:`repro.ebpf.analysis.opt.engine.
-                          optimize_program`: the superoptimizer pass fails
-                          mid-flight. The engine is fail-closed — the
-                          interface still deploys, serving the unoptimized
-                          bytecode (no degradation, only a lost win)
 ``load``                  :meth:`repro.ebpf.loader.Loader.load` (the
                           ``bpf(BPF_PROG_LOAD)`` step)
 ``prog_array``            :meth:`~repro.ebpf.maps.ProgArray.set_prog` (the
@@ -89,7 +84,6 @@ from typing import Iterator, List, Optional, Tuple
 SITES = (
     "compile",
     "verify",
-    "optimize",
     "load",
     "prog_array",
     "map_update",

@@ -39,12 +39,12 @@ NUM_FLOWS = 64
 
 # ------------------------------------------------------------------ traffic
 
-def _build_topology(scenario: str, hook: str, optimize: bool = False, jit: bool = None):
+def _build_topology(scenario: str, hook: str, jit: bool = None):
     from repro.measure.scenarios import setup_gateway, setup_router
 
     if scenario == "router":
-        return setup_router("linuxfp", hook=hook, optimize=optimize, jit=jit)
-    return setup_gateway("linuxfp", hook=hook, optimize=optimize, jit=jit)
+        return setup_router("linuxfp", hook=hook, jit=jit)
+    return setup_gateway("linuxfp", hook=hook, jit=jit)
 
 
 def _drive_traffic(topo, packets: int) -> None:
@@ -95,7 +95,7 @@ def cmd_drops(args) -> int:
         )
         return 0
 
-    topo = _build_topology(args.scenario, args.hook, args.optimize, args.jit)
+    topo = _build_topology(args.scenario, args.hook, args.jit)
     _drive_traffic(topo, args.packets)
     stack = topo.dut.stack
     obs = topo.dut.observability
@@ -124,7 +124,7 @@ def cmd_trace(args) -> int:
     except TraceFilterError as exc:
         print(f"fpmtool: bad --filter: {exc}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.optimize, args.jit)
+    topo = _build_topology(args.scenario, args.hook, args.jit)
     tracer = topo.dut.observability.tracer
     tracer.arm(flt, capacity=max(args.limit, 16))
     _drive_traffic(topo, args.packets)
@@ -142,7 +142,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    topo = _build_topology(args.scenario, args.hook, args.optimize, args.jit)
+    topo = _build_topology(args.scenario, args.hook, args.jit)
     _drive_traffic(topo, args.packets)
     registry = topo.controller.metrics()
     if args.format == "json":
@@ -156,26 +156,19 @@ def cmd_prog(args) -> int:
     if args.prog_cmd != "list":
         print(f"fpmtool: unknown prog subcommand {args.prog_cmd!r}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.optimize, args.jit)
+    topo = _build_topology(args.scenario, args.hook, args.jit)
     _drive_traffic(topo, args.packets)
     deployed = topo.controller.deployer.deployed
     if not deployed:
         print("(no interfaces deployed)")
         return 0
-    print(f"{'iface':8s} {'hook':4s} {'program':28s} {'insns':>6s} {'swaps':>6s} {'optimizer':16s} jit")
+    print(f"{'iface':8s} {'hook':4s} {'program':28s} {'insns':>6s} {'swaps':>6s} jit")
     for ifname in sorted(deployed):
         entry = deployed[ifname]
         current = entry.current
         if current is not None:
             name = current.program.name
             insns = str(len(current.program))
-            report = current.opt_report
-            if report is None:
-                optimizer = "-"
-            elif report.status == "optimized":
-                optimizer = f"optimized(-{report.insns_removed})"
-            else:
-                optimizer = report.status  # unchanged | fallback
             jit_report = current.jit_report
             if jit_report is None:
                 jit = "-"
@@ -184,10 +177,8 @@ def cmd_prog(args) -> int:
             else:
                 jit = jit_report.status  # fallback
         else:
-            name, insns, optimizer, jit = "(slow path)", "-", "-", "-"
-        print(
-            f"{ifname:8s} {entry.hook:4s} {name:28s} {insns:>6s} {entry.swaps:>6d} {optimizer:16s} {jit}"
-        )
+            name, insns, jit = "(slow path)", "-", "-"
+        print(f"{ifname:8s} {entry.hook:4s} {name:28s} {insns:>6s} {entry.swaps:>6d} {jit}")
     return 0
 
 
@@ -212,7 +203,7 @@ def cmd_map(args) -> int:
     if args.map_cmd != "dump":
         print(f"fpmtool: unknown map subcommand {args.map_cmd!r}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.optimize, args.jit)
+    topo = _build_topology(args.scenario, args.hook, args.jit)
     _drive_traffic(topo, args.packets)
     deployed = topo.controller.deployer.deployed
     if not deployed:
@@ -366,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", choices=("router", "gateway"), default="gateway")
     parser.add_argument("--hook", choices=("xdp", "tc"), default="xdp")
     parser.add_argument("--packets", type=int, default=256, help="normal flow packets to inject")
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="enable the equivalence-checked superoptimizer on the controller",
-    )
     parser.add_argument(
         "--jit",
         action="store_true",

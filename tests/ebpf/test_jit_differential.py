@@ -19,21 +19,81 @@ Four layers of proof, from single programs up to the full pipeline:
    counters, and the simulated clock must match exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fpm.library import render_dispatcher, render_fast_path
 from repro.ebpf.jit import JitEngine
 from repro.ebpf.maps import ProgArray
 from repro.ebpf.memory import Pointer, Region
+from repro.ebpf.minic import compile_c
 from repro.ebpf.vm import VM, Env, VMError
 from repro.kernel import Kernel
 from repro.measure.scenarios import setup_router
-from repro.netsim.packet import make_udp
+from repro.netsim.addresses import IPv4Addr, MacAddr
+from repro.netsim.packet import TCP, UDP, Ethernet, IPv4, make_udp
 from repro.testing import faults
-from repro.tools.fpmopt import _compile, _programs, frame_corpus
+from repro.tools.fpmlint import HOOKS, _configurations
+
+
+def _udp_frame(rng, ttl):
+    src = IPv4Addr((10 << 24) | (0 << 16) | (1 << 8) | rng.randrange(2, 250))
+    dst = IPv4Addr(((10 << 24) | ((100 + rng.randrange(8)) << 16)) | rng.randrange(1, 1 << 16))
+    payload = bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 40)))
+    udp = UDP(sport=rng.randrange(1024, 65536), dport=rng.choice((53, 80, 443, 8080)))
+    ip = IPv4(src=src, dst=dst, proto=17, ttl=ttl)
+    eth = Ethernet(dst=MacAddr(rng.getrandbits(48)), src=MacAddr(rng.getrandbits(48)))
+    return eth.pack() + ip.pack(UDP.HDR_LEN + len(payload)) + udp.pack(payload, src, dst) + payload
+
+
+def _tcp_frame(rng):
+    src = IPv4Addr(rng.getrandbits(32))
+    dst = IPv4Addr((10 << 24) | (96 << 16) | rng.randrange(1, 3))  # hits the ipvs VIPs
+    tcp = TCP(sport=rng.randrange(1024, 65536), dport=rng.choice((80, 53, 22)), flags=TCP.SYN)
+    ip = IPv4(src=src, dst=dst, proto=6, ttl=rng.choice((1, 2, 64)))
+    eth = Ethernet(dst=MacAddr(rng.getrandbits(48)), src=MacAddr(rng.getrandbits(48)))
+    body = tcp.pack(b"", src, dst)
+    return eth.pack() + ip.pack(len(body)) + body
+
+
+def frame_corpus(packets, seed):
+    """A deterministic mixed corpus: well-formed, hostile, and garbage."""
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(packets):
+        kind = i % 4
+        if kind == 0:
+            corpus.append(_udp_frame(rng, ttl=rng.choice((1, 2, 64, 255))))
+        elif kind == 1:
+            corpus.append(_tcp_frame(rng))
+        elif kind == 2:
+            # Truncation attack: a valid frame cut mid-header.
+            frame = _udp_frame(rng, ttl=64)
+            corpus.append(frame[: rng.randrange(0, len(frame))])
+        else:
+            corpus.append(bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 128))))
+    return corpus
+
 
 CORPUS = frame_corpus(96, seed=7)
+
+
+def _programs():
+    """(label, hook, source, maps kind) per fpmlint template config."""
+    out = [
+        (label, hook, render_fast_path("eth0", hook, nodes), None)
+        for label, nodes in _configurations().items()
+        for hook in HOOKS
+    ]
+    return out + [("dispatcher", hook, render_dispatcher("eth0", hook), "jmp") for hook in HOOKS]
+
+
+def _compile(label, hook, source, maps_kind):
+    maps = {"jmp": ProgArray("jmp")} if maps_kind else None
+    return compile_c(source, name=f"{label}@{hook}", hook=hook, maps=maps)
 
 
 def _all_configs():

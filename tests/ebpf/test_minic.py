@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.ebpf.isa import Insn, Op, exit_, mov_imm
 from repro.ebpf.loader import Loader
 from repro.ebpf.maps import ProgArray
 from repro.ebpf.memory import Pointer, Region
 from repro.ebpf.minic import CodegenError, LexError, ParseError, compile_c, parse, tokenize
+from repro.ebpf.minic.dce import eliminate_unreachable, remove_insns
 from repro.ebpf.verifier import verify
 from repro.ebpf.vm import VM, Env
 from repro.kernel import Kernel
@@ -270,3 +272,28 @@ class TestCodegenExecution:
         ]
         for source in sources:
             verify(compile_c(source))
+
+
+class TestSharedDce:
+    def test_unreachable_tail_removed(self):
+        insns = [mov_imm(0, 1), exit_(), mov_imm(0, 2), exit_()]
+        kept = eliminate_unreachable(insns)
+        assert len(kept) == 2
+
+    def test_jump_retargeting(self):
+        insns = [
+            Insn(Op.JA, off=1),
+            mov_imm(0, 9),  # dead: jumped over, no fallthrough in
+            mov_imm(0, 1),
+            exit_(),
+        ]
+        kept = remove_insns(insns, {1})
+        assert len(kept) == 3
+        assert kept[0].op is Op.JA and kept[0].off == 0
+
+    def test_codegen_emits_dce_clean_bytecode(self):
+        """compile_c routes through the DCE pass: nothing left over."""
+        program = compile_c(
+            "u32 main() { if (1) { return 2; } return 3; }", name="dce@xdp", hook="xdp"
+        )
+        assert eliminate_unreachable(program.insns) == program.insns

@@ -1,11 +1,14 @@
-"""Tests for the management tools (netlink-only kernel configuration)."""
+"""Tests for the management tools (netlink-only kernel configuration) and
+the fpmlint / fpmtool CLIs."""
+
+import json
 
 import pytest
 
 from repro.kernel import Kernel
 from repro.kernel.interfaces import BridgeDevice, VxlanDevice
 from repro.netsim.addresses import IPv4Addr, IPv4Prefix, MacAddr
-from repro.tools import brctl, bridge_tool, ip, ipset, iptables, ipvsadm, sysctl
+from repro.tools import brctl, bridge_tool, fpmlint, fpmtool, ip, ipset, iptables, ipvsadm, sysctl
 from repro.tools.common import ToolError
 from repro.tools.frr import FrrDaemon, converge
 
@@ -271,3 +274,36 @@ class TestFrr:
         converge([d1, d2])
         advs = d2.advertisements_for("1.1.1.1")
         assert all(str(a.prefix) != "10.1.0.0/24" for a in advs)
+
+
+class TestFpmlintJson:
+    def test_json_mode_clean_library(self, capsys):
+        rc = fpmlint.main(["--json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["tool"] == "fpmlint"
+        assert payload["checked"] == 14
+        assert payload["findings"] == []
+
+    def test_text_mode_unchanged(self, capsys):
+        rc = fpmlint.main([])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "14 program(s) verified" in out
+
+    def test_structured_findings_shape(self):
+        checked, problems = fpmlint.lint_library_structured()
+        assert checked == 14
+        for problem in problems:
+            assert {"program", "pc", "code", "message"} <= set(problem)
+
+
+class TestFpmtoolProgList:
+    def test_jit_column(self, capsys):
+        rc = fpmtool.main(["--scenario", "router", "--packets", "8", "--jit", "prog", "list"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0].split()[-1] == "jit"
+        lines = [l for l in out.splitlines() if l.startswith("eth")]
+        assert lines and all(l.rstrip().endswith("inline)") for l in lines)
