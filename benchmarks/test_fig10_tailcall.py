@@ -47,6 +47,7 @@ def build_tail_call_chain(n, jmp):
         source = f"""
 extern map jmp;
 u32 main(u8* pkt, u64 len, u64 ifindex) {{
+    if (len < 34) {{ return 2; }}
     if (ld16(pkt, 12) == 0) {{ return 1; }}
     tail_call(pkt, jmp, {i + 1});
     return 2;

@@ -23,7 +23,6 @@ interface whose fast path disagrees with the kernel.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -69,7 +68,7 @@ class Incident:
     """One entry in the controller's incident log."""
 
     # rebuild-error | synthesize-error | deploy-error | watchdog-mismatch |
-    # netlink-overrun-resync | jit-fallback | cpu-* | router-* | retry-give-up
+    # netlink-overrun-resync | cpu-* | router-* | retry-give-up
     kind: str
     detail: str
     at_ns: int
@@ -90,34 +89,17 @@ class Controller:
         enable_ipvs: bool = False,
         capabilities: Optional[CapabilityManager] = None,
         custom_fpms: Optional[List] = None,
-        flow_cache: Optional[bool] = None,
-        watchdog_every: Optional[int] = None,
-        jit: Optional[bool] = None,
+        flow_cache: bool = False,
+        watchdog_every: int = 0,
     ) -> None:
         self.kernel = kernel
         self.hook = hook
-        if flow_cache is None:
-            flow_cache = os.environ.get("LINUXFP_FLOW_CACHE", "").lower() in ("1", "true", "on")
         self.flow_cache_requested = flow_cache
-        if watchdog_every is None:
-            watchdog_every = int(os.environ.get("LINUXFP_WATCHDOG", "0") or "0")
         self.watchdog_every = watchdog_every
         self.watchdog: Optional[Watchdog] = None
         self.target_interfaces = interfaces
         self.topology = TopologyManager(enable_ipvs=enable_ipvs)
-        # jit=None defers to the LINUXFP_JIT env opt-in (Synthesizer).
-        self.synthesizer = Synthesizer(
-            capabilities,
-            customs=custom_fpms,
-            num_cpus=kernel.num_cores,
-            jit=jit,
-        )
-        # The data plane's JIT engine follows the controller's decision, so
-        # Controller(jit=True) works without the env opt-in (and jit=False
-        # pins it off regardless of the environment).
-        engine = getattr(kernel, "jit", None)
-        if engine is not None:
-            engine.enabled = self.synthesizer.jit
+        self.synthesizer = Synthesizer(capabilities, customs=custom_fpms, num_cpus=kernel.num_cores)
         self.deployer = Deployer(kernel, hook=hook)
         self.socket = kernel.bus.open_socket()
         self.introspection = ServiceIntrospection(self.socket)
@@ -384,13 +366,6 @@ class Controller:
                 continue
             if self.deployer.deploy(path):
                 redeployed.append(ifname)
-                jit_report = path.jit_report
-                if jit_report is not None and jit_report.status == "fallback":
-                    # An incident, not a failure: the interface serves
-                    # under the interpreter, operators get told why.
-                    self._incident(
-                        "jit-fallback", jit_report.error or "jit compile failed", ifname
-                    )
             else:
                 failure = self.deployer.failures.get(ifname)
                 detail = f"{failure.stage}: {failure.error}" if failure else "unknown"

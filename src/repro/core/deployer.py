@@ -252,34 +252,24 @@ class Deployer:
         return report, frozen
 
     def jit_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-interface JIT outcome for the *serving* program.
+        """Per-interface JIT outcome for the *serving* program, from the
+        kernel's engine (which compiles it now if no packet has yet).
 
-        ``status`` is ``"interpreter"`` when the serving path carries no JIT
-        report (the JIT was not enabled for its synthesis); ``"fallback"``
-        means compilation failed and the interpreter serves, fail-closed.
-        Withdrawn interfaces are omitted.
+        ``status`` is ``"compiled"``, or ``"fallback"`` when compilation
+        failed and the interpreter serves, fail-closed. Withdrawn
+        interfaces are omitted.
         """
         out: Dict[str, Dict[str, object]] = {}
         for ifname, entry in sorted(self.deployed.items()):
             if entry.current is None:
                 continue
-            report = entry.current.jit_report
-            if report is None:
-                out[ifname] = {
-                    "status": "interpreter",
-                    "insns": len(entry.current.program),
-                    "inline_mem_ops": 0,
-                    "folded_null_checks": 0,
-                    "writes_packet": True,
-                }
-            else:
-                out[ifname] = {
-                    "status": report.status,
-                    "insns": len(entry.current.program),
-                    "inline_mem_ops": report.inline_mem_ops,
-                    "folded_null_checks": report.folded_null_checks,
-                    "writes_packet": report.writes_packet,
-                }
+            report = self.kernel.jit.report_for(entry.current.program)
+            out[ifname] = {
+                "status": report.status,
+                "insns": len(entry.current.program),
+                "inline_mem_ops": report.inline_mem_ops,
+                "folded_null_checks": report.folded_null_checks,
+            }
         return out
 
     def note_failure(self, ifname: str, stage: str, error: Exception) -> DeployFailure:

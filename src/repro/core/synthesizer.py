@@ -17,8 +17,6 @@ from repro.core.capability import CapabilityManager
 from repro.core.fpm.library import render_fast_path
 from repro.core.graph import InterfaceGraph, ProcessingGraph
 from repro.ebpf.analysis.lint import lint_program
-from repro.ebpf.jit import JitReport, compile_program
-from repro.ebpf.jit.engine import jit_env_default
 from repro.ebpf.maps import BpfMap, HashMap, LruHashMap, PercpuLruHashMap
 from repro.ebpf.minic import compile_c
 from repro.ebpf.program import Program
@@ -26,6 +24,8 @@ from repro.ebpf.verifier import verify
 
 #: Placeholder with nothing behind it: bench/trace.py wraps this name on traced runs.
 optimize_program = None
+#: Placeholder with nothing behind it: bench/trace.py wraps this name on traced runs.
+compile_program = None
 
 
 @dataclass
@@ -42,10 +42,6 @@ class SynthesizedPath:
     #: compiled against. The Deployer rebinds ``custom.maps`` to the clones
     #: once this path is serving, so userspace reads live state.
     custom_rebinds: List[tuple] = field(default_factory=list)
-    #: What the bytecode→Python JIT said about this program (None when the
-    #: JIT was not enabled). ``status == "fallback"`` means the program will
-    #: run under the interpreter — fail-closed, the interface still deploys.
-    jit_report: Optional[JitReport] = None
 
     def rebind_custom_maps(self) -> None:
         for custom, clones in self.custom_rebinds:
@@ -61,17 +57,10 @@ class Synthesizer:
         capabilities: Optional[CapabilityManager] = None,
         customs: Optional[list] = None,
         num_cpus: int = 1,
-        jit: Optional[bool] = None,
     ) -> None:
         self.capabilities = capabilities or CapabilityManager.linuxfp()
         self.customs = list(customs or [])  # CustomFpm modules to weave in
         self.num_cpus = max(1, num_cpus)  # target kernel's data-plane CPUs
-        if jit is None:
-            jit = jit_env_default()
-        #: Opt-in bytecode→Python JIT: compile-checked here so deploys
-        #: surface a ``jit-fallback`` incident immediately instead of on
-        #: the first packet (the engine itself also fails closed).
-        self.jit = jit
 
     def _prepare_custom_maps(self) -> tuple:
         """The map set a synthesis compiles against.
@@ -135,9 +124,6 @@ class Synthesizer:
             source, name=f"linuxfp_{iface_graph.ifname}_{hook}", hook=hook, maps=custom_maps
         )
         verify(program)
-        jit_report = None
-        if self.jit:
-            __, jit_report = compile_program(program)
         return SynthesizedPath(
             ifname=iface_graph.ifname,
             program=program,
@@ -145,7 +131,6 @@ class Synthesizer:
             pruned_nfs=pruned,
             lint_findings=[str(f) for f in lint_program(program)],
             custom_rebinds=rebinds,
-            jit_report=jit_report,
         )
 
     def synthesize(self, graph: ProcessingGraph, hook: str) -> Dict[str, SynthesizedPath]:

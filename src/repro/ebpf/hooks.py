@@ -8,22 +8,17 @@ aborts (memory violations and the like) become drops, as with
 ``XDP_ABORTED``, flagged on the result so drop accounting can tell a fault
 from a policy verdict.
 
-When the kernel carries an enabled :class:`~repro.ebpf.jit.JitEngine`,
-invocations route through it instead of a fresh interpreter: compiled
-programs run specialized, everything else falls back to the interpreter
-with identical observable behavior. Programs whose whole tail-call chain
-is compiled *and* provably never writes the packet additionally run
-zero-copy: the hook wraps the wire frame in a read-only region instead of
-copying it into a ``bytearray``, and hands the original frame object
-onward (the XDP_TX/REDIRECT "frame recycling" analogue).
+Every invocation runs through the kernel's
+:class:`~repro.ebpf.jit.JitEngine` (``kernel.jit``): compiled programs run
+specialized, and a program the JIT declined runs in the interpreter with
+identical observable behavior.
 """
 
 from __future__ import annotations
 
-
 from repro.ebpf.memory import Pointer, Region
 from repro.ebpf.program import HOOK_TC, HOOK_XDP, Program
-from repro.ebpf.vm import VM, Env, VMError
+from repro.ebpf.vm import Env, VMError
 from repro.kernel.hooks_api import (
     TC_ACT_REDIRECT,
     TC_ACT_SHOT,
@@ -44,14 +39,6 @@ def _observe_fpm(kernel, name: str, elapsed_ns: int) -> None:
         obs.tracer.event("fpm", name)
 
 
-def _jit_engine(kernel):
-    """The kernel's JIT engine when present and enabled, else None."""
-    engine = getattr(kernel, "jit", None)
-    if engine is not None and engine.enabled:
-        return engine
-    return None
-
-
 class XdpAttachment:
     """An XDP-hook driver program (runs on the raw frame, pre-sk_buff)."""
 
@@ -63,43 +50,23 @@ class XdpAttachment:
         self.aborts = 0
 
     def run_xdp(self, kernel, dev, frame: bytes, env: "Env" = None) -> XdpResult:
-        engine = _jit_engine(kernel)
-        zero_copy = engine is not None and engine.zero_copy_ok(self.program)
-        return self._invoke(kernel, dev, frame, env, engine, zero_copy)
+        return self._invoke(kernel, dev, frame, env)
 
     def run_xdp_burst(self, kernel, dev, frames, queue: int = 0) -> list:
-        """Run the program over a burst of frames (GRO/XDP-bulk analogue).
+        """Run the program over a burst of frames (GRO/XDP-bulk analogue)."""
+        return [self._invoke(kernel, dev, frame, None) for frame in frames]
 
-        The per-invocation setup that is loop-invariant — engine lookup and
-        the zero-copy chain fact — is resolved once for the whole burst.
-        """
-        engine = _jit_engine(kernel)
-        zero_copy = engine is not None and engine.zero_copy_ok(self.program)
-        return [
-            self._invoke(kernel, dev, frame, None, engine, zero_copy)
-            for frame in frames
-        ]
-
-    def _invoke(self, kernel, dev, frame, env, engine, zero_copy) -> XdpResult:
+    def _invoke(self, kernel, dev, frame, env) -> XdpResult:
+        # Shared by both entry points, so a burst stays one hook call
+        # rather than calling run_xdp once per frame.
         self.invocations += 1
-        if zero_copy:
-            # Whole reachable chain is compiled and read-only: run straight
-            # over the wire bytes, no defensive copy in or out.
-            region = Region("pkt", frame, writable=False)
-            engine.stats["zero_copy_frames"] += 1
-        else:
-            region = Region("pkt", bytearray(frame))
+        region = Region("pkt", bytearray(frame))
         if env is None:
             env = Env(kernel, redirect_verdict=XDP_REDIRECT)
         args = [Pointer(region, 0), len(frame), dev.ifindex]
         t0 = kernel.clock.now_ns
         try:
-            if engine is not None:
-                verdict, executed = engine.execute(self.program, args, env)
-            else:
-                vm = VM(kernel)
-                verdict = vm.run(self.program, args, env)
-                executed = vm.insns_executed
+            verdict, executed = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
             # InjectedFault: a fault site fired inside a map op that the
             # helper layer doesn't absorb; treated exactly like a runtime
@@ -113,7 +80,7 @@ class XdpAttachment:
         from repro.ebpf.af_xdp import XDP_REDIRECT_XSK
         from repro.kernel.hooks_api import XDP_CONSUMED
 
-        out = frame if zero_copy else bytes(region.data)
+        out = bytes(region.data)
         if verdict == XDP_REDIRECT_XSK and env.xsk_socket is not None:
             env.xsk_socket.push_rx(out)
             return XdpResult(XDP_CONSUMED, out)
@@ -134,26 +101,13 @@ class TcAttachment:
         self.invocations += 1
         wire = getattr(skb, "wire_frame", None)
         frame = wire() if wire is not None else skb.pkt.to_bytes()
-        engine = _jit_engine(kernel)
-        zero_copy = engine is not None and engine.zero_copy_ok(self.program)
-        if zero_copy:
-            # to_bytes() already produced fresh bytes; skip the bytearray
-            # copy in and the bytes() copy out.
-            region = Region("pkt", frame, writable=False)
-            engine.stats["zero_copy_frames"] += 1
-        else:
-            region = Region("pkt", bytearray(frame))
+        region = Region("pkt", bytearray(frame))
         if env is None:
             env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
         args = [Pointer(region, 0), len(frame), skb.ifindex]
         t0 = kernel.clock.now_ns
         try:
-            if engine is not None:
-                verdict, executed = engine.execute(self.program, args, env)
-            else:
-                vm = VM(kernel)
-                verdict = vm.run(self.program, args, env)
-                executed = vm.insns_executed
+            verdict, executed = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
             self.aborts += 1
             env.aborted = True
@@ -161,5 +115,5 @@ class TcAttachment:
             return TcResult(TC_ACT_SHOT, frame, aborted=True)
         _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
         env.insns_executed = executed
-        out = frame if zero_copy else bytes(region.data)
+        out = bytes(region.data)
         return TcResult(int(verdict), out, env.redirect_ifindex)

@@ -1,4 +1,4 @@
-"""Verified-bytecode → Python JIT for the FPM fast path (ROADMAP item #1).
+"""Verified-bytecode → Python JIT: the executor of every FPM program.
 
 The interpreter (:mod:`repro.ebpf.vm`) pays per-instruction dispatch,
 dynamic pointer-provenance checks, and a ``charge_ns`` call per executed
@@ -26,11 +26,13 @@ that
   region), so a tail call into a program the JIT cannot compile resumes
   cleanly in the interpreter mid-chain.
 
-Everything is fail-closed: any analysis or codegen surprise produces a
-``fallback`` :class:`JitReport` and the interpreter keeps serving, with
-a ``jit-fallback`` incident surfaced by the controller: a lost win,
-never an outage. Opt-in via ``LINUXFP_JIT``
-or ``Synthesizer(jit=True)`` / ``Controller(jit=True)``.
+Every XDP/TC hook runs its program through :class:`JitEngine`, which
+compiles each program once, on its first run. There is no switch: as on
+kernels built with ``CONFIG_BPF_JIT_ALWAYS_ON``, the interpreter
+(:mod:`repro.ebpf.vm`) is only the engine's fail-closed fallback and the
+reference the tests compare against. Any analysis or codegen surprise
+produces a ``fallback`` :class:`JitReport` and the interpreter serves that
+program: a lost win, never an outage.
 """
 
 from repro.ebpf.jit.compiler import CompiledUnit, JitError, JitReport, compile_program

@@ -107,23 +107,24 @@ class JitReport:
     inline_mem_ops: int = 0  # packet/stack accesses emitted as direct slices
     generic_ops: int = 0  # ops kept in interpreter-equivalent form
     folded_null_checks: int = 0
-    writes_packet: bool = True  # conservative until proven otherwise
 
 
 @dataclass
 class CompiledUnit:
-    """One program's compiled executor plus its static facts.
+    """One program's compiled executor.
 
     ``fn(env, args5, stack, charge_ns, insn_cost)`` returns a 4-tuple
     ``(tag, value, executed, tail_msg)``: ``TAG_EXIT`` with the r0
     verdict, or ``TAG_TAIL`` with the prog-array slot to chain into
     (``tail_msg`` is the pre-baked limit-exceeded message for that call
     site). Aborts raise :class:`_JitHalt` wrapping the real error.
+
+    The unit holds no reference back to its program, and ``fn``'s globals
+    do not hold ``fn``: a retired program and its unit are freed by
+    reference counting alone.
     """
 
-    program: Program
     fn: Callable
-    writes_packet: bool
     source: str  # the generated Python, for debugging and tests
 
     TAG_EXIT = 0
@@ -186,7 +187,6 @@ class _Compiler:
         self.lines: List[str] = []
         self.used: Dict[str, bool] = {}
         self.ns: Dict[str, object] = {}
-        self.writes_packet = False
         self.pend = 0  # insns executed since the last emitted _n update
         self._tmp = 0
 
@@ -244,7 +244,6 @@ class _Compiler:
         self._translate(leaders)
         source = self._assemble()
         self.report.blocks = len(leaders)
-        self.report.writes_packet = self.writes_packet
         namespace = dict(self.ns)
         namespace.update(
             _Ptr=Pointer,
@@ -264,13 +263,8 @@ class _Compiler:
             exec(code, namespace)
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
             raise JitError("generated source failed to compile: %s" % (exc,)) from exc
-        unit = CompiledUnit(
-            program=program,
-            fn=namespace["_fpm"],
-            writes_packet=self.writes_packet,
-            source=source,
-        )
-        return unit, self.report
+        # popped, so the function's globals do not reference the function
+        return CompiledUnit(fn=namespace.pop("_fpm"), source=source), self.report
 
     def _leaders(self) -> List[int]:
         leaders = {0}
@@ -408,7 +402,7 @@ class _Compiler:
             return self._jump(pc, insn, st, propagate, fall)
 
         if op is Op.CALL:
-            dead = self._call(pc, insn, st, setreg)
+            dead = self._call(pc, insn, setreg)
             if not dead:
                 fall()
             return dead
@@ -661,9 +655,6 @@ class _Compiler:
             return self._raise(
                 "%s@%d: store via non-pointer r%d" % (name, pc, insn.dst))
 
-        if dst_kind[0] in ("p", "g"):
-            self.writes_packet = True
-
         if dst_kind[0] == "p":
             if val_kind[0] in ("p", "s"):
                 # spilling a pointer into the packet always aborts
@@ -820,19 +811,9 @@ class _Compiler:
 
     # -------------------------------------------------------------- calls
 
-    def _call(self, pc, insn, st, setreg) -> bool:
+    def _call(self, pc, insn, setreg) -> bool:
         name = self.program.name
         helper_id = insn.imm
-        sig = helpers_mod.HELPER_SIGS.get(helper_id)
-        if sig is None:
-            # unknown signature: any pointer argument may be written through
-            for i in range(1, 6):
-                if st.regs[i][0] in ("p", "g", "u"):
-                    self.writes_packet = True
-        else:
-            for i, spec in enumerate(sig.args):
-                if spec.writes and st.regs[1 + i][0] in ("p", "g", "u"):
-                    self.writes_packet = True
         # the clock the helper observes must match the interpreter's exactly
         self._flush()
         entry = helpers_mod.HELPERS.get(helper_id)

@@ -748,9 +748,6 @@ class ProgArray(BpfMap):
     def __init__(self, name: str, max_entries: int = 16) -> None:
         super().__init__(name, 4, 8, max_entries)
         self._progs: Dict[int, object] = {}
-        # bumped on every slot mutation so the JIT engine can cache facts
-        # derived from the reachable tail-call chain (e.g. packet writes)
-        self.version = 0
 
     def set_prog(self, index: int, prog: object) -> None:
         # Clearing a slot (``clear``) never fails, matching real prog-array
@@ -759,18 +756,12 @@ class ProgArray(BpfMap):
         if not 0 <= index < self.max_entries:
             raise MapError(f"{self.name}: index {index} out of range")
         self._progs[index] = prog
-        self.version += 1
 
     def get_prog(self, index: int) -> Optional[object]:
         return self._progs.get(index)
 
-    def slots(self) -> Dict[int, object]:
-        """A snapshot of occupied slots (for chain-fact walks)."""
-        return dict(self._progs)
-
     def clear(self, index: int) -> None:
         self._progs.pop(index, None)
-        self.version += 1
 
     def lookup(self, key: bytes) -> Optional[bytes]:
         raise MapError("prog arrays are not directly readable")

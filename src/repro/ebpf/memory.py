@@ -20,7 +20,7 @@ class MemoryError_(Exception):
 
 
 class Region:
-    """A bounded, optionally writable byte region.
+    """A bounded byte region.
 
     Stack regions (``allow_pointers=True``) additionally support *pointer
     spilling*: storing a fat pointer into an 8-byte slot and loading it back,
@@ -28,10 +28,9 @@ class Region:
     writes overlapping a spilled pointer invalidate it.
     """
 
-    def __init__(self, kind: str, data: bytearray, writable: bool = True, allow_pointers: bool = False) -> None:
+    def __init__(self, kind: str, data: bytearray, allow_pointers: bool = False) -> None:
         self.kind = kind
         self.data = data
-        self.writable = writable
         self.allow_pointers = allow_pointers
         self._spilled: dict = {}  # offset -> Pointer
 
@@ -70,8 +69,6 @@ class Region:
         return int.from_bytes(self.data[offset : offset + size], "big")
 
     def store(self, offset: int, size: int, value: int) -> None:
-        if not self.writable:
-            raise MemoryError_(f"{self.kind}: region is read-only")
         if offset < 0 or offset + size > len(self.data):
             raise MemoryError_(f"{self.kind}: store [{offset}:{offset + size}] out of bounds (len {len(self.data)})")
         self.data[offset : offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "big")
@@ -82,8 +79,6 @@ class Region:
         return bytes(self.data[offset : offset + size])
 
     def write_bytes(self, offset: int, payload: bytes) -> None:
-        if not self.writable:
-            raise MemoryError_(f"{self.kind}: region is read-only")
         if offset < 0 or offset + len(payload) > len(self.data):
             raise MemoryError_(f"{self.kind}: write [{offset}:{offset + len(payload)}] out of bounds")
         self.data[offset : offset + len(payload)] = payload

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.ebpf.isa import Insn
 from repro.ebpf.maps import BpfMap
@@ -30,6 +30,10 @@ class Program:
     hook: str = HOOK_XDP
     maps: List[BpfMap] = field(default_factory=list)
     source: Optional[str] = None  # the mini-C the program was compiled from
+    #: ``(unit, report)`` the JIT engine attaches on the program's first run
+    #: (``unit`` is None when it fell back to the interpreter). It lives and
+    #: dies with the program, and takes no part in ``==`` or ``repr``.
+    jit: Optional[Tuple[object, object]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.hook not in VALID_HOOKS:

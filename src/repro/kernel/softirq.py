@@ -28,7 +28,6 @@ and throughput is bounded by the bottleneck CPU only.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Iterable, List, Tuple
 
@@ -48,13 +47,11 @@ DEFAULT_MAX_BACKLOG = 1000
 NAPI_BUDGET = 64
 
 
-def batching_env_default() -> bool:
-    """Batched backlog draining is on unless ``LINUXFP_NO_BATCH`` kills it."""
-    return os.environ.get("LINUXFP_NO_BATCH", "").lower() not in ("1", "true", "on")
-
-
 class SoftirqSet:
     """Per-kernel NET_RX dispatch: picks the CPU a frame is processed on."""
+
+    #: Placeholder with nothing behind it: bench/workloads.py reports it in Workload.config.
+    batching = True
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
@@ -77,9 +74,6 @@ class SoftirqSet:
         # re-entrancy latch: process_backlogs() must not recurse when a
         # drained frame's processing triggers another enqueue+drain
         self._draining = False
-        #: batched draining (NAPI budget + same-(dev,queue) run coalescing);
-        #: the per-frame drain survives behind ``LINUXFP_NO_BATCH``
-        self.batching = batching_env_default()
 
     # ------------------------------------------------------------ tunables
 
@@ -205,13 +199,6 @@ class SoftirqSet:
                     if not backlog:
                         continue
                     busy = True
-                    if not self.batching:
-                        dev, frame, queue = backlog.popleft()
-                        with cpus.on(cpu):
-                            cpus.packets[cpu] += 1
-                            stack.receive(dev, frame, queue)
-                        processed += 1
-                        continue
                     budget = NAPI_BUDGET
                     while backlog and budget > 0:
                         dev, frame, queue = backlog.popleft()

@@ -262,11 +262,11 @@ class Stack:
 
         Accounts and charges driver work once for the whole burst and runs
         the XDP program over all frames before dispatching verdicts, so the
-        per-frame bookkeeping (ledger attribution, engine lookup, zero-copy
-        chain facts) amortizes over the batch. Observationally identical to
-        calling :meth:`receive` per frame; any machinery that makes
-        per-frame decisions — an armed tracer, a differential watchdog, the
-        flow cache — forces the per-frame path.
+        per-frame bookkeeping (ledger attribution, driver charge) amortizes
+        over the batch. Observationally identical to calling
+        :meth:`receive` per frame; any machinery that makes per-frame
+        decisions — an armed tracer, a differential watchdog, the flow
+        cache — forces the per-frame path.
         """
         kernel = self.kernel
         obs = getattr(kernel, "observability", None)

@@ -16,8 +16,6 @@ blacklist for the gateway.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import Controller
 from repro.measure.netperf import Netperf, measure_base_rtt_ns
 from repro.measure.pktgen import Pktgen, ThroughputResult
@@ -40,19 +38,14 @@ def setup_router(
     num_prefixes: int = NUM_PREFIXES,
     num_queues: int = 1,
     hook: str = "xdp",
-    jit: Optional[bool] = None,
 ) -> LineTopology:
-    """Build the virtual-router DUT for one platform.
-
-    ``jit`` enables the bytecode→Python JIT on the linuxfp controller
-    (None defers to ``LINUXFP_JIT``).
-    """
+    """Build the virtual-router DUT for one platform."""
     topo = LineTopology(num_queues=num_queues, dut_forwarding=platform in ("linux", "linuxfp"))
     if platform in ("linux", "linuxfp"):
         for i in range(num_prefixes):
             ip(topo.dut, f"route add 10.{100 + i}.0.0/16 via 10.0.2.2")
         if platform == "linuxfp":
-            topo.controller = Controller(topo.dut, hook=hook, jit=jit)
+            topo.controller = Controller(topo.dut, hook=hook)
             topo.controller.start()
     elif platform == "polycube":
         pcn = Polycube(topo.dut)
@@ -93,16 +86,9 @@ def setup_gateway(
     num_prefixes: int = NUM_PREFIXES,
     num_queues: int = 1,
     hook: str = "xdp",
-    jit: Optional[bool] = None,
 ) -> LineTopology:
     """Router + IP-blacklist filtering (the virtual-gateway scenario)."""
-    topo = setup_router(
-        platform,
-        num_prefixes=num_prefixes,
-        num_queues=num_queues,
-        hook=hook,
-        jit=jit,
-    )
+    topo = setup_router(platform, num_prefixes=num_prefixes, num_queues=num_queues, hook=hook)
     if platform in ("linux", "linuxfp"):
         if use_ipset:
             ipset(topo.dut, "create blacklist hash:ip")

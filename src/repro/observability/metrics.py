@@ -281,8 +281,6 @@ class MetricsRegistry:
                 family("linuxfp_jit_engine_runs_total", "counter", "FPM invocations served by compiled code vs the interpreter.")
                 sample("linuxfp_jit_engine_runs_total", stats["jit_runs"], mode="jit")
                 sample("linuxfp_jit_engine_runs_total", stats["interp_runs"], mode="interpreter")
-                family("linuxfp_jit_engine_zero_copy_frames_total", "counter", "Frames that ran the hook without a defensive packet copy.")
-                sample("linuxfp_jit_engine_zero_copy_frames_total", stats["zero_copy_frames"])
                 family("linuxfp_jit_engine_fallbacks_total", "counter", "Programs the JIT declined to compile (interpreter serves them).")
                 sample("linuxfp_jit_engine_fallbacks_total", stats["fallbacks"])
             if pressure:
@@ -296,14 +294,11 @@ class MetricsRegistry:
             if jit:
                 family("linuxfp_jit_status", "gauge", "Serving-program JIT outcome (1 for the active status label).")
                 for ifname, info in sorted(jit.items()):
-                    for status in ("interpreter", "compiled", "fallback"):
+                    for status in ("compiled", "fallback"):
                         sample("linuxfp_jit_status", 1 if info["status"] == status else 0, interface=ifname, status=status)
                 family("linuxfp_jit_inline_mem_ops", "gauge", "Packet/stack accesses the JIT emitted with no bounds or provenance checks.")
                 for ifname, info in sorted(jit.items()):
                     sample("linuxfp_jit_inline_mem_ops", info["inline_mem_ops"], interface=ifname)
-                family("linuxfp_jit_writes_packet", "gauge", "Whether the serving program may write the packet (0 enables zero-copy frames).")
-                for ifname, info in sorted(jit.items()):
-                    sample("linuxfp_jit_writes_packet", 1 if info["writes_packet"] else 0, interface=ifname)
             if ctl.deployer.migrations:
                 family("linuxfp_migrated_entries_total", "counter", "Map entries carried into the new program at the last redeploy.")
                 for ifname, report in sorted(ctl.deployer.migrations.items()):

@@ -39,12 +39,12 @@ NUM_FLOWS = 64
 
 # ------------------------------------------------------------------ traffic
 
-def _build_topology(scenario: str, hook: str, jit: bool = None):
+def _build_topology(scenario: str, hook: str):
     from repro.measure.scenarios import setup_gateway, setup_router
 
     if scenario == "router":
-        return setup_router("linuxfp", hook=hook, jit=jit)
-    return setup_gateway("linuxfp", hook=hook, jit=jit)
+        return setup_router("linuxfp", hook=hook)
+    return setup_gateway("linuxfp", hook=hook)
 
 
 def _drive_traffic(topo, packets: int) -> None:
@@ -95,7 +95,7 @@ def cmd_drops(args) -> int:
         )
         return 0
 
-    topo = _build_topology(args.scenario, args.hook, args.jit)
+    topo = _build_topology(args.scenario, args.hook)
     _drive_traffic(topo, args.packets)
     stack = topo.dut.stack
     obs = topo.dut.observability
@@ -124,7 +124,7 @@ def cmd_trace(args) -> int:
     except TraceFilterError as exc:
         print(f"fpmtool: bad --filter: {exc}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.jit)
+    topo = _build_topology(args.scenario, args.hook)
     tracer = topo.dut.observability.tracer
     tracer.arm(flt, capacity=max(args.limit, 16))
     _drive_traffic(topo, args.packets)
@@ -142,7 +142,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    topo = _build_topology(args.scenario, args.hook, args.jit)
+    topo = _build_topology(args.scenario, args.hook)
     _drive_traffic(topo, args.packets)
     registry = topo.controller.metrics()
     if args.format == "json":
@@ -156,7 +156,7 @@ def cmd_prog(args) -> int:
     if args.prog_cmd != "list":
         print(f"fpmtool: unknown prog subcommand {args.prog_cmd!r}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.jit)
+    topo = _build_topology(args.scenario, args.hook)
     _drive_traffic(topo, args.packets)
     deployed = topo.controller.deployer.deployed
     if not deployed:
@@ -169,13 +169,11 @@ def cmd_prog(args) -> int:
         if current is not None:
             name = current.program.name
             insns = str(len(current.program))
-            jit_report = current.jit_report
-            if jit_report is None:
-                jit = "-"
-            elif jit_report.status == "compiled":
-                jit = f"compiled({jit_report.inline_mem_ops} inline)"
+            report = topo.dut.jit.report_for(current.program)
+            if report.status == "compiled":
+                jit = f"compiled({report.inline_mem_ops} inline)"
             else:
-                jit = jit_report.status  # fallback
+                jit = report.status  # fallback
         else:
             name, insns, jit = "(slow path)", "-", "-"
         print(f"{ifname:8s} {entry.hook:4s} {name:28s} {insns:>6s} {entry.swaps:>6d} {jit}")
@@ -203,7 +201,7 @@ def cmd_map(args) -> int:
     if args.map_cmd != "dump":
         print(f"fpmtool: unknown map subcommand {args.map_cmd!r}", file=sys.stderr)
         return 2
-    topo = _build_topology(args.scenario, args.hook, args.jit)
+    topo = _build_topology(args.scenario, args.hook)
     _drive_traffic(topo, args.packets)
     deployed = topo.controller.deployer.deployed
     if not deployed:
@@ -357,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", choices=("router", "gateway"), default="gateway")
     parser.add_argument("--hook", choices=("xdp", "tc"), default="xdp")
     parser.add_argument("--packets", type=int, default=256, help="normal flow packets to inject")
-    parser.add_argument(
-        "--jit",
-        action="store_true",
-        default=None,
-        help="compile deployed FPM bytecode to Python closures (LINUXFP_JIT)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_drops = sub.add_parser("drops", help="per-reason drop table / static audit")

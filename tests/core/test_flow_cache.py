@@ -333,13 +333,6 @@ class TestControllerIntegration:
         Controller(topo.dut, hook="xdp").start()
         assert topo.dut.flow_cache.enabled is False
 
-    def test_env_variable_enables(self, monkeypatch):
-        monkeypatch.setenv("LINUXFP_FLOW_CACHE", "1")
-        topo = LineTopology()
-        topo.install_prefixes(4)
-        Controller(topo.dut, hook="xdp").start()
-        assert topo.dut.flow_cache.enabled is True
-
     def test_custom_fpm_disables_cache(self):
         from repro.core.custom import make_protocol_counter
 

@@ -1,4 +1,4 @@
-"""Observational equivalence of the batched+JIT fast path vs the interpreter.
+"""Observational equivalence of the JIT fast path vs the interpreter.
 
 Four layers of proof, from single programs up to the full pipeline:
 
@@ -9,12 +9,12 @@ Four layers of proof, from single programs up to the full pipeline:
    abort types/messages must agree sample for sample.
 2. **Cost parity** — with ``charge_costs=True`` the engine must advance the
    simulated clock by *exactly* the interpreter's nanoseconds, per config.
-   Batching and JIT amortize host overhead, never simulated work.
+   The JIT amortizes host overhead, never simulated work.
 3. **Property-based** — Hypothesis drives arbitrary byte strings (and
    structured mutations) through both sides of the router fast path and the
    tail-call dispatcher.
-4. **End-to-end** — twin router topologies (batched+JIT vs per-frame
-   interpreter) forward an identical traffic mix, including runs with armed
+4. **End-to-end** — twin router topologies (JIT vs an interpreter-only
+   engine) forward an identical traffic mix, including runs with armed
    data-plane faults; the conservation ledger, drop tables, per-NIC
    counters, and the simulated clock must match exactly.
 """
@@ -147,7 +147,7 @@ def _abort_tolerant_eq(a, b):
 @pytest.mark.parametrize("name,program", _all_configs(), ids=lambda v: v if isinstance(v, str) else "")
 def test_corpus_differential(name, program):
     k_int, k_jit = Kernel("diff-int"), Kernel("diff-jit")
-    engine = JitEngine(k_jit, enabled=True)
+    engine = JitEngine(k_jit)
     for i, frame in enumerate(CORPUS):
         ref = _sample_interp(k_int, program, frame, charge=False)
         got = _sample_jit(k_jit, engine, program, frame, charge=False)
@@ -159,7 +159,7 @@ def test_corpus_differential(name, program):
 def test_cost_parity(name, program):
     """Acceptance: the JIT charges exactly the interpreter's nanoseconds."""
     k_int, k_jit = Kernel("cost-int"), Kernel("cost-jit")
-    engine = JitEngine(k_jit, enabled=True)
+    engine = JitEngine(k_jit)
     for i, frame in enumerate(CORPUS):
         before = (k_int.clock.now_ns, k_jit.clock.now_ns)
         try:
@@ -190,7 +190,7 @@ def test_differential_under_armed_fault_sites():
                 with faults.injected(seed=11) as inj:
                     inj.arm(site, count=1)
                     if use_jit:
-                        engine = JitEngine(side_kernel, enabled=True)
+                        engine = JitEngine(side_kernel)
                         try:
                             out = _sample_jit(side_kernel, engine, program, frame, charge=True)
                         except faults.InjectedFault as exc:
@@ -222,7 +222,7 @@ DISPATCHER = [p for n, p in _all_configs() if n.startswith("dispatcher@xdp")][0]
 @given(frame=st.binary(min_size=0, max_size=128))
 def test_property_arbitrary_bytes(frame):
     k_int, k_jit = Kernel("prop-int"), Kernel("prop-jit")
-    engine = JitEngine(k_jit, enabled=True)
+    engine = JitEngine(k_jit)
     ref = _sample_interp(k_int, ROUTER, frame, charge=True)
     got = _sample_jit(k_jit, engine, ROUTER, frame, charge=True)
     assert _abort_tolerant_eq(got, ref)
@@ -243,7 +243,7 @@ def test_property_structured_udp(dst_low, ttl, cut):
     frame = pkt.to_bytes()[: max(0, len(pkt.to_bytes()) - cut)]
     for program in (ROUTER, DISPATCHER):
         k_int, k_jit = Kernel("prop2-int"), Kernel("prop2-jit")
-        engine = JitEngine(k_jit, enabled=True)
+        engine = JitEngine(k_jit)
         ref = _sample_interp(k_int, program, frame, charge=True)
         got = _sample_jit(k_jit, engine, program, frame, charge=True)
         assert _abort_tolerant_eq(got, ref)
@@ -287,13 +287,15 @@ def _ledger(topo):
     }
 
 
+def _interpreter_twin(topo, monkeypatch):
+    """Make the twin's engine run every program in the interpreter."""
+    monkeypatch.setattr(topo.dut.jit, "unit_for", lambda program: None)
+    return topo
+
+
 def test_end_to_end_batched_jit_matches_seed_interpreter(monkeypatch):
-    # hermetic: an ambient kill switch must not disable the side under test
-    monkeypatch.delenv("LINUXFP_NO_BATCH", raising=False)
-    fast = setup_router("linuxfp", hook="xdp", jit=True)
-    assert fast.dut.softirq.batching  # default on
-    slow = setup_router("linuxfp", hook="xdp", jit=False)
-    slow.dut.softirq.batching = False  # the seed per-frame drain
+    fast = setup_router("linuxfp", hook="xdp")
+    slow = _interpreter_twin(setup_router("linuxfp", hook="xdp"), monkeypatch)
 
     _drive(fast)
     _drive(slow)
@@ -304,23 +306,23 @@ def test_end_to_end_batched_jit_matches_seed_interpreter(monkeypatch):
     assert ledger_fast["rx"] + ledger_fast["tx_local"] == (
         ledger_fast["settled"] + ledger_fast["pending"]
     )
-    # the fast side actually exercised the JIT + zero-copy machinery
+    # the fast side ran compiled, the twin interpreted
     stats = fast.dut.jit.stats
-    assert stats["jit_runs"] > 0
+    assert stats["jit_runs"] > 0 and stats["interp_runs"] == 0
     assert stats["fallbacks"] == 0
+    assert slow.dut.jit.stats["jit_runs"] == 0
 
 
 def test_end_to_end_equivalence_under_data_plane_faults(monkeypatch):
-    """With backlog-overflow faults armed (same seed both sides), the
-    batched+JIT pipeline drops exactly the frames the seed pipeline drops
-    and the ledger still balances."""
-    monkeypatch.delenv("LINUXFP_NO_BATCH", raising=False)
+    """With backlog-overflow faults armed (same seed both sides), the JIT
+    pipeline drops exactly the frames the interpreter pipeline drops and
+    the ledger still balances."""
     def run(jit_on):
         with faults.injected(seed=23) as inj:
             inj.arm("backlog_overflow", probability=0.05)
-            topo = setup_router("linuxfp", hook="xdp", jit=jit_on)
+            topo = setup_router("linuxfp", hook="xdp")
             if not jit_on:
-                topo.dut.softirq.batching = False
+                _interpreter_twin(topo, monkeypatch)
             _drive(topo, packets=150, oddballs=False)
             return _ledger(topo), inj.fired_at("backlog_overflow")
 
@@ -334,10 +336,8 @@ def test_end_to_end_equivalence_under_data_plane_faults(monkeypatch):
 
 
 def test_tc_hook_end_to_end_parity(monkeypatch):
-    monkeypatch.delenv("LINUXFP_NO_BATCH", raising=False)
-    fast = setup_router("linuxfp", hook="tc", jit=True)
-    slow = setup_router("linuxfp", hook="tc", jit=False)
-    slow.dut.softirq.batching = False
+    fast = setup_router("linuxfp", hook="tc")
+    slow = _interpreter_twin(setup_router("linuxfp", hook="tc"), monkeypatch)
     _drive(fast, packets=120)
     _drive(slow, packets=120)
     assert _ledger(fast) == _ledger(slow)

@@ -1,15 +1,14 @@
 """Tests for NAPI-budget batched backlog draining.
 
 Covers the budget bound, same-(dev, queue) run coalescing, per-CPU FIFO
-ordering, the ``LINUXFP_NO_BATCH`` kill switch, the conservative fallbacks
-that route a batch back through per-frame ``receive()``, and overflow
-accounting under burst arrival.
+ordering, the conservative fallbacks that route a batch back through
+per-frame ``receive()``, and overflow accounting under burst arrival.
 """
 
 import pytest
 
 from repro.kernel import Kernel
-from repro.kernel.softirq import NAPI_BUDGET, batching_env_default
+from repro.kernel.softirq import NAPI_BUDGET
 from repro.netsim.packet import make_udp
 
 
@@ -21,9 +20,7 @@ def udp_frame(i, dport=9):
 
 
 @pytest.fixture
-def kernel(monkeypatch):
-    # hermetic: an ambient kill switch must not disable what we assert on
-    monkeypatch.delenv("LINUXFP_NO_BATCH", raising=False)
+def kernel():
     k = Kernel("batch-test", num_cores=2)
     k.add_physical("eth0")
     return k
@@ -51,18 +48,6 @@ def record(kernel, monkeypatch):
     monkeypatch.setattr(kernel.stack, "receive", rec.receive)
     monkeypatch.setattr(kernel.stack, "receive_batch", rec.receive_batch)
     return rec
-
-
-class TestEnvDefault:
-    def test_on_by_default(self, monkeypatch):
-        monkeypatch.delenv("LINUXFP_NO_BATCH", raising=False)
-        assert batching_env_default() is True
-
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("LINUXFP_NO_BATCH", "1")
-        assert batching_env_default() is False
-        monkeypatch.setenv("LINUXFP_NO_BATCH", "off")
-        assert batching_env_default() is True
 
 
 class TestDrain:
@@ -122,16 +107,6 @@ class TestDrain:
             kernel.softirq.backlogs[1].append((dev, frame, 0))
         kernel.softirq.process_backlogs()
         assert rec.frames == frames
-
-    def test_kill_switch_drains_per_frame(self, kernel, monkeypatch):
-        dev = kernel.devices.by_name("eth0")
-        kernel.softirq.batching = False
-        rec = record(kernel, monkeypatch)
-        for _ in range(5):
-            kernel.softirq.backlogs[0].append((dev, udp_frame(0), 0))
-        kernel.softirq.process_backlogs()
-        assert all(kind == "single" for kind, *_ in rec.calls)
-        assert len(rec.calls) == 5
 
     def test_packets_counter_attributes_batch(self, kernel):
         dev = kernel.devices.by_name("eth0")

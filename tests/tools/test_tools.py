@@ -301,7 +301,7 @@ class TestFpmlintJson:
 
 class TestFpmtoolProgList:
     def test_jit_column(self, capsys):
-        rc = fpmtool.main(["--scenario", "router", "--packets", "8", "--jit", "prog", "list"])
+        rc = fpmtool.main(["--scenario", "router", "--packets", "8", "prog", "list"])
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[0].split()[-1] == "jit"
