@@ -145,22 +145,17 @@ class Controller:
         if self.kernel.watchdog is self.watchdog:
             self.kernel.watchdog = None
         self.watchdog = None
-        cache = getattr(self.kernel, "flow_cache", None)
-        if cache is not None and cache.enabled:
-            cache.enabled = False
-            cache.flush(hook=self.hook, reason="stop")
-        self.deployer.teardown()
+        self.kernel.flow_cache.enabled = False
+        self.deployer.teardown()  # flushes this hook's cached verdicts
         self.socket.close()
 
     def _sync_flow_cache(self) -> None:
         """Enable the flow cache iff requested and safe (no custom FPMs —
         their helpers may read per-packet state the cache cannot see)."""
-        cache = getattr(self.kernel, "flow_cache", None)
-        if cache is None:
-            return
+        cache = self.kernel.flow_cache
         want = self.flow_cache_requested and not self.synthesizer.customs
         if cache.enabled and not want:
-            cache.flush(hook=self.hook, reason="disable")
+            cache.flush(hook=self.hook)
         cache.enabled = want
 
     # -------------------------------------------------------------- rebuild

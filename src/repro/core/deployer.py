@@ -184,7 +184,7 @@ class Deployer:
         path.rebind_custom_maps()  # userspace now reads the live (migrated) maps
         self.failures.pop(path.ifname, None)
         self.quarantined.pop(path.ifname, None)
-        self._flush_flow_cache(path.ifname, reason="swap")
+        self._flush_flow_cache(path.ifname)
         return True
 
     def _migrate_maps(self, entry: DeployedInterface, path: SynthesizedPath) -> Tuple[MigrationReport, List[BpfMap]]:
@@ -293,7 +293,7 @@ class Deployer:
         entry.prog_array.clear(0)  # clearing a slot cannot fail
         entry.current = None
         entry.swaps += 1
-        self._flush_flow_cache(ifname, reason="withdraw")
+        self._flush_flow_cache(ifname)
 
     def quarantine(self, ifname: str, reason: str, holdoff_ns: int) -> Optional[Quarantine]:
         """Watchdog verdict: withdraw and hold off resynthesis briefly."""
@@ -301,7 +301,7 @@ class Deployer:
         now = self._now_ns()
         record = Quarantine(ifname=ifname, reason=reason, at_ns=now, until_ns=now + holdoff_ns)
         self.quarantined[ifname] = record
-        self._flush_flow_cache(ifname, reason="quarantine")
+        self._flush_flow_cache(ifname)
         return record
 
     def in_holdoff(self, ifname: str) -> bool:
@@ -348,17 +348,9 @@ class Deployer:
             del self.deployed[ifname]
         self.failures.clear()
         self.quarantined.clear()
-        cache = getattr(self.kernel, "flow_cache", None)
-        if cache is not None:
-            cache.flush(hook=self.hook, reason="teardown")
+        self.kernel.flow_cache.flush(hook=self.hook)
 
-    def _flush_flow_cache(self, ifname: str, reason: str = "swap") -> None:
+    def _flush_flow_cache(self, ifname: str) -> None:
         """Swapping a program invalidates that interface's cached verdicts."""
-        cache = getattr(self.kernel, "flow_cache", None)
-        if cache is None:
-            return
         dev = self.kernel.devices.get(ifname)
-        if dev is None:
-            cache.flush(hook=self.hook, reason=reason)
-        else:
-            cache.flush(hook=self.hook, ifindex=dev.ifindex, reason=reason)
+        self.kernel.flow_cache.flush(hook=self.hook, ifindex=None if dev is None else dev.ifindex)

@@ -6,7 +6,9 @@ production*: every Nth packet on an accelerated interface is handled by the
 plain kernel (authoritative — so sampling can never itself change
 behaviour), while the fast path runs only as a **shadow prediction**. The
 prediction's verdict and output frame are compared against what the kernel
-actually did, via the stack's transmit taps.
+actually did, via the stack's transmit taps. The prediction goes through
+the hook's attachment like any other run, so with the flow cache enabled a
+cached verdict is what gets checked.
 
 A mismatch means the deployed FPM computes something the kernel would not —
 a synthesis bug, a stale view, a corrupted program. The response is

@@ -12,6 +12,13 @@ Every invocation runs through the kernel's
 :class:`~repro.ebpf.jit.JitEngine` (``kernel.jit``): compiled programs run
 specialized, and a program the JIT declined runs in the interpreter with
 identical observable behavior.
+
+The attachments are also the one place each hook consults the kernel's
+flow cache (``kernel.flow_cache``, :mod:`repro.fastpath.flowcache`). A run
+made without an ``Env`` (a per-frame hook, a burst, the watchdog's shadow
+prediction) goes to the cache while it is enabled; the cache runs the
+program by passing its own ``Env``, which skips the consult. TC egress is
+never cached.
 """
 
 from __future__ import annotations
@@ -58,11 +65,15 @@ class XdpAttachment:
 
     def _invoke(self, kernel, dev, frame, env) -> XdpResult:
         # Shared by both entry points, so a burst stays one hook call
-        # rather than calling run_xdp once per frame.
+        # rather than calling run_xdp once per frame, and the XDP hook has
+        # one flow-cache consult.
+        if env is None:
+            cache = kernel.flow_cache
+            if cache.enabled and dev.xdp_prog is self:
+                return cache.run_xdp(dev, frame)
+            env = Env(kernel, redirect_verdict=XDP_REDIRECT)
         self.invocations += 1
         region = Region("pkt", bytearray(frame))
-        if env is None:
-            env = Env(kernel, redirect_verdict=XDP_REDIRECT)
         args = [Pointer(region, 0), len(frame), dev.ifindex]
         t0 = kernel.clock.now_ns
         try:
@@ -98,12 +109,15 @@ class TcAttachment:
         self.aborts = 0
 
     def run_tc(self, kernel, dev, skb, env: "Env" = None) -> TcResult:
+        if env is None:
+            cache = kernel.flow_cache
+            if cache.enabled and dev.tc_ingress_prog is self:  # egress runs uncached
+                return cache.run_tc(dev, skb)
+            env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
         self.invocations += 1
         wire = getattr(skb, "wire_frame", None)
         frame = wire() if wire is not None else skb.pkt.to_bytes()
         region = Region("pkt", bytearray(frame))
-        if env is None:
-            env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
         args = [Pointer(region, 0), len(frame), skb.ifindex]
         t0 = kernel.clock.now_ns
         try:

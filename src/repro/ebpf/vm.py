@@ -22,6 +22,7 @@ from repro.ebpf.isa import (
     JMP_IMM_OPS,
     JMP_REG_OPS,
     MASK64,
+    MEM_SIZES,
     NUM_REGS,
     Insn,
     Op,
@@ -54,7 +55,9 @@ class Env:
     flow cache (:mod:`repro.fastpath.flowcache`) needs: which kernel tables
     helpers consulted, which netfilter rules / conntrack entries decided the
     verdict, the earliest time-based expiry involved, and whether the run
-    touched per-packet state that makes its verdict uncacheable.
+    touched per-packet state that makes its verdict uncacheable. An
+    attachment run given an Env runs the program; one given none consults
+    the flow cache first (:mod:`repro.ebpf.hooks`).
     """
 
     def __init__(self, kernel, redirect_verdict: int) -> None:
@@ -181,6 +184,8 @@ class VM:
                     ptr = self._read(regs, insn.src, insn, program)
                     if not isinstance(ptr, Pointer):
                         raise VMError(f"{program.name}@{pc}: load via non-pointer r{insn.src}")
+                    if insn.imm not in MEM_SIZES:  # unverified bytecode
+                        raise VMError(f"{program.name}@{pc}: bad access size {insn.imm}")
                     try:
                         regs[insn.dst] = ptr.load(insn.off, insn.imm)
                     except MemoryError_ as exc:
@@ -190,6 +195,8 @@ class VM:
                     value = self._read(regs, insn.src, insn, program)
                     if not isinstance(ptr, Pointer):
                         raise VMError(f"{program.name}@{pc}: store via non-pointer r{insn.dst}")
+                    if insn.imm not in MEM_SIZES:
+                        raise VMError(f"{program.name}@{pc}: bad access size {insn.imm}")
                     try:
                         ptr.store(insn.off, insn.imm, value)
                     except MemoryError_ as exc:
@@ -198,6 +205,8 @@ class VM:
                     ptr = self._read(regs, insn.dst, insn, program)
                     if not isinstance(ptr, Pointer):
                         raise VMError(f"{program.name}@{pc}: store via non-pointer r{insn.dst}")
+                    if insn.src not in MEM_SIZES:
+                        raise VMError(f"{program.name}@{pc}: bad access size {insn.src}")
                     try:
                         ptr.store(insn.off, insn.src, insn.imm)
                     except MemoryError_ as exc:

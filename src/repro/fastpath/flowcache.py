@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.ebpf.vm import Env
 from repro.kernel.hooks_api import (
     TC_ACT_REDIRECT,
     TcResult,
@@ -251,6 +252,10 @@ class FlowCache:
         return sum(len(shard) for shard in self._shards)
 
     # ------------------------------------------------------------ hook entry
+    #
+    # The XDP and TC-ingress attachments (repro.ebpf.hooks) call these for
+    # every run made without an Env; the cache runs the program with its own
+    # Env, so the attachment serves that run itself.
 
     def _trace(self, event: str, detail: str = "") -> None:
         obs = getattr(self.kernel, "observability", None)
@@ -258,76 +263,59 @@ class FlowCache:
             obs.tracer.event(event, detail)
 
     def run_xdp(self, dev, frame: bytes) -> XdpResult:
-        """Consult the cache for an XDP-hook frame; falls back to the prog."""
-        attachment = dev.xdp_prog
-        hit = self._lookup("xdp", dev.ifindex, frame)
-        if hit is not None:
-            entry, replayed = hit
-            self._trace("flow_cache", f"hit fpms={','.join(entry.fpms) or '-'}")
-            return XdpResult(entry.verdict, replayed, entry.redirect_ifindex)
-
-        key = self._key(frame, dev.ifindex)
-        if key is None:
-            self.stats.bypasses["xdp"] += 1
-            self._trace("flow_cache", "bypass")
-            return attachment.run_xdp(self.kernel, dev, frame)
-
-        cached = self._shard().get(("xdp", dev.ifindex, key))
-        if cached is not None:
-            # valid but unreplayable (uncacheable flow or TTL guard): full run
-            self.stats.bypasses["xdp"] += 1
-            self._trace("flow_cache", "bypass")
-            return attachment.run_xdp(self.kernel, dev, frame)
-
-        from repro.ebpf.vm import Env
-
-        self.stats.misses["xdp"] += 1
-        self._trace("flow_cache", "miss")
-        env = Env(self.kernel, redirect_verdict=XDP_REDIRECT)
-        t0 = self.kernel.clock.now_ns
-        result = attachment.run_xdp(self.kernel, dev, frame, env=env)
-        self._record("xdp", dev.ifindex, key, frame, result.frame, result.verdict,
-                     result.redirect_ifindex, env, self.kernel.clock.now_ns - t0)
-        return result
+        """Serve an XDP-hook frame from the cache, else run ``dev.xdp_prog``."""
+        return self._serve("xdp", dev, frame, frame, dev.xdp_prog.run_xdp, XdpResult, XDP_REDIRECT)
 
     def run_tc(self, dev, skb) -> TcResult:
-        """Consult the cache for a TC-ingress skb; falls back to the prog."""
-        attachment = dev.tc_ingress_prog
+        """Serve a TC-ingress skb from the cache, else run ``dev.tc_ingress_prog``."""
         wire = getattr(skb, "wire_frame", None)
         frame = wire() if wire is not None else skb.pkt.to_bytes()
-        hit = self._lookup("tc", dev.ifindex, frame)
-        if hit is not None:
-            entry, replayed = hit
-            self._trace("flow_cache", f"hit fpms={','.join(entry.fpms) or '-'}")
-            return TcResult(entry.verdict, replayed, entry.redirect_ifindex)
+        return self._serve("tc", dev, frame, skb, dev.tc_ingress_prog.run_tc, TcResult, TC_ACT_REDIRECT)
 
-        key = self._key(frame, dev.ifindex)
-        if key is None:
-            self.stats.bypasses["tc"] += 1
-            self._trace("flow_cache", "bypass")
-            return attachment.run_tc(self.kernel, dev, skb)
-
-        cached = self._shard().get(("tc", dev.ifindex, key))
-        if cached is not None:
-            self.stats.bypasses["tc"] += 1
-            self._trace("flow_cache", "bypass")
-            return attachment.run_tc(self.kernel, dev, skb)
-
-        from repro.ebpf.vm import Env
-
-        self.stats.misses["tc"] += 1
-        self._trace("flow_cache", "miss")
-        env = Env(self.kernel, redirect_verdict=TC_ACT_REDIRECT)
-        t0 = self.kernel.clock.now_ns
-        result = attachment.run_tc(self.kernel, dev, skb, env=env)
-        self._record("tc", dev.ifindex, key, frame, result.frame, result.verdict,
-                     result.redirect_ifindex, env, self.kernel.clock.now_ns - t0)
-        return result
+    def _serve(self, hook: str, dev, frame: bytes, ctx, run, result_type, redirect_verdict: int):
+        """One hook's consult: a hit replays the entry onto ``frame``; a miss
+        runs ``run(kernel, dev, ctx, env)`` and records the flow; anything
+        else runs the program unrecorded (a bypass)."""
+        kernel = self.kernel
+        key = extract_flow_key(frame, dev.ifindex)
+        if key is not None:
+            full_key = (hook, dev.ifindex, key)
+            shard = self._shard()
+            entry = shard.get(full_key)
+            if entry is not None:
+                if entry.epoch != self._epochs[(hook, dev.ifindex)]:
+                    reason = "epoch"
+                else:
+                    reason = self._staleness(entry)
+                if reason is not None:
+                    del shard[full_key]
+                    self.stats.invalidations[reason] += 1
+                    entry = None
+            # The 5-tuple alone cannot distinguish a well-formed packet from
+            # one with, say, a truncated TCP header — which the full pipeline
+            # treats differently (bpf_ipt_lookup punts, the slow path drops).
+            # Only frames that parse cleanly may consult or seed the cache.
+            if _parses(frame):
+                if entry is None:
+                    self.stats.misses[hook] += 1
+                    self._trace("flow_cache", "miss")
+                    env = Env(kernel, redirect_verdict=redirect_verdict)
+                    t0 = kernel.clock.now_ns
+                    result = run(kernel, dev, ctx, env)
+                    self._record(shard, full_key, frame, result, env, kernel.clock.now_ns - t0)
+                    return result
+                replayed = self._replay(shard, full_key, entry, frame)
+                if replayed is not None:
+                    self._trace("flow_cache", f"hit fpms={','.join(entry.fpms) or '-'}")
+                    return result_type(entry.verdict, replayed, entry.redirect_ifindex)
+        # unkeyable or unparseable frame, uncacheable flow, L2 or TTL guard
+        self.stats.bypasses[hook] += 1
+        self._trace("flow_cache", "bypass")
+        return run(kernel, dev, ctx, Env(kernel, redirect_verdict=redirect_verdict))
 
     # ------------------------------------------------------------ lifecycle
 
-    def flush(self, hook: Optional[str] = None, ifindex: Optional[int] = None,
-              reason: str = "flush") -> int:
+    def flush(self, hook: Optional[str] = None, ifindex: Optional[int] = None) -> int:
         """Drop entries matching (hook, ifindex); None matches everything."""
         doomed = []
         for shard in self._shards:
@@ -381,54 +369,22 @@ class FlowCache:
 
     # ------------------------------------------------------------- internals
 
-    def _key(self, frame: bytes, ifindex: int) -> Optional[FlowKey]:
-        key = extract_flow_key(frame, ifindex)
-        if key is None:
-            return None
-        # The 5-tuple alone cannot distinguish a well-formed packet from one
-        # with, say, a truncated TCP header — which the full pipeline treats
-        # differently (bpf_ipt_lookup punts, the slow path drops). Only
-        # frames that parse cleanly may consult or seed the cache.
-        try:
-            Packet.from_bytes(frame)
-        except PacketError:
-            return None
-        return key
-
-    def _lookup(self, hook: str, ifindex: int, frame: bytes):
-        """A valid, replayable hit: (entry, replayed_frame) — else None."""
-        key = extract_flow_key(frame, ifindex)
-        if key is None:
-            return None
-        full_key = (hook, ifindex, key)
-        shard = self._shard()
-        entry = shard.get(full_key)
-        if entry is None:
-            return None
-        if entry.epoch != self._epochs[(hook, ifindex)]:
-            del shard[full_key]
-            self.stats.invalidations["epoch"] += 1
-            return None
-        reason = self._staleness(entry)
-        if reason is not None:
-            del shard[full_key]
-            self.stats.invalidations[reason] += 1
-            return None
+    def _replay(self, shard, full_key, entry: FlowEntry, frame: bytes) -> Optional[bytes]:
+        """A live entry's actions applied to ``frame`` (counted as a hit), or
+        None when the flow must take the full run."""
         if entry.uncacheable:
-            return None  # caller runs the full chain (counted as bypass)
+            return None
         if entry.eth_match is not None and frame[0:12] != entry.eth_match:
             # L2-sensitive entry (the program consulted the FDB) seeing new
             # MACs: not the same megaflow; take the full run.
             return None
-        if self._key(frame, ifindex) is None:
-            return None  # parse-hostile frame inside a known flow: full run
         replayed = entry.actions.apply(frame)
         if replayed is None:
             return None  # TTL guard
         self.kernel.costs_charge("flow_cache_lookup")
         shard.move_to_end(full_key)
         entry.hits += 1
-        self.stats.hits[hook] += 1
+        self.stats.hits[full_key[0]] += 1
         self.stats.fpm_hits.update(entry.fpms)
         self.stats.insns_avoided += entry.insns
         self.stats.ns_saved += max(0.0, entry.full_ns - self.kernel.costs.flow_cache_lookup)
@@ -437,7 +393,7 @@ class FlowCache:
             rule.packets += 1
         for ct in entry.ct_entries:
             ct.packets += 1
-        return entry, replayed
+        return replayed
 
     def _staleness(self, entry: FlowEntry) -> Optional[str]:
         """Why the entry is stale ("gen:<table>" / "expired"), or None."""
@@ -470,10 +426,10 @@ class FlowCache:
             )
         return 0  # unknown dependency: never invalidates (helpers control names)
 
-    def _record(self, hook: str, ifindex: int, key: FlowKey, in_frame: bytes,
-                out_frame: bytes, verdict: int, redirect_ifindex: Optional[int],
-                env, full_ns: float) -> None:
-        if getattr(env, "aborted", False) or (hook == "xdp" and verdict == XDP_ABORTED):
+    def _record(self, shard, full_key, in_frame: bytes, result, env, full_ns: float) -> None:
+        hook, ifindex, key = full_key
+        verdict, out_frame = result.verdict, result.frame
+        if env.aborted or (hook == "xdp" and verdict == XDP_ABORTED):
             return  # never cache an aborted run's verdict
         actions: Optional[CachedActions]
         if env.uncacheable or verdict == XDP_CONSUMED:
@@ -490,7 +446,7 @@ class FlowCache:
         entry = FlowEntry(
             key=key,
             verdict=verdict,
-            redirect_ifindex=redirect_ifindex,
+            redirect_ifindex=result.redirect_ifindex,
             actions=actions,
             deps=deps,
             expires_ns=env.expires_ns,
@@ -502,8 +458,6 @@ class FlowCache:
             insns=env.insns_executed,
             epoch=self._epochs[(hook, ifindex)],
         )
-        full_key = (hook, ifindex, key)
-        shard = self._shard()
         if full_key not in shard and len(shard) >= self.shard_capacity:
             shard.popitem(last=False)  # evict this shard's LRU entry
             self.stats.evictions += 1
@@ -511,6 +465,14 @@ class FlowCache:
         shard.move_to_end(full_key)
         self.kernel.costs_charge("flow_cache_insert")
         self.stats.records[hook] += 1
+
+
+def _parses(frame: bytes) -> bool:
+    try:
+        Packet.from_bytes(frame)
+    except PacketError:
+        return False
+    return True
 
 
 def _derive_actions(in_frame: bytes, out_frame: bytes) -> Optional[CachedActions]:

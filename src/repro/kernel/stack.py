@@ -217,11 +217,7 @@ class Stack:
                 # plain kernel pipeline handles the packet authoritatively.
                 watchdog.sample(self, dev, frame, queue)
                 return
-            cache = kernel.flow_cache
-            if cache is not None and cache.enabled:
-                result = cache.run_xdp(dev, frame)
-            else:
-                result = dev.xdp_prog.run_xdp(kernel, dev, frame)
+            result = dev.xdp_prog.run_xdp(kernel, dev, frame)
             self._xdp_dispatch(dev, result, queue)
             return
 
@@ -261,12 +257,16 @@ class Stack:
         """Batched driver entry: the GRO / ``xdp_do_flush`` analogue.
 
         Accounts and charges driver work once for the whole burst and runs
-        the XDP program over all frames before dispatching verdicts, so the
-        per-frame bookkeeping (ledger attribution, driver charge) amortizes
-        over the batch. Observationally identical to calling
-        :meth:`receive` per frame; any machinery that makes per-frame
-        decisions — an armed tracer, a differential watchdog, the flow
-        cache — forces the per-frame path.
+        the XDP program (or the flow cache in front of it) over all frames
+        before dispatching any verdict, so the per-frame bookkeeping
+        (ledger attribution, driver charge) amortizes over the batch. A
+        device without an XDP program, a differential watchdog, or an
+        armed tracer forces the per-frame path.
+
+        Running every program first is not always what per-frame delivery
+        would do: a verdict dispatched early in the burst can change state
+        a later frame's program reads (an ARP request that resolves the
+        neighbor the next frame is routed to).
         """
         kernel = self.kernel
         obs = getattr(kernel, "observability", None)
@@ -274,7 +274,6 @@ class Stack:
             dev.xdp_prog is None
             or kernel.watchdog is not None
             or (obs is not None and obs.tracer.armed)
-            or (kernel.flow_cache is not None and kernel.flow_cache.enabled)
         ):
             for frame in frames:
                 self.receive(dev, frame, queue)
@@ -310,11 +309,7 @@ class Stack:
             if watchdog is not None and watchdog.hook == "tc" and watchdog.should_sample(dev):
                 watchdog.sample_tc(self, dev, skb, frame, queue)
                 return
-            cache = kernel.flow_cache
-            if cache is not None and cache.enabled:
-                result = cache.run_tc(dev, skb)
-            else:
-                result = dev.tc_ingress_prog.run_tc(kernel, dev, skb)
+            result = dev.tc_ingress_prog.run_tc(kernel, dev, skb)
             self.tc_actions[result.verdict] += 1
             self._trace_event("tc", TC_ACTION_NAMES.get(result.verdict, str(result.verdict)))
             if result.verdict == TC_ACT_SHOT:

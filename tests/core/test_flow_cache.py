@@ -362,3 +362,25 @@ class TestControllerIntegration:
         topo.dut.ipt_append("FORWARD", Rule(target="ACCEPT", dport=9999))
         assert cache.stats.flushes > flushes_before
         assert len(cache) == 0
+
+    def test_tc_egress_program_runs_uncached(self):
+        from repro.ebpf.loader import Loader
+        from repro.ebpf.minic import compile_c
+
+        topo = LineTopology()
+        topo.install_prefixes(4)
+        Controller(topo.dut, hook="tc", flow_cache=True).start()
+        topo.prewarm_neighbors()
+        loader = Loader(topo.dut)
+        egress = loader.load(compile_c("u32 main() { return 0; }", name="egress", hook="tc"))
+        loader.attach_tc("eth0", egress, egress=True)
+        ingress = topo.dut_in.tc_ingress_prog
+        runs = ingress.invocations
+        # TTL 1: the ingress FPM punts, and the slow path sends the ICMP
+        # error back out of eth0 through its egress program
+        frame = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", topo.flow_destination(0, 4),
+                         ttl=1).to_bytes()
+        topo.dut_in.nic.receive_from_wire(frame)
+        assert topo.dut.stack.outcomes["tx"] == 1
+        assert egress.invocations == 1
+        assert ingress.invocations == runs + 1  # only the cache's ingress miss

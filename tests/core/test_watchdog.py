@@ -117,6 +117,29 @@ class TestMismatchContainment:
         send(topo, 4, flow=0)
         assert len(delivered) == 9
 
+    def test_watchdog_checks_cached_verdicts(self):
+        from repro.netsim.addresses import MacAddr
+
+        topo = router_topo()
+        controller = Controller(topo.dut, hook="xdp", watchdog_every=4, flow_cache=True)
+        controller.start()
+        cache = topo.dut.flow_cache
+        delivered = attach_sink(topo)
+        send(topo, 1, flow=0)  # packet 1 records the flow
+        (poisoned,) = cache.entries()
+        bogus = bytes.fromhex("02deadbeef00")
+        poisoned.actions.eth_dst = bogus
+        send(topo, 8, flow=0)
+        # packets 2-3 replayed the poisoned entry; packet 4, the first
+        # sample, predicted from the same entry and disagreed with the kernel
+        assert controller.watchdog.mismatches == 1
+        assert controller.watchdog.sampled == 1
+        assert "eth0" in controller.deployer.quarantined
+        epoch = cache.epoch("xdp", topo.dut_in.ifindex)
+        assert all(e is not poisoned and e.epoch == epoch for e in cache.entries())
+        assert [f[0:6] == bogus for f in delivered] == [False, True, True] + [False] * 6
+        assert all(MacAddr.from_bytes(f[0:6]) == topo.sink_eth.mac for f in delivered[3:])
+
     def test_tc_hook_watchdog(self):
         topo = router_topo()
         controller = Controller(topo.dut, hook="tc", watchdog_every=1)

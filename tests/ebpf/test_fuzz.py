@@ -7,7 +7,7 @@ arbitrary Python faults.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Controller
@@ -72,6 +72,7 @@ class TestVerifierVmFuzz:
 
     @settings(max_examples=100, deadline=None)
     @given(insns=random_insns)
+    @example(insns=[Insn(Op.MOV_IMM, dst=0), Insn(Op.STX, dst=10, src=0, imm=-1)])  # negative access size
     def test_unverified_execution_only_raises_vmerror(self, insns):
         """Even bypassing the verifier (as baselines may), the VM defends
         itself: VMError is the only failure mode."""

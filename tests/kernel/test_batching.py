@@ -2,14 +2,21 @@
 
 Covers the budget bound, same-(dev, queue) run coalescing, per-CPU FIFO
 ordering, the conservative fallbacks that route a batch back through
-per-frame ``receive()``, and overflow accounting under burst arrival.
+per-frame ``receive()``, the flow cache serving bursts, the one known way
+a burst differs from per-frame delivery, and overflow accounting under
+burst arrival.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.core import Controller
 from repro.kernel import Kernel
+from repro.kernel.hooks_api import XDP_PASS, XDP_REDIRECT
 from repro.kernel.softirq import NAPI_BUDGET
-from repro.netsim.packet import make_udp
+from repro.measure.topology import LineTopology
+from repro.netsim.packet import make_arp_request, make_udp
 
 
 def udp_frame(i, dport=9):
@@ -118,8 +125,9 @@ class TestDrain:
 
 
 class TestReceiveBatchFallbacks:
-    """receive_batch must route back through per-frame receive() whenever
-    per-frame machinery (hooks, tracing, flow cache) is live."""
+    """receive_batch must route back through per-frame receive() when the
+    device has no XDP program or per-frame machinery (a watchdog, an armed
+    tracer) is live."""
 
     def _count_singles(self, kernel, monkeypatch):
         calls = {"n": 0}
@@ -156,6 +164,79 @@ class TestReceiveBatchFallbacks:
         assert stack.rx_packets + stack.tx_local_packets == (
             stack.settled + stack.pending_packets()
         )
+
+
+def cached_router():
+    topo = LineTopology()
+    topo.install_prefixes(8)
+    Controller(topo.dut, hook="xdp", flow_cache=True).start()
+    topo.prewarm_neighbors()
+    egress = []
+    topo.sink_eth.nic.attach(lambda f, q: egress.append(f))
+    return topo, egress
+
+
+class TestFlowCacheInBursts:
+    def test_bursts_are_served_by_the_cache(self, monkeypatch):
+        topo, egress = cached_router()
+        twin, twin_egress = cached_router()
+        singles = Counter()
+        original = topo.dut.stack.receive
+
+        def counting(dev, frame, queue=0):
+            singles["n"] += 1
+            return original(dev, frame, queue)
+
+        monkeypatch.setattr(topo.dut.stack, "receive", counting)
+        frames = [
+            make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", topo.flow_destination(i % 8, 8),
+                     sport=1000 + i % 8, dport=7, ttl=9).to_bytes()
+            for i in range(64)
+        ]
+        topo.dut_in.nic.receive_burst(frames[:32])
+        topo.dut_in.nic.receive_burst(frames[32:])
+        for frame in frames:
+            twin.dut_in.nic.receive_from_wire(frame)
+
+        assert singles["n"] == 0  # both bursts stayed batched
+        stats = topo.dut.flow_cache.stats
+        assert (stats.misses["xdp"], stats.hits["xdp"]) == (8, 56)
+        stack, twin_stack = topo.dut.stack, twin.dut.stack
+        assert stack.xdp_actions == twin_stack.xdp_actions == Counter({XDP_REDIRECT: 64})
+        assert stack.outcomes == twin_stack.outcomes
+        # MACs are unique per kernel, so compare from the IP header on
+        assert [f[14:] for f in egress] == [f[14:] for f in twin_egress]
+        assert len(egress) == 64
+        assert stack.settled == twin_stack.settled == stack.rx_packets == 64
+
+
+class TestBurstOrdering:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "receive_batch runs every program before dispatching any verdict, so "
+        "the ARP request has not resolved the neighbor when the UDP frame's "
+        "program looks it up"))
+    def test_burst_matches_per_frame_when_an_earlier_frame_resolves_a_neighbor(self):
+        def deliver(burst):
+            topo = LineTopology()
+            topo.install_prefixes(4)
+            Controller(topo.dut, hook="xdp").start()
+            # 10.0.1.2 stays unresolved until its ARP request arrives
+            arp = make_arp_request(topo.src_eth.mac, "10.0.1.2", "10.0.1.1").to_bytes()
+            udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.2.2", "10.0.1.2").to_bytes()
+            if burst:
+                topo.dut_in.nic.receive_burst([arp, udp])
+            else:
+                topo.dut_in.nic.receive_from_wire(arp)
+                topo.dut_in.nic.receive_from_wire(udp)
+            return topo.dut.stack
+
+        per_frame, batched = deliver(burst=False), deliver(burst=True)
+        assert per_frame.xdp_actions == Counter({XDP_PASS: 1, XDP_REDIRECT: 1})
+        assert per_frame.outcomes == Counter({"arp_rx": 1, "xdp_redirect": 1})
+        # today the burst reads XDP_PASS twice and the UDP frame leaves as
+        # "tx" through the slow path
+        assert batched.xdp_actions == per_frame.xdp_actions
+        assert batched.outcomes == per_frame.outcomes
 
 
 class TestOverflow:
