@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ebpf.maps import BpfMap, DevMap, MapError
 from repro.ebpf.memory import MemoryError_, Pointer
+from repro.kernel.interfaces import BridgeDevice, DeviceError
+from repro.kernel.netfilter import ACCEPT, DROP, FORWARD, HELPER, INPUT, OUTPUT
 from repro.netsim.addresses import IPv4Addr, MacAddr
 from repro.netsim.packet import Packet, PacketError
 from repro.netsim.skbuff import SKBuff
@@ -44,6 +46,9 @@ FIB_LKUP_RET_NO_NEIGH = 2  # route but unresolved neighbor: slow path ARPs
 IPT_ACCEPT = 0
 IPT_DROP = 1
 IPT_UNSUPPORTED = 2  # rule features beyond the fast path: go slow
+
+# ipt_lookup chain ids
+_IPT_CHAINS = {0: INPUT, 1: FORWARD, 2: OUTPUT}
 
 
 class HelperError(Exception):
@@ -223,8 +228,6 @@ def bpf_fdb_lookup(env: "Env", args: List[object]) -> int:
     kernel.costs_charge("helper_fdb_lookup")
     env.note_dep("bridge")
     env.note_dep("devices")
-    from repro.kernel.interfaces import BridgeDevice
-
     bridge_ifindex = _as_int(args[0], "fdb bridge")
     ingress_ifindex = _as_int(args[1], "fdb ingress")
     vlan = _as_int(args[2], "fdb vlan")
@@ -232,7 +235,7 @@ def bpf_fdb_lookup(env: "Env", args: List[object]) -> int:
     is_src = bool(_as_int(args[4], "fdb is_src"))
     try:
         bridge_dev = kernel.devices.by_index(bridge_ifindex)
-    except Exception:
+    except DeviceError:
         return 0
     if not isinstance(bridge_dev, BridgeDevice):
         return 0
@@ -273,15 +276,16 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
     """(chain_id, pkt_ptr, pkt_len, in_ifindex, out_ifindex) → IPT_*.
 
     The paper's new iptables helper: evaluates the filter chain against the
-    packet using the kernel's own rule list (linear scan — the fast path
-    inherits iptables' scaling, Fig 8) including ipset-aggregated rules.
+    packet using the kernel's own rule list and the slow path's first-match
+    scan (:meth:`~repro.kernel.netfilter.Netfilter.scan`), ipset-aggregated
+    rules included. The fast path inherits iptables' linear scaling (Fig 8):
+    the scan is charged per rule visited.
     """
     kernel = env.kernel
     kernel.costs_charge("helper_ipt_base")
     env.note_dep("netfilter")
     env.note_dep("devices")
-    chain_names = {0: "INPUT", 1: "FORWARD", 2: "OUTPUT"}
-    chain_name = chain_names.get(_as_int(args[0], "ipt chain"))
+    chain_name = _IPT_CHAINS.get(_as_int(args[0], "ipt chain"))
     if chain_name is None:
         return IPT_UNSUPPORTED
     pkt_ptr = _as_ptr(args[1], "ipt pkt")
@@ -298,32 +302,33 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
             return None
         try:
             return kernel.devices.by_index(ifindex).name
-        except Exception:
+        except DeviceError:
             return None
 
     in_name = name_of(_as_int(args[3], "ipt in"))
     out_name = name_of(_as_int(args[4], "ipt out"))
-    skb = SKBuff(pkt=pkt)
-    chain = kernel.netfilter.chain(chain_name)
-    for rule in chain.rules:
-        kernel.costs_charge("helper_ipt_per_rule")
-        if rule.ct_state is not None:
-            # stateful rules need conntrack context the helper does not
-            # carry (the paper's helper matches addresses/protocol only):
-            # punt to the slow path, which tracks and evaluates correctly
-            return IPT_UNSUPPORTED
-        if rule.match_set is not None:
-            kernel.costs_charge("helper_ipset_lookup")
-            env.note_dep("ipset")
-        if rule.matches(pkt.ip, skb, in_name, out_name, kernel.ipsets):
-            rule.packets += 1
-            env.matched_rules.append(rule)
-            if rule.target == "ACCEPT":
-                return IPT_ACCEPT
-            if rule.target == "DROP":
-                return IPT_DROP
-            return IPT_UNSUPPORTED  # RETURN or exotic targets: slow path
-    return IPT_ACCEPT if chain.policy == "ACCEPT" else IPT_DROP
+    netfilter = kernel.netfilter
+    rule, scanned, ipset_scanned = netfilter.scan(
+        chain_name, HELPER, pkt.ip, SKBuff(pkt=pkt), in_name, out_name
+    )
+    if scanned:
+        costs = kernel.costs
+        kernel.charge_ns(scanned * costs.helper_ipt_per_rule + ipset_scanned * costs.helper_ipset_lookup)
+    if ipset_scanned:
+        env.note_dep("ipset")
+    if rule is None:
+        return IPT_ACCEPT if netfilter.chain(chain_name).policy == ACCEPT else IPT_DROP
+    if rule.ct_state is not None:
+        # the scan stopped at a stateful rule: it needs conntrack context
+        # the helper does not carry (the paper's helper matches addresses
+        # and protocol only), so the slow path tracks and evaluates it
+        return IPT_UNSUPPORTED
+    env.matched_rules.append(rule)
+    if rule.target == ACCEPT:
+        return IPT_ACCEPT
+    if rule.target == DROP:
+        return IPT_DROP
+    return IPT_UNSUPPORTED  # RETURN: the slow path falls through to the policy
 
 
 def bpf_conntrack_lookup(env: "Env", args: List[object]) -> int:

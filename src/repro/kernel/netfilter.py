@@ -6,6 +6,12 @@ the classic 5-tuple-ish matches (src/dst prefix, protocol, ports, in/out
 interface) plus ipset matches. Rule evaluation is intentionally a linear
 scan — the paper's Fig 8 measures exactly this cost, and LinuxFP's
 ``bpf_ipt_lookup`` helper inherits it (while ipset aggregation avoids it).
+
+One first-match scan, :meth:`Netfilter.scan`, serves both the helper and
+the slow path's :meth:`Netfilter.evaluate`. It walks a compiled form of
+the chain, and its caller charges the per-rule cost in one step from the
+counts it returns, so the simulated clock stays linear in rule count
+while the host pays the per-rule work only once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ BUILTIN_CHAINS = (INPUT, FORWARD, OUTPUT)
 ACCEPT = "ACCEPT"
 DROP = "DROP"
 RETURN = "RETURN"
+
+# The callers of Netfilter.scan, as the scan counters label them.
+HELPER = "helper"  # bpf_ipt_lookup, on the fast path
+SLOW = "slow"  # Netfilter.evaluate, on the slow path
 
 
 class NetfilterError(ValueError):
@@ -108,24 +118,97 @@ class Rule:
 
 @dataclass
 class Chain:
+    """One chain. Its rules and policy change only through the
+    :class:`Netfilter` mutators, which bump ``Netfilter.gen``: the compiled
+    form the scan reads is rebuilt only when ``gen`` moves."""
+
     name: str
     policy: str = ACCEPT
     rules: List[Rule] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class CompiledChain:
+    """A chain's rules as :meth:`Netfilter.scan` reads them, valid for one
+    ``Netfilter.gen``.
+
+    Each entry is ``(src_mask, src_net, dst_mask, dst_net, proto, full,
+    rule)``: the prefixes as integer mask and network (0/0 for a wildcard)
+    and the protocol (None for any) are tested inline, and ``full`` marks a
+    rule that also matches ports, interfaces, an ipset or conntrack state,
+    which :meth:`Rule.matches` decides. Ipset membership is read live, so
+    ``ipset add``/``del`` need no recompile.
+    """
+
+    gen: int
+    entries: Tuple[tuple, ...]
+    # the entries before the first ct_state rule: the helper's scan range
+    stateless: Tuple[tuple, ...]
+    # ipsets_before[k]: how many of the first k rules match an ipset
+    ipsets_before: Tuple[int, ...]
+
+    @property
+    def stateful(self) -> bool:
+        """True when some rule matches conntrack state."""
+        return len(self.stateless) < len(self.entries)
+
+    @classmethod
+    def build(cls, gen: int, rules: List[Rule]) -> "CompiledChain":
+        entries = []
+        ipsets_before = [0]
+        stateless_len = None
+        for i, rule in enumerate(rules):
+            src, dst = rule.src, rule.dst
+            full = (
+                rule.sport is not None
+                or rule.dport is not None
+                or rule.in_iface is not None
+                or rule.out_iface is not None
+                or rule.match_set is not None
+                or rule.ct_state is not None
+            )
+            entries.append((
+                0 if src is None else src.mask_value(),
+                0 if src is None else src.address.value,
+                0 if dst is None else dst.mask_value(),
+                0 if dst is None else dst.address.value,
+                rule.proto,
+                full,
+                rule,
+            ))
+            ipsets_before.append(ipsets_before[-1] + (rule.match_set is not None))
+            if stateless_len is None and rule.ct_state is not None:
+                stateless_len = i
+        entries = tuple(entries)
+        return cls(gen, entries, entries[:stateless_len], tuple(ipsets_before))
+
+
 class Netfilter:
-    """The filter table for one kernel."""
+    """The filter table for one kernel.
+
+    Rules and policies change only through the mutators below
+    (``append_rule``, ``insert_rule``, ``delete_rule``, ``flush``,
+    ``set_policy``); each bumps ``gen``, which invalidates the compiled
+    chains and the flow cache's netfilter-dependent entries.
+    """
 
     def __init__(self, kernel) -> None:
         self._kernel = kernel
         self.chains: Dict[str, Chain] = {name: Chain(name) for name in BUILTIN_CHAINS}
         self._next_handle = 1
-        # Generation tag for the flow cache: bumped on every ruleset mutation.
+        # Generation tag for the flow cache and the compiled chains: bumped on
+        # every ruleset mutation.
         self.gen = 0
         # Per-chain verdict counters (observability): chain -> verdict -> n.
         from collections import Counter
 
         self.verdicts: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
+        # Scan counters (observability): compiles per chain; scans and rules
+        # scanned per chain and caller path (HELPER or SLOW).
+        self.compiles: Counter = Counter()
+        self.scans: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
+        self.rules_scanned: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
+        self._compiled: Dict[str, CompiledChain] = {}
 
     def chain(self, name: str) -> Chain:
         try:
@@ -162,10 +245,11 @@ class Netfilter:
         raise NetfilterError(f"no rule with handle {handle} in {chain_name}")
 
     def flush(self, chain_name: Optional[str] = None) -> None:
-        for chain in self.chains.values():
-            if chain_name is None or chain.name == chain_name:
-                if chain.rules:
-                    self.gen += 1
+        """Empty one chain, or every chain when ``chain_name`` is None."""
+        chains = self.chains.values() if chain_name is None else (self.chain(chain_name),)
+        for chain in chains:
+            if chain.rules:
+                self.gen += 1
                 chain.rules.clear()
 
     def rule_count(self, chain_name: Optional[str] = None) -> int:
@@ -175,7 +259,64 @@ class Netfilter:
 
     def has_stateful_rules(self, chain_name: str) -> bool:
         """True when the chain needs conntrack state to evaluate."""
-        return any(r.ct_state is not None for r in self.chain(chain_name).rules)
+        return self._compiled_chain(chain_name).stateful
+
+    def _compiled_chain(self, chain_name: str) -> CompiledChain:
+        """The chain's compiled form, rebuilt on first use after ``gen``
+        moved (never inside the mutators: set-up appends rules one by one)."""
+        compiled = self._compiled.get(chain_name)
+        if compiled is None or compiled.gen != self.gen:
+            compiled = CompiledChain.build(self.gen, self.chain(chain_name).rules)
+            self._compiled[chain_name] = compiled
+            self.compiles[chain_name] += 1
+        return compiled
+
+    def scan(
+        self,
+        chain_name: str,
+        path: str,
+        ip: IPv4,
+        skb: SKBuff,
+        in_name: Optional[str],
+        out_name: Optional[str],
+    ) -> Tuple[Optional[Rule], int, int]:
+        """The first-match scan; returns ``(rule, scanned, ipset_scanned)``.
+
+        ``rule`` is the first matching rule (its packet counter is bumped),
+        or None when no rule matches. On the ``HELPER`` path the scan stops
+        at the first ``ct_state`` rule, whose conntrack context the helper
+        does not carry, and returns that rule unmatched: it counts as
+        scanned, its ipset does not. ``scanned`` counts the rules visited
+        and ``ipset_scanned`` those of them matching an ipset; the caller
+        charges both in one step. That equals the per-rule charges bit for
+        bit while every cost is a whole number of ns and the clock and busy
+        accumulators already hold at least the coalesced sum (see
+        docs/fastpath.md).
+        """
+        compiled = self._compiled_chain(chain_name)
+        entries = compiled.stateless if path == HELPER else compiled.entries
+        src, dst, proto = ip.src.value, ip.dst.value, ip.proto
+        ipsets = self._kernel.ipsets
+        rule = None
+        scanned = len(entries)
+        for i, (src_mask, src_net, dst_mask, dst_net, rule_proto, full, candidate) in enumerate(entries):
+            if (
+                src & src_mask == src_net
+                and dst & dst_mask == dst_net
+                and (rule_proto is None or rule_proto == proto)
+                and (not full or candidate.matches(ip, skb, in_name, out_name, ipsets))
+            ):
+                rule = candidate
+                rule.packets += 1
+                scanned = i + 1
+                break
+        ipset_scanned = compiled.ipsets_before[scanned]
+        if rule is None and scanned < len(compiled.entries):
+            rule = compiled.entries[scanned][-1]  # the helper's stop
+            scanned += 1
+        self.scans[chain_name][path] += 1
+        self.rules_scanned[chain_name][path] += scanned
+        return rule, scanned, ipset_scanned
 
     def evaluate(
         self,
@@ -188,7 +329,8 @@ class Netfilter:
 
         Charges the per-hook overhead plus the per-rule linear-scan cost to
         the simulated clock, which is what makes Fig 8's rule-count scaling
-        measurable.
+        measurable. A matching ``RETURN`` rule ends the traversal at the
+        chain's policy.
         """
         kernel = self._kernel
         kernel.costs_charge("nf_hook_overhead")
@@ -197,17 +339,10 @@ class Netfilter:
         if ip is None:
             self.verdicts[chain_name][ACCEPT] += 1
             return ACCEPT, 0
-        scanned = 0
-        for rule in chain.rules:
-            scanned += 1
-            kernel.costs_charge("nf_rule_cost")
-            if rule.match_set is not None:
-                kernel.costs_charge("ipset_lookup")
-            if rule.matches(ip, skb, in_name, out_name, kernel.ipsets):
-                rule.packets += 1
-                if rule.target == RETURN:
-                    break
-                self.verdicts[chain_name][rule.target] += 1
-                return rule.target, scanned
-        self.verdicts[chain_name][chain.policy] += 1
-        return chain.policy, scanned
+        rule, scanned, ipset_scanned = self.scan(chain_name, SLOW, ip, skb, in_name, out_name)
+        if scanned:
+            costs = kernel.costs
+            kernel.charge_ns(scanned * costs.nf_rule_cost + ipset_scanned * costs.ipset_lookup)
+        verdict = chain.policy if rule is None or rule.target == RETURN else rule.target
+        self.verdicts[chain_name][verdict] += 1
+        return verdict, scanned

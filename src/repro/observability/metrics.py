@@ -1,11 +1,11 @@
 """The unified metrics registry: one snapshot over everything observable.
 
 Collects the stack's packet ledger and drop counters, netfilter per-chain
-verdicts, flow-cache statistics, conntrack occupancy, the latency
-histograms, tracer state, and — when a controller is attached — control
-plane health, incidents, and watchdog verdicts. Exported two ways:
-Prometheus text exposition (``to_prometheus``) for scrape-style tooling and
-JSON (``to_json``) for scripts.
+verdicts and scan counters, flow-cache statistics, conntrack occupancy,
+the latency histograms, tracer state, and — when a controller is
+attached — control plane health, incidents, and watchdog verdicts.
+Exported two ways: Prometheus text exposition (``to_prometheus``) for
+scrape-style tooling and JSON (``to_json``) for scripts.
 """
 
 from __future__ import annotations
@@ -91,6 +91,15 @@ class MetricsRegistry:
                 chain: dict(verdicts)
                 for chain, verdicts in sorted(kernel.netfilter.verdicts.items())
                 if verdicts
+            },
+            "netfilter_scan": {
+                chain: {
+                    "compiles": kernel.netfilter.compiles[chain],
+                    "scans": dict(scans),
+                    "rules_scanned": dict(kernel.netfilter.rules_scanned[chain]),
+                }
+                for chain, scans in sorted(kernel.netfilter.scans.items())
+                if scans
             },
             "conntrack": {
                 "entries": len(kernel.conntrack),
@@ -212,10 +221,22 @@ class MetricsRegistry:
         for (device, reason), count in sorted(obs.drops.by_device.items()):
             sample("linuxfp_device_drops_total", count, device=device, reason=reason)
 
-        family("linuxfp_netfilter_verdicts_total", "counter", "Netfilter chain traversals by final verdict.")
-        for chain, verdicts in sorted(kernel.netfilter.verdicts.items()):
+        netfilter = kernel.netfilter
+        family("linuxfp_netfilter_verdicts_total", "counter", "Slow-path netfilter chain traversals by final verdict; bpf_ipt_lookup verdicts on the fast path are not counted.")
+        for chain, verdicts in sorted(netfilter.verdicts.items()):
             for verdict, count in sorted(verdicts.items()):
                 sample("linuxfp_netfilter_verdicts_total", count, chain=chain, verdict=verdict)
+        family("linuxfp_netfilter_compiles_total", "counter", "Rebuilds of a chain's compiled form, made by the first scan after a ruleset change.")
+        for chain, count in sorted(netfilter.compiles.items()):
+            sample("linuxfp_netfilter_compiles_total", count, chain=chain)
+        family("linuxfp_netfilter_scans_total", "counter", "First-match chain scans by caller: helper (bpf_ipt_lookup) or slow (the slow path).")
+        for chain, scans in sorted(netfilter.scans.items()):
+            for path, count in sorted(scans.items()):
+                sample("linuxfp_netfilter_scans_total", count, chain=chain, path=path)
+        family("linuxfp_netfilter_rules_scanned_total", "counter", "Rules visited by first-match chain scans, by caller; each is charged the per-rule simulated cost.")
+        for chain, counts in sorted(netfilter.rules_scanned.items()):
+            for path, count in sorted(counts.items()):
+                sample("linuxfp_netfilter_rules_scanned_total", count, chain=chain, path=path)
 
         family("linuxfp_conntrack_entries", "gauge", "Conntrack table occupancy by state.")
         for state, count in sorted(Counter(e.state for e in kernel.conntrack.entries()).items()):

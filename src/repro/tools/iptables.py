@@ -57,6 +57,8 @@ class IptablesTool(NetlinkTool):
                         parts.append(f"-m set --match-set {a['match_set']} {a.get('set_dir', 'src')}")
                     parts.append(f"-j {a.get('target', 'ACCEPT')}")
                     out.append(" ".join(parts))
+            if not out:  # every chain lists at least its policy line
+                raise ToolError("iptables: No chain/target/match by that name.")
             return out
         raise ToolError(f"unknown iptables flag {flag!r}")
 

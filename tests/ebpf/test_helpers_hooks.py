@@ -147,6 +147,7 @@ class TestFdbLookupHelper:
     def test_non_bridge_ifindex_returns_zero(self, kernel):
         eth0 = kernel.devices.by_name("eth0")
         assert bpf_fdb_lookup(env_for(kernel), [eth0.ifindex, 1, 1, 0x020000000001, 0]) == 0
+        assert bpf_fdb_lookup(env_for(kernel), [999, 1, 1, 0x020000000001, 0]) == 0  # no such device
 
 
 class TestIptLookupHelper:
@@ -163,6 +164,8 @@ class TestIptLookupHelper:
         kernel.ipt_append("FORWARD", Rule(target="DROP", src=IPv4Prefix.parse("10.0.0.0/24")))
         ptr, length = self.packet_region()
         assert bpf_ipt_lookup(env_for(kernel), [1, ptr, length, 0, 0]) == IPT_DROP
+        # an unknown ifindex has no interface name; the lookup still runs
+        assert bpf_ipt_lookup(env_for(kernel), [1, ptr, length, 999, 999]) == IPT_DROP
 
     def test_linear_cost_in_rules(self, kernel):
         """The fast path inherits iptables' linear scan (Fig 8)."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.netlink.messages import (
+    NFNLGRP_IPTABLES,
     NLM_F_DUMP,
     NLM_F_REQUEST,
     RTM_GETLINK,
@@ -86,6 +87,17 @@ class TestErrorPaths:
     def test_iptables_unknown_protocol(self, kernel):
         with pytest.raises(ToolError):
             iptables(kernel, "-A FORWARD -p sctp -j DROP")
+
+    def test_iptables_flush_missing_chain(self, kernel):
+        listener = kernel.bus.open_socket()
+        listener.subscribe(NFNLGRP_IPTABLES)
+        with pytest.raises(NetlinkError):
+            iptables(kernel, "-F NOSUCH")
+        assert listener.drain() == []  # no flush notified
+
+    def test_iptables_list_missing_chain(self, kernel):
+        with pytest.raises(ToolError):
+            iptables(kernel, "-L NOSUCH")
 
     def test_ipset_add_to_missing_set(self, kernel):
         with pytest.raises(NetlinkError):
