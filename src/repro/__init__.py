@@ -19,7 +19,7 @@ Package map:
 - :mod:`repro.tools` — iproute2/brctl/iptables/ipset/sysctl/ipvsadm/FRR
 - :mod:`repro.core` — the LinuxFP controller (the paper's contribution)
 - :mod:`repro.platforms` — Polycube-like and VPP-like baselines
-- :mod:`repro.k8s` — cluster + Flannel CNI + kube-proxy substrate
+- :mod:`repro.k8s` — cluster + Flannel CNI substrate
 - :mod:`repro.measure` — pktgen/netperf/scenarios/flame graphs
 """
 

@@ -68,7 +68,8 @@ class Incident:
     """One entry in the controller's incident log."""
 
     # rebuild-error | synthesize-error | deploy-error | watchdog-mismatch |
-    # netlink-overrun-resync | cpu-* | router-* | retry-give-up
+    # netlink-overrun-resync | cpu-offline | cpu-online | router-* |
+    # retry-give-up
     kind: str
     detail: str
     at_ns: int
@@ -88,7 +89,6 @@ class Controller:
         interfaces: Optional[List[str]] = None,
         enable_ipvs: bool = False,
         capabilities: Optional[CapabilityManager] = None,
-        custom_fpms: Optional[List] = None,
         flow_cache: bool = False,
         watchdog_every: int = 0,
     ) -> None:
@@ -99,7 +99,7 @@ class Controller:
         self.watchdog: Optional[Watchdog] = None
         self.target_interfaces = interfaces
         self.topology = TopologyManager(enable_ipvs=enable_ipvs)
-        self.synthesizer = Synthesizer(capabilities, customs=custom_fpms, num_cpus=kernel.num_cores)
+        self.synthesizer = Synthesizer(capabilities)
         self.deployer = Deployer(kernel, hook=hook)
         self.socket = kernel.bus.open_socket()
         self.introspection = ServiceIntrospection(self.socket)
@@ -128,16 +128,8 @@ class Controller:
             self.watchdog = Watchdog(self, every=self.watchdog_every, hook=self.hook)
             self.kernel.watchdog = self.watchdog
         self._run_reaction("start", record=False)
-        self._sync_flow_cache()
+        self.kernel.flow_cache.enabled = self.flow_cache_requested
         return self.current_graph
-
-    def add_custom_fpm(self, custom) -> None:
-        """Inject a custom module (monitoring etc.) and resynthesize now."""
-        self.synthesizer.customs.append(custom)
-        self._sync_flow_cache()  # custom FPMs may carry per-packet state
-        if self.started:
-            self.current_graph = None  # force resynthesis of every interface
-            self._run_reaction("custom-fpm", record=False)
 
     def stop(self) -> None:
         """Withdraw every fast path and stop watching."""
@@ -149,15 +141,6 @@ class Controller:
         self.deployer.teardown()  # flushes this hook's cached verdicts
         self.socket.close()
 
-    def _sync_flow_cache(self) -> None:
-        """Enable the flow cache iff requested and safe (no custom FPMs —
-        their helpers may read per-packet state the cache cannot see)."""
-        cache = self.kernel.flow_cache
-        want = self.flow_cache_requested and not self.synthesizer.customs
-        if cache.enabled and not want:
-            cache.flush(hook=self.hook)
-        cache.enabled = want
-
     # -------------------------------------------------------------- rebuild
 
     def _on_change(self, msg: NetlinkMsg) -> None:
@@ -165,8 +148,8 @@ class Controller:
             return
         if msg.type_name in ("CPU_OFFLINE", "CPU_ONLINE"):
             # Hotplug does not change the processing graph (programs are not
-            # per-CPU), so no rebuild — but deployed per-CPU map state must
-            # be rehomed, and operators need the incident on record.
+            # per-CPU), so no rebuild — but operators need the incident on
+            # record.
             self._on_cpu_event(msg)
             return
         if self._reacting:
@@ -182,16 +165,6 @@ class Controller:
         online = msg.attrs.get("num_online", self.kernel.cpus.num_online)
         if msg.type_name == "CPU_OFFLINE":
             self._incident("cpu-offline", f"cpu{cpu} offline, {online} online")
-            try:
-                target = self.kernel._hotplug_target(cpu)
-                moved = self.deployer.drain_cpu(cpu, target)
-            except Exception as exc:  # noqa: BLE001 — survive anything
-                self._incident("cpu-drain-error", f"{type(exc).__name__}: {exc}")
-            else:
-                if moved:
-                    self._incident(
-                        "cpu-map-drain", f"cpu{cpu} -> cpu{target}: {moved} map values rehomed"
-                    )
         else:
             self._incident("cpu-online", f"cpu{cpu} online, {online} online")
 
@@ -326,8 +299,8 @@ class Controller:
         redeployed: List[str] = []
         active = set()
         for ifname, iface_graph in sorted(graph.interfaces.items()):
-            if iface_graph.empty and not self.synthesizer.customs:
-                continue  # nothing configured and no monitoring: pure Linux
+            if iface_graph.empty:
+                continue  # nothing configured: pure Linux
             active.add(ifname)
             old = previous.interfaces.get(ifname) if previous is not None else None
             old_json = old.to_json() if old is not None else None
@@ -399,9 +372,6 @@ class Controller:
             "incidents_total": self.incidents_total,
             "offline_cpus": self.kernel.cpus.offline_cpus(),
             "watchdog": self.watchdog.summary() if self.watchdog is not None else None,
-            "migrations": {
-                n: r.to_dict() for n, r in sorted(self.deployer.migrations.items())
-            },
         }
 
     def deployed_summary(self) -> Dict[str, str]:

@@ -26,16 +26,15 @@ and returns ``False``, leaving retry policy to the controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.fpm.library import render_dispatcher
 from repro.core.synthesizer import SynthesizedPath
 from repro.ebpf.loader import Loader
-from repro.ebpf.maps import BpfMap, MapError, ProgArray
+from repro.ebpf.maps import ProgArray
 from repro.ebpf.minic import compile_c
 from repro.ebpf.verifier import VerifierError, verify
-from repro.testing import faults
 
 
 @dataclass
@@ -62,41 +61,6 @@ class DeployFailure:
 
 
 @dataclass
-class MigrationReport:
-    """What happened to the old program's map state during a redeploy.
-
-    Maps migrate when the old and new programs carry *distinct* map objects
-    whose schemas (type + key/value size + ``schema_version``) match by
-    name. Pinned (shared-object) maps need no migration — the state never
-    left. Per-entry copy failures (injected faults, pressure in the target)
-    degrade to a count, never a failed deploy.
-    """
-
-    ifname: str
-    at_ns: int
-    #: map name → entries copied into the new program's map
-    migrated: Dict[str, int] = field(default_factory=dict)
-    #: maps that could not (or did not need to) migrate, with the reason
-    skipped: List[str] = field(default_factory=list)
-    #: entries lost in the copy (target refused the update)
-    dropped: int = 0
-
-    @property
-    def total_entries(self) -> int:
-        return sum(self.migrated.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ifname": self.ifname,
-            "at_ns": self.at_ns,
-            "migrated": dict(self.migrated),
-            "skipped": list(self.skipped),
-            "dropped": self.dropped,
-            "total_entries": self.total_entries,
-        }
-
-
-@dataclass
 class Quarantine:
     """A watchdog-imposed withdrawal with a hold-off before resynthesis."""
 
@@ -119,8 +83,6 @@ class Deployer:
         self.failures: Dict[str, DeployFailure] = {}
         #: Interfaces the watchdog pulled out of the fast path.
         self.quarantined: Dict[str, Quarantine] = {}
-        #: Latest state-migration report per interface (redeploys only).
-        self.migrations: Dict[str, MigrationReport] = {}
 
     def _now_ns(self) -> int:
         return self.kernel.clock.now_ns
@@ -152,23 +114,15 @@ class Deployer:
         :attr:`failures` for the controller's retry loop.
         """
         stage = "verify"
-        frozen: List[BpfMap] = []
-        report: Optional[MigrationReport] = None
         try:
             verify(path.program)
             stage = "dispatcher"
             entry = self._ensure_dispatcher(path.ifname)
             stage = "load"
             self.loader.load(path.program)
-            stage = "migrate"
-            report, frozen = self._migrate_maps(entry, path)
             stage = "swap"
             entry.prog_array.set_prog(0, path.program)  # the atomic pointer update
         except Exception as exc:  # noqa: BLE001 — degrade, never crash the control plane
-            # The old program keeps serving (or we withdraw): its maps must
-            # accept writes again.
-            for frozen_map in frozen:
-                frozen_map.frozen = False
             self.note_failure(path.ifname, stage, exc)
             entry = self.deployed.get(path.ifname)
             if entry is not None and entry.current is not None and entry.current.source != path.source:
@@ -179,77 +133,10 @@ class Deployer:
             return False
         entry.current = path
         entry.swaps += 1
-        if report is not None:
-            self.migrations[path.ifname] = report
-        path.rebind_custom_maps()  # userspace now reads the live (migrated) maps
         self.failures.pop(path.ifname, None)
         self.quarantined.pop(path.ifname, None)
         self._flush_flow_cache(path.ifname)
         return True
-
-    def _migrate_maps(self, entry: DeployedInterface, path: SynthesizedPath) -> Tuple[MigrationReport, List[BpfMap]]:
-        """Copy the serving program's map state into the staged program.
-
-        The old maps are *frozen* for the copy (writes refused, so the
-        snapshot cannot tear) and stay frozen once the swap retires the old
-        program; the caller unfreezes them if the swap fails. Never raises:
-        a map that cannot migrate is skipped with a reason, a rejected entry
-        is counted in ``dropped``.
-        """
-        report = MigrationReport(ifname=path.ifname, at_ns=self._now_ns())
-        frozen: List[BpfMap] = []
-        old_path = entry.current
-        if old_path is None:
-            return report, frozen  # first deploy (or serving slow path): nothing to carry
-        old_maps = {m.name: m for m in getattr(old_path.program, "maps", [])}
-        for new_map in getattr(path.program, "maps", []):
-            old_map = old_maps.get(new_map.name)
-            if old_map is None:
-                report.skipped.append(f"{new_map.name}: no map of that name in the old program")
-                continue
-            if old_map is new_map:
-                report.skipped.append(f"{new_map.name}: pinned (shared object, state never left)")
-                continue
-            if not old_map.byte_addressable:
-                report.skipped.append(f"{new_map.name}: holds control-plane objects, not bytes")
-                continue
-            if old_map.schema() != new_map.schema():
-                report.skipped.append(
-                    f"{new_map.name}: schema mismatch {old_map.schema()} -> {new_map.schema()}"
-                )
-                continue
-            old_map.frozen = True
-            frozen.append(old_map)
-            copied = 0
-            if old_map.percpu and new_map.percpu and old_map.num_cpus == new_map.num_cpus:
-                # Slot-wise freeze-copy: each CPU's private values land in
-                # the same CPU's slot of the successor, so per-CPU locality
-                # (and the aggregate) survive the swap exactly.
-                for key, slots in old_map.percpu_items():
-                    ok = True
-                    for cpu, value in enumerate(slots):
-                        if value is None:
-                            continue
-                        try:
-                            new_map.update_cpu(cpu, key, value)
-                        except (MapError, faults.InjectedFault):
-                            ok = False
-                    if ok:
-                        copied += 1
-                    else:
-                        report.dropped += 1
-            else:
-                # Aggregate copy. For a percpu→percpu pair with differing
-                # CPU counts the summed value lands on the new map's CPU 0:
-                # totals are preserved even though locality is not.
-                for key, value in old_map.items():
-                    try:
-                        new_map.update(key, value)
-                        copied += 1
-                    except (MapError, faults.InjectedFault):
-                        report.dropped += 1
-            report.migrated[new_map.name] = copied
-        return report, frozen
 
     def jit_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-interface JIT outcome for the *serving* program, from the
@@ -307,29 +194,6 @@ class Deployer:
     def in_holdoff(self, ifname: str) -> bool:
         q = self.quarantined.get(ifname)
         return q is not None and self._now_ns() < q.until_ns
-
-    def drain_cpu(self, dead: int, target: int) -> int:
-        """CPU hotplug: rehome per-CPU map slots of every deployed program.
-
-        The dead CPU will never execute again, so flow state parked in its
-        slots would be invisible to single-CPU fast-path probes from the new
-        owner (aggregate control-plane reads stay correct regardless). Walks
-        every serving program's per-CPU maps; per-map failures degrade to a
-        skip, never an exception. Returns total values moved.
-        """
-        moved = 0
-        for entry in self.deployed.values():
-            if entry.current is None:
-                continue
-            for bpf_map in getattr(entry.current.program, "maps", []):
-                drain = getattr(bpf_map, "drain_cpu", None)
-                if drain is None:
-                    continue
-                try:
-                    moved += drain(dead, target)
-                except Exception:  # noqa: BLE001 — a frozen/faulted map must not wedge hotplug
-                    continue
-        return moved
 
     def teardown(self) -> None:
         """Detach every dispatcher (full LinuxFP removal).

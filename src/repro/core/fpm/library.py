@@ -115,13 +115,9 @@ BRIDGE_SNIPPET = """
 MAIN_TEMPLATE = """
 // synthesized by LinuxFP for {{ ifname }} ({{ hook }} hook)
 // graph: {{ graph_summary }}
-{% for decl in custom_decls %}{{ decl }}
-{% endfor %}
 {% if has_router %}{{ router_fpm }}{% endif %}
 {% if has_filter %}{{ filter_fpm }}{% endif %}
 {% if has_ipvs %}{{ ipvs_fpm }}{% endif %}
-{% for fn in custom_fns %}{{ fn }}
-{% endfor %}
 u32 main(u8* pkt, u64 len, u64 ifindex) {
     if (len < 34) { return {{ PASS }}; }
     u64 ethertype = ld16(pkt, 12);
@@ -137,10 +133,6 @@ u32 main(u8* pkt, u64 len, u64 ifindex) {
 {% else %}
     if (ethertype == 0x8100) { return {{ PASS }}; }  // VLANs not configured
 {% endif %}
-{% for name in custom_ingress %}
-    u64 cv_{{ name }} = fpm_{{ name }}(pkt, len, ifindex);
-    if (cv_{{ name }} != {{ CONTINUE }}) { return cv_{{ name }}; }
-{% endfor %}
 {% if has_bridge %}
     u64 goto_l3 = 0;
 {{ bridge_snippet }}
@@ -157,10 +149,6 @@ u32 main(u8* pkt, u64 len, u64 ifindex) {
     u64 fv = fpm_filter(pkt, len, ifindex);
     if (fv != {{ CONTINUE }}) { return fv; }
 {% endif %}
-{% for name in custom_pre_forward %}
-    u64 pv_{{ name }} = fpm_{{ name }}(pkt, len, ifindex);
-    if (pv_{{ name }} != {{ CONTINUE }}) { return pv_{{ name }}; }
-{% endfor %}
 {% if has_router %}
     return fpm_router(pkt, len, l3);
 {% else %}
@@ -187,20 +175,12 @@ VERDICTS = {
 }
 
 
-def render_fast_path(
-    ifname: str,
-    hook: str,
-    nodes: Dict[str, Dict[str, Any]],
-    customs: list = None,
-) -> str:
+def render_fast_path(ifname: str, hook: str, nodes: Dict[str, Dict[str, Any]]) -> str:
     """Render the complete fast-path C source for one interface.
 
     ``nodes`` maps nf name → conf dict (the interface's processing graph).
-    ``customs`` is a list of :class:`repro.core.custom.CustomFpm` to weave
-    into the pipeline (the paper's future-work monitoring modules).
     """
     verdicts = VERDICTS[hook]
-    customs = customs or []
     bridge_conf = nodes.get("bridge")
     filter_conf = nodes.get("filter")
     router_conf = nodes.get("router")
@@ -223,13 +203,6 @@ def render_fast_path(
         "has_router": has_router,
         "has_ipvs": ipvs_conf is not None,
         "bridge_chains_l3": bridge_chains_l3,
-        "custom_decls": [decl for custom in customs for decl in custom.decls],
-        "custom_fns": [
-            render(custom.fn_source, PASS=verdicts["PASS"], DROP=verdicts["DROP"], CONTINUE=CONTINUE)
-            for custom in customs
-        ],
-        "custom_ingress": [c.name for c in customs if c.point == "ingress"],
-        "custom_pre_forward": [c.name for c in customs if c.point == "pre_forward"],
     }
 
     if bridge_conf is not None:

@@ -14,11 +14,9 @@ A mismatch means the deployed FPM computes something the kernel would not —
 a synthesis bug, a stale view, a corrupted program. The response is
 containment, not diagnosis: the controller quarantines the interface
 (withdraw to the slow path, flush its flow-cache partition, bump the
-partition epoch) and schedules a resynthesis after a hold-off.
-
-The one verdict that cannot be shadowed is ``XDP_CONSUMED`` (AF_XDP): the
-prediction run has already delivered the frame to the XSK socket, so the
-reference run is skipped — running both would double-deliver.
+partition epoch) and schedules a resynthesis after a hold-off. An aborted
+prediction is a mismatch at either hook, whatever the kernel did with the
+packet.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.kernel.hooks_api import (
     TC_ACT_REDIRECT,
     TC_ACT_SHOT,
     XDP_ABORTED,
-    XDP_CONSUMED,
     XDP_DROP,
     XDP_PASS,
     XDP_REDIRECT,
@@ -54,7 +51,6 @@ class Watchdog:
         self.agreements = 0
         self.mismatches = 0
         self.punts = 0  # prediction was PASS/OK — slow path authoritative anyway
-        self.consumed = 0  # AF_XDP: prediction delivered, no reference run
 
     # -------------------------------------------------------------- sampling
 
@@ -75,12 +71,6 @@ class Watchdog:
         """
         self.sampled += 1
         prediction = dev.xdp_prog.run_xdp(stack.kernel, dev, frame)
-        if prediction.verdict == XDP_CONSUMED:
-            # Already delivered to the AF_XDP socket by the shadow run; no
-            # reference run happens, so settle the packet here.
-            self.consumed += 1
-            stack.finish("xdp_consumed", dev)
-            return
         captured = self._run_reference(stack, dev, frame, queue)
         if prediction.verdict == XDP_PASS:
             self.punts += 1  # the fast path declined; no claim to check
@@ -130,6 +120,8 @@ class Watchdog:
         return f"unknown verdict {verdict}"
 
     def _judge_tc(self, dev, prediction, captured) -> Optional[str]:
+        if prediction.aborted:
+            return "fast path aborted"  # reported as TC_ACT_SHOT
         verdict = prediction.verdict
         if verdict == TC_ACT_SHOT:
             if captured:
@@ -167,5 +159,4 @@ class Watchdog:
             "agreements": self.agreements,
             "mismatches": self.mismatches,
             "punts": self.punts,
-            "consumed": self.consumed,
         }

@@ -76,16 +76,12 @@ def _as_map(value: object, what: str) -> BpfMap:
 # --------------------------------------------------------------- map helpers
 
 def _charge_shared_map_write(env: "Env", bpf_map: BpfMap) -> None:
-    """The contention model: mutating a *shared* (non-per-CPU) map from a
-    multi-core data path bounces the bucket's cacheline/lock between CPUs,
-    so each such write is charged ``cross_cpu_lock`` on the executing CPU.
-    Per-CPU flavours write an unshared slot and pay nothing, and reads stay
-    free under RCU — which is exactly why the synthesizer upgrades per-flow
-    counter maps to per-CPU on multi-core kernels.
+    """The contention model: mutating a shared map from a multi-core data
+    path bounces the bucket's cacheline/lock between CPUs, so each such
+    write is charged ``cross_cpu_lock`` on the executing CPU. Reads stay
+    free under RCU.
     """
     kernel = env.kernel
-    if bpf_map.percpu:
-        return
     if kernel.cpus.num_cpus > 1 and kernel.cpus.current_cpu is not None:
         kernel.costs_charge("cross_cpu_lock")
 
@@ -493,17 +489,6 @@ HELPERS: Dict[int, Tuple[str, HelperFn]] = {
 }
 
 
-def _register_af_xdp() -> None:
-    # late-bound to avoid a module cycle (af_xdp imports helper utilities)
-    from repro.ebpf.af_xdp import bpf_redirect_xsk
-
-    HELPERS[14] = ("redirect_xsk", bpf_redirect_xsk)
-    HELPER_IDS["redirect_xsk"] = 14
-    HELPER_SIGS[14] = HelperSig(
-        "redirect_xsk", (ArgSpec("map", map_types=("xskmap",)), _SCALAR, _SCALAR)
-    )
-    MAINLINE_HELPERS.add("redirect_xsk")  # AF_XDP redirect exists in mainline
-
 HELPER_IDS: Dict[str, int] = {name: hid for hid, (name, __) in HELPERS.items()}
 
 # Helpers present in mainline Linux vs the ones the paper adds; the LinuxFP
@@ -516,5 +501,3 @@ MAINLINE_HELPERS = {"map_lookup", "map_read", "map_update", "map_delete",
                     "trace_printk"}
 LINUXFP_HELPERS = {"fdb_lookup", "ipt_lookup", "conntrack_lookup"}
 BASELINE_HELPERS = {"pcn_classify"}
-
-_register_af_xdp()

@@ -88,14 +88,7 @@ class XdpAttachment:
             return XdpResult(XDP_ABORTED, frame, aborted=True)
         _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
         env.insns_executed = executed
-        from repro.ebpf.af_xdp import XDP_REDIRECT_XSK
-        from repro.kernel.hooks_api import XDP_CONSUMED
-
-        out = bytes(region.data)
-        if verdict == XDP_REDIRECT_XSK and env.xsk_socket is not None:
-            env.xsk_socket.push_rx(out)
-            return XdpResult(XDP_CONSUMED, out)
-        return XdpResult(int(verdict), out, env.redirect_ifindex)
+        return XdpResult(int(verdict), bytes(region.data), env.redirect_ifindex)
 
 
 class TcAttachment:

@@ -816,24 +816,11 @@ class _Compiler:
         helper_id = insn.imm
         # the clock the helper observes must match the interpreter's exactly
         self._flush()
-        entry = helpers_mod.HELPERS.get(helper_id)
-        if entry is None:
-            # late-registered helpers (redirect_xsk) resolve at runtime,
-            # exactly like the interpreter's per-call dict lookup
-            self.report.generic_ops += 1
-            self.ns["_HELPERS"] = helpers_mod.HELPERS
-            e = self.tmp()
-            self.emit(1, "%s = _HELPERS.get(%d)" % (e, helper_id))
-            self.emit(1, "if %s is None:" % e)
-            self.emit(2, "raise _VMError(%r)"
-                      % ("%s@%d: unknown helper %d" % (name, pc, helper_id),))
-            callee = "%s[1]" % e
-        else:
-            hname = "_h%d" % helper_id
-            self.ns[hname] = entry[1]
-            callee = hname
+        # check_structure rejected unknown helper ids before translation
+        hname = "_h%d" % helper_id
+        self.ns[hname] = helpers_mod.HELPERS[helper_id][1]
         self.emit(1, "try:")
-        self.emit(2, "r0 = %s(env, [r1, r2, r3, r4, r5])" % callee)
+        self.emit(2, "r0 = %s(env, [r1, r2, r3, r4, r5])" % hname)
         self.emit(1, "except (_HErr, _Mem) as _e:")
         self.emit(2, 'raise _VMError("%s@%d: " + str(_e)) from _e' % (name, pc))
         # helper calls clobber the caller-saved argument registers

@@ -64,7 +64,6 @@ class Env:
         self.kernel = kernel
         self.redirect_verdict = redirect_verdict
         self.redirect_ifindex: Optional[int] = None
-        self.xsk_socket = None  # set by the redirect_xsk helper
         self.trace: List[tuple] = []
         self.deps: set = set()  # kernel tables consulted ("fib", "bridge", …)
         self.matched_rules: List[object] = []  # netfilter Rules that decided

@@ -25,7 +25,7 @@ Correctness rests on three mechanisms:
    output frames of the recording run, then re-applied to the input frame
    and checked for byte-equality against the program's actual output. A
    diff the action model cannot express (or a run that touched per-packet
-   state: maps, ktime, AF_XDP) yields an *uncacheable* marker entry, and
+   state: maps, ktime) yields an *uncacheable* marker entry, and
    that flow takes the full run forever.
 
 Partitions are keyed by (hook, ifindex) so the deployer's atomic prog-array
@@ -48,7 +48,6 @@ from repro.kernel.hooks_api import (
     TC_ACT_REDIRECT,
     TcResult,
     XDP_ABORTED,
-    XDP_CONSUMED,
     XDP_REDIRECT,
     XdpResult,
 )
@@ -432,7 +431,7 @@ class FlowCache:
         if env.aborted or (hook == "xdp" and verdict == XDP_ABORTED):
             return  # never cache an aborted run's verdict
         actions: Optional[CachedActions]
-        if env.uncacheable or verdict == XDP_CONSUMED:
+        if env.uncacheable:
             actions = None  # marker entry: this flow always takes the full run
         else:
             actions = _derive_actions(in_frame, out_frame)

@@ -24,9 +24,6 @@ XDP_DROP = 1
 XDP_PASS = 2
 XDP_TX = 3
 XDP_REDIRECT = 4
-# frame consumed inside the eBPF layer (e.g. delivered to an AF_XDP socket);
-# not part of the kernel enum — the real kernel folds this into REDIRECT
-XDP_CONSUMED = 5
 
 # TC verdicts (subset of TC_ACT_*)
 TC_ACT_OK = 0
@@ -39,7 +36,6 @@ XDP_ACTION_NAMES = {
     XDP_PASS: "XDP_PASS",
     XDP_TX: "XDP_TX",
     XDP_REDIRECT: "XDP_REDIRECT",
-    XDP_CONSUMED: "XDP_CONSUMED",
 }
 
 TC_ACTION_NAMES = {

@@ -522,7 +522,7 @@ class Kernel:
         queue), so no queued frame is lost; then steering, RSS indirection,
         the conntrack shard, and the flow-cache shard are all retargeted at
         the surviving CPUs. The controller hears about it via a ``CPU_OFFLINE``
-        notification and rehomes deployed per-CPU map state.
+        notification and records an incident.
         """
         self.softirq.drain_cpu(cpu)
         self.cpus.offline(cpu)  # raises on the last online CPU / mid-execution

@@ -29,7 +29,6 @@ from repro.kernel.hooks_api import (
     TC_ACT_SHOT,
     TC_ACTION_NAMES,
     XDP_ACTION_NAMES,
-    XDP_CONSUMED,
     XDP_DROP,
     XDP_PASS,
     XDP_REDIRECT,
@@ -243,9 +242,6 @@ class Stack:
             target.transmit(result.frame)
             self.finish("xdp_redirect", target)
             return
-        if result.verdict == XDP_CONSUMED:
-            self.finish("xdp_consumed", dev)
-            return  # e.g. delivered to an AF_XDP socket
         if result.verdict == XDP_PASS:
             kernel.costs_charge("xdp_pass_to_stack")
             self.receive_after_xdp(dev, result.frame, queue)

@@ -12,9 +12,7 @@ The simulation is single-threaded, so "which CPU is executing right now" is
 a simple context stack. The stack is simulation-global (module level): a
 frame processed on DUT CPU 2 may synchronously cross a wire into the sink
 kernel, whose own softirq context then pushes (sink, 0) on top — each
-kernel's charges land on that kernel's innermost active CPU. Per-CPU map
-flavours (:mod:`repro.ebpf.maps`) consult the *innermost* context of the
-whole stack, matching "the CPU this helper call is executing on".
+kernel's charges land on that kernel's innermost active CPU.
 """
 
 from __future__ import annotations
@@ -25,12 +23,6 @@ from typing import List, Optional, Tuple
 #: The active (cpuset, cpu) contexts, innermost last. Single-threaded
 #: simulation ⇒ a plain module-level stack is exact.
 _ACTIVE: List[Tuple["CpuSet", int]] = []
-
-
-def current_cpu() -> Optional[int]:
-    """The CPU id of the innermost active context, or None (host/control
-    context: the control plane, test setup, netlink handlers)."""
-    return _ACTIVE[-1][1] if _ACTIVE else None
 
 
 class CpuSet:

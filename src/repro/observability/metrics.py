@@ -129,25 +129,7 @@ class MetricsRegistry:
                 "deployed": ctl.deployed_summary(),
                 "jit": ctl.deployer.jit_summary(),
             }
-            data["map_pressure"] = {
-                name: stats for name, stats in self._map_pressure().items()
-            }
         return data
-
-    def _map_pressure(self) -> Dict[str, Dict[str, int]]:
-        """Pressure counters for every map a deployed program references."""
-        out: Dict[str, Dict[str, int]] = {}
-        if self.controller is None:
-            return out
-        for entry in self.controller.deployer.deployed.values():
-            if entry.current is None:
-                continue
-            for bpf_map in getattr(entry.current.program, "maps", []):
-                out[bpf_map.name] = {
-                    "update_errors": bpf_map.update_errors,
-                    "evictions": bpf_map.evictions,
-                }
-        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True, default=str)
@@ -290,9 +272,8 @@ class MetricsRegistry:
             if ctl.watchdog is not None:
                 wd = ctl.watchdog.summary()
                 family("linuxfp_watchdog_samples_total", "counter", "Differential watchdog samples by verdict.")
-                for key in ("agreements", "mismatches", "punts", "consumed"):
+                for key in ("agreements", "mismatches", "punts"):
                     sample("linuxfp_watchdog_samples_total", wd[key], verdict=key)
-            pressure = self._map_pressure()
             engine = getattr(self.kernel, "jit", None)
             if engine is not None:
                 stats = engine.summary()
@@ -301,13 +282,6 @@ class MetricsRegistry:
                 sample("linuxfp_jit_engine_runs_total", stats["interp_runs"], mode="interpreter")
                 family("linuxfp_jit_engine_fallbacks_total", "counter", "Programs the JIT declined to compile (interpreter serves them).")
                 sample("linuxfp_jit_engine_fallbacks_total", stats["fallbacks"])
-            if pressure:
-                family("linuxfp_map_update_errors_total", "counter", "Rejected fast-path map updates (full map, bad key, injected fault).")
-                for name, stats in sorted(pressure.items()):
-                    sample("linuxfp_map_update_errors_total", stats["update_errors"], map=name)
-                family("linuxfp_map_evictions_total", "counter", "LRU-map entries displaced under capacity pressure.")
-                for name, stats in sorted(pressure.items()):
-                    sample("linuxfp_map_evictions_total", stats["evictions"], map=name)
             jit = ctl.deployer.jit_summary()
             if jit:
                 family("linuxfp_jit_status", "gauge", "Serving-program JIT outcome (1 for the active status label).")
@@ -317,13 +291,6 @@ class MetricsRegistry:
                 family("linuxfp_jit_inline_mem_ops", "gauge", "Packet/stack accesses the JIT emitted with no bounds or provenance checks.")
                 for ifname, info in sorted(jit.items()):
                     sample("linuxfp_jit_inline_mem_ops", info["inline_mem_ops"], interface=ifname)
-            if ctl.deployer.migrations:
-                family("linuxfp_migrated_entries_total", "counter", "Map entries carried into the new program at the last redeploy.")
-                for ifname, report in sorted(ctl.deployer.migrations.items()):
-                    sample("linuxfp_migrated_entries_total", report.total_entries, interface=ifname)
-                family("linuxfp_migration_dropped_entries_total", "counter", "Map entries lost during the last redeploy's state migration.")
-                for ifname, report in sorted(ctl.deployer.migrations.items()):
-                    sample("linuxfp_migration_dropped_entries_total", report.dropped, interface=ifname)
 
         return "\n".join(lines) + "\n"
 

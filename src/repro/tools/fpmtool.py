@@ -11,7 +11,7 @@ tracing would on a real host:
 - ``trace``        pwru-style per-packet journeys through the pipeline
 - ``metrics``      the unified registry (Prometheus text or JSON)
 - ``prog list``    deployed dispatchers and serving fast-path programs
-- ``map dump``     prog-array slots and each program's referenced maps
+- ``map dump``     each deployed interface's prog-array slots
 - ``reliability``  storm-scale scorecard: drive a fault-armed traffic storm
                    (with mid-storm CPU hotplug) and print drops by reason,
                    incidents by kind, and per-CPU backlog high-water marks
@@ -180,23 +180,6 @@ def cmd_prog(args) -> int:
     return 0
 
 
-def _dump_map(m, indent: str = "  ") -> None:
-    size = ""
-    if getattr(m, "byte_addressable", True):
-        size = f" key={m.key_size}B value={m.value_size}B"
-    entries = ""
-    data = getattr(m, "_data", None)
-    if data is not None:
-        entries = f" entries={len(data)}/{m.max_entries}"
-    count = getattr(m, "_count", None)
-    if count is not None:
-        entries = f" entries={count}/{m.max_entries}"
-    pressure = ""
-    if getattr(m, "update_errors", 0) or getattr(m, "evictions", 0):
-        pressure = f" update_errors={m.update_errors} evictions={m.evictions}"
-    print(f"{indent}{m.name}: {m.map_type}{size}{entries}{pressure}")
-
-
 def cmd_map(args) -> int:
     if args.map_cmd != "dump":
         print(f"fpmtool: unknown map subcommand {args.map_cmd!r}", file=sys.stderr)
@@ -219,8 +202,6 @@ def cmd_map(args) -> int:
             target = getattr(prog, "program", prog)
             name = getattr(target, "name", "?")
             print(f"  slot {i}: {name}")
-            for m in getattr(target, "maps", []) or []:
-                _dump_map(m, indent="    ")
     return 0
 
 
@@ -378,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prog.add_argument("prog_cmd", choices=("list",))
     p_prog.set_defaults(func=cmd_prog)
 
-    p_map = sub.add_parser("map", help="prog-array slots and referenced maps")
+    p_map = sub.add_parser("map", help="prog-array slots of each deployed interface")
     p_map.add_argument("map_cmd", choices=("dump",))
     p_map.set_defaults(func=cmd_map)
 

@@ -333,16 +333,6 @@ class TestControllerIntegration:
         Controller(topo.dut, hook="xdp").start()
         assert topo.dut.flow_cache.enabled is False
 
-    def test_custom_fpm_disables_cache(self):
-        from repro.core.custom import make_protocol_counter
-
-        topo, controller, out = cached_router()
-        assert topo.dut.flow_cache.enabled is True
-        send(topo)
-        controller.add_custom_fpm(make_protocol_counter("probe"))
-        assert topo.dut.flow_cache.enabled is False
-        assert len(topo.dut.flow_cache) == 0  # flushed on disable
-
     def test_stop_disables_and_flushes(self):
         topo, controller, out = cached_router()
         send(topo)

@@ -1,32 +1,26 @@
 """State pressure: fast/slow equivalence with every table at capacity.
 
-The resilience claim under test: when conntrack hits ``nf_conntrack_max``,
-the flow cache hits its LRU capacity, and a custom FPM's flow-keyed map is
-full, the accelerated pipeline must *degrade*, never *diverge* — identical
-per-packet outcomes to plain Linux, with the pressure visible on counters
-(``early_drops``, ``evictions``, ``update_errors``) instead of exceptions.
+The resilience claim under test: when conntrack hits ``nf_conntrack_max``
+and the flow cache hits its LRU capacity, the accelerated pipeline must
+*degrade*, never *diverge* — identical per-packet outcomes to plain Linux,
+with the pressure visible on counters (``early_drops``, ``evictions``)
+instead of exceptions.
 
-The final class is the PR's acceptance workload: 10 000 mixed packets
-(valid flows cycling far beyond every capacity, plus hostile frames) with
-an atomic redeploy mid-stream that must carry flow state across via the
-Deployer's live map migration.
+The final class is the acceptance workload: 10 000 mixed packets (valid
+flows cycling far beyond every capacity, plus hostile frames) with an
+atomic redeploy mid-stream.
 """
 
-import pytest
-
 from repro.core import Controller
-from repro.core.custom import flow_counter_key, make_flow_counter
 from repro.kernel.netfilter import Rule
 from repro.measure.topology import LineTopology
-from repro.netsim.addresses import IPv4Addr
 from repro.netsim.packet import make_udp
 from repro.observability.drop_reasons import reason_names
 
 NUM_PREFIXES = 8
 
 
-def build_dut(rules=(), accelerated=False, conntrack_max=None, flow_cache=False,
-              custom_fpms=None):
+def build_dut(rules=(), accelerated=False, conntrack_max=None, flow_cache=False):
     topo = LineTopology()
     topo.install_prefixes(NUM_PREFIXES)
     if conntrack_max is not None:
@@ -35,10 +29,7 @@ def build_dut(rules=(), accelerated=False, conntrack_max=None, flow_cache=False,
         topo.dut.ipt_append("FORWARD", rule)
     controller = None
     if accelerated:
-        controller = Controller(
-            topo.dut, hook="xdp", flow_cache=flow_cache,
-            custom_fpms=list(custom_fpms or []),
-        )
+        controller = Controller(topo.dut, hook="xdp", flow_cache=flow_cache)
         controller.start()
     topo.prewarm_neighbors()
     delivered = []
@@ -94,21 +85,6 @@ class TestDifferentialUnderPressure:
         assert [f[14:] for f in slow_out] == [f[14:] for f in fast_out]
         assert_conserved(fast.dut.stack)
 
-    def test_flow_keyed_map_at_capacity_keeps_forwarding(self):
-        # the synthesizer upgrades the flow-keyed hash to LRU: inserts past
-        # max_flows evict instead of failing, and forwarding never flinches
-        flowmon = make_flow_counter(max_flows=8)
-        slow, _, slow_out = build_dut(accelerated=False)
-        fast, _, fast_out = build_dut(accelerated=True, custom_fpms=[flowmon])
-        assert drive_flows(slow, slow_out, 32) == drive_flows(fast, fast_out, 32)
-        assert all(drive_flows(fast, fast_out, 32, sport_base=5000))
-        flows = next(iter(flowmon.maps.values()))
-        assert flows.map_type == "lru_hash"
-        assert len(flows) <= 8
-        assert flows.evictions > 0
-        assert flows.update_errors == 0  # LRU degrades by evicting, not failing
-        assert_conserved(fast.dut.stack)
-
 
 class TestAcceptanceWorkload:
     """10k mixed packets at capacity, with an atomic redeploy mid-stream."""
@@ -116,7 +92,7 @@ class TestAcceptanceWorkload:
     TOTAL = 10_000
     REDEPLOY_AT = 5_000
     HOSTILE_EVERY = 41     # garbage / truncated frames interleaved
-    HOT_EVERY = 10         # one hot flow kept warm so LRU never evicts it
+    HOT_EVERY = 10         # one hot flow, revisited throughout
     FLOWS = 200            # distinct cold flows, cycling
 
     def _cold_frame(self, topo, i):
@@ -134,38 +110,19 @@ class TestAcceptanceWorkload:
             sport=55_555, dport=9, ttl=16,
         ).to_bytes()
 
-    def _hot_count(self, controller):
-        entry = controller.deployer.deployed["eth0"]
-        flows = next(m for m in entry.current.program.maps if m.name == "flowmon_flows")
-        key = flow_counter_key(
-            IPv4Addr.parse("10.0.1.2"), IPv4Addr.parse("10.100.0.1"), 55_555, 9
-        )
-        value = flows.lookup(key)
-        return int.from_bytes(value, "big") if value else 0
-
     def test_ten_thousand_packets_survive_pressure_and_redeploy(self):
-        flowmon = make_flow_counter(max_flows=64, pin_maps=False)
-        topo, controller, delivered = build_dut(
-            accelerated=True, conntrack_max=32, custom_fpms=[flowmon],
-        )
+        topo, controller, delivered = build_dut(accelerated=True, conntrack_max=32)
         stack = topo.dut.stack
         hostile = valid = 0
-        hot_at_swap = 0
         for i in range(self.TOTAL):
             if i == self.REDEPLOY_AT:
-                hot_at_swap = self._hot_count(controller)
                 swaps_before = controller.deployer.deployed["eth0"].swaps
                 # the first FORWARD rule changes the processing graph
-                # (a filter FPM appears): atomic swap + live migration,
-                # and conntrack joins the forward path for the second half
+                # (a filter FPM appears): atomic swap, and conntrack joins
+                # the forward path for the second half
                 topo.dut.ipt_append("FORWARD", Rule(target="ACCEPT", ct_state="NEW"))
                 controller.tick()
                 assert controller.deployer.deployed["eth0"].swaps > swaps_before
-                report = controller.deployer.migrations["eth0"]
-                assert report.migrated.get("flowmon_flows", 0) > 0
-                assert report.dropped == 0
-                # the hot flow's count crossed the swap intact
-                assert self._hot_count(controller) >= hot_at_swap > 0
             if i % self.HOSTILE_EVERY == 0:
                 # alternate pure garbage and a truncated valid frame
                 blob = b"\x00" * 10 if i % 2 == 0 else self._cold_frame(topo, i)[:21]
@@ -184,22 +141,11 @@ class TestAcceptanceWorkload:
         assert stack.dropped == hostile
         assert set(stack.drops) <= set(reason_names())
 
-        # every pressure valve visibly fired
+        # the pressure valve visibly fired
         ct = topo.dut.conntrack
         assert len(ct) <= 32
         assert ct.early_drops > 0
-        entry = controller.deployer.deployed["eth0"]
-        flows = next(m for m in entry.current.program.maps if m.name == "flowmon_flows")
-        assert len(flows) <= 64
-        assert flows.evictions > 0
 
-        # post-redeploy state survived and kept accumulating
-        health = controller.health()
-        assert health["migrations"]["eth0"]["migrated"]["flowmon_flows"] > 0
-        assert self._hot_count(controller) > hot_at_swap
-
-        # and all of it is scrapeable
+        # and it is scrapeable
         prom = controller.metrics().to_prometheus()
         assert "linuxfp_conntrack_early_drops_total" in prom
-        assert 'linuxfp_map_evictions_total{map="flowmon_flows"}' in prom
-        assert 'linuxfp_migrated_entries_total{interface="eth0"}' in prom

@@ -1,11 +1,15 @@
 """Differential watchdog: shadow-predict on the fast path, let the plain
 kernel handle the sampled packet authoritatively, and quarantine on mismatch."""
 
+import pytest
+
 from repro.core import Controller
 from repro.core.controller import QUARANTINE_HOLDOFF_NS
 from repro.ebpf.minic import compile_c
+from repro.ebpf.vm import VMError
 from repro.measure.topology import LineTopology
 from repro.netsim.packet import make_udp
+from repro.tools import iptables
 
 
 def router_topo():
@@ -149,6 +153,30 @@ class TestMismatchContainment:
         send(topo)
         assert len(delivered) == 1
         assert controller.watchdog.mismatches == 1
+        assert "eth0" in controller.deployer.quarantined
+
+
+    @pytest.mark.parametrize("hook", ["xdp", "tc"])
+    def test_aborted_prediction_is_a_mismatch_even_when_the_kernel_drops(self, hook, monkeypatch):
+        # An abort surfaces as TC_ACT_SHOT at the TC hook; it must not pass
+        # for agreement just because the kernel drops the packet too.
+        topo = router_topo()
+        iptables(topo.dut, f"-A FORWARD -d {topo.flow_destination(0, 5)}/32 -j DROP")
+        controller = Controller(topo.dut, hook=hook, watchdog_every=1)
+        controller.start()
+        execute = topo.dut.jit.execute
+
+        def abort_fast_paths(program, args, env, **kwargs):
+            if program.name.startswith("linuxfp_"):
+                raise VMError(f"{program.name}: injected abort")
+            return execute(program, args, env, **kwargs)
+
+        monkeypatch.setattr(topo.dut.jit, "execute", abort_fast_paths)
+        delivered = attach_sink(topo)
+        send(topo)
+        assert delivered == []  # the kernel dropped it, as its rule says
+        wd = controller.watchdog
+        assert (wd.agreements, wd.mismatches) == (0, 1)
         assert "eth0" in controller.deployer.quarantined
 
 

@@ -1,16 +1,14 @@
-"""LRU hash map semantics and the map resilience surface.
+"""Hash maps have no LRU eviction.
 
-``LruHashMap`` follows ``BPF_MAP_TYPE_LRU_HASH``: an insert into a full map
-evicts the least-recently-used entry (lookups and updates both refresh
-recency) instead of failing. The base-map additions this suite also covers:
-schema tuples, freeze-for-migration, ``items()``/``clone_empty()``, and the
-``update_errors`` pressure counter.
+The simulator models ``BPF_MAP_TYPE_HASH`` only: an insert into a full map
+is refused with ``MapError`` rather than evicting the least-recently-used
+entry, so a program that fills a map sees the failure instead of silently
+losing state.
 """
 
 import pytest
 
-from repro.ebpf.maps import ArrayMap, HashMap, LpmTrieMap, LruHashMap, MapError
-from repro.netsim.addresses import IPv4Addr
+from repro.ebpf.maps import HashMap, MapError
 
 
 def k(i: int) -> bytes:
@@ -22,118 +20,8 @@ def v(i: int) -> bytes:
 
 
 class TestLruSemantics:
-    def test_insert_at_capacity_evicts_oldest(self):
-        m = LruHashMap("lru", 4, 8, max_entries=3)
-        for i in range(3):
-            m.update(k(i), v(i))
-        m.update(k(3), v(3))  # full: key 0 is the LRU entry
-        assert m.lookup(k(0)) is None
-        assert m.lookup(k(3)) == v(3)
-        assert m.evictions == 1
-        assert len(m) == 3
-
-    def test_lookup_refreshes_recency(self):
-        m = LruHashMap("lru", 4, 8, max_entries=3)
-        for i in range(3):
-            m.update(k(i), v(i))
-        assert m.lookup(k(0)) == v(0)  # 0 becomes most recent
-        m.update(k(3), v(3))  # evicts 1, not 0
-        assert m.lookup(k(0)) == v(0)
-        assert m.lookup(k(1)) is None
-
-    def test_update_refreshes_recency(self):
-        m = LruHashMap("lru", 4, 8, max_entries=3)
-        for i in range(3):
-            m.update(k(i), v(i))
-        m.update(k(0), v(99))  # rewrite refreshes
-        m.update(k(3), v(3))
-        assert m.lookup(k(0)) == v(99)
-        assert m.lookup(k(1)) is None
-
-    def test_never_raises_map_full(self):
-        m = LruHashMap("lru", 4, 8, max_entries=2)
-        for i in range(100):
-            m.update(k(i), v(i))
-        assert len(m) == 2
-        assert m.evictions == 98
-
-    def test_from_hash_preserves_contents_and_schema_sizes(self):
-        plain = HashMap("flows", 4, 8, max_entries=5)
-        for i in range(3):
-            plain.update(k(i), v(i))
-        lru = LruHashMap.from_hash(plain)
-        assert lru.name == "flows"
-        assert (lru.key_size, lru.value_size, lru.max_entries) == (4, 8, 5)
-        assert sorted(lru.items()) == sorted(plain.items())
-        assert lru.map_type == "lru_hash"
-
     def test_plain_hash_still_rejects_at_capacity(self):
         m = HashMap("h", 4, 8, max_entries=1)
         m.update(k(0), v(0))
         with pytest.raises(MapError):
             m.update(k(1), v(1))
-
-
-class TestMigrationSurface:
-    def test_schema_tuple(self):
-        assert HashMap("h", 4, 8, max_entries=16).schema() == ("hash", 4, 8, 1)
-        assert LruHashMap("h", 4, 8, max_entries=16, schema_version=2).schema() == (
-            "lru_hash", 4, 8, 2,
-        )
-
-    def test_frozen_refuses_writes_but_not_reads(self):
-        m = HashMap("h", 4, 8)
-        m.update(k(1), v(1))
-        m.frozen = True
-        assert m.lookup(k(1)) == v(1)
-        with pytest.raises(MapError):
-            m.update(k(2), v(2))
-        with pytest.raises(MapError):
-            m.delete(k(1))
-        m.frozen = False
-        m.update(k(2), v(2))
-
-    def test_clone_empty_is_subclass_safe(self):
-        lru = LruHashMap("lru", 4, 8, max_entries=3)
-        lru.update(k(1), v(1))
-        clone = lru.clone_empty()
-        assert type(clone) is LruHashMap
-        assert clone.schema() == lru.schema()
-        assert len(clone) == 0
-
-    def test_items_round_trip_every_map_type(self):
-        maps = [
-            HashMap("h", 4, 8),
-            LruHashMap("lru", 4, 8),
-            ArrayMap("a", 8, 4),
-            LpmTrieMap("t", 8),
-        ]
-        for m in maps:
-            if m.map_type == "lpm_trie":
-                m.update(LpmTrieMap.make_key(24, IPv4Addr.parse("10.1.2.0")), v(7))
-            else:
-                m.update(k(1), v(7)[: m.value_size])
-            clone = m.clone_empty()
-            for key, value in m.items():
-                clone.update(key, value)
-            assert sorted(clone.items()) == sorted(m.items()), m.name
-
-
-class TestArrayMapNullOnOutOfRange:
-    def test_lookup_out_of_range_returns_none(self):
-        # Regression: real BPF array lookup returns NULL past max_entries;
-        # it used to raise MapError, aborting programs on a legal read.
-        m = ArrayMap("a", 4, 2)
-        assert m.lookup((2).to_bytes(4, "little")) is None
-        assert m.lookup((2**32 - 1).to_bytes(4, "little")) is None
-
-    def test_in_range_still_preinitialized_zero(self):
-        m = ArrayMap("a", 4, 2)
-        assert m.lookup((1).to_bytes(4, "little")) == b"\x00" * 4
-
-    def test_writes_still_reject_out_of_range(self):
-        m = ArrayMap("a", 4, 2)
-        with pytest.raises(MapError):
-            m.update((2).to_bytes(4, "little"), b"\x01" * 4)
-        with pytest.raises(MapError):
-            m.delete((2).to_bytes(4, "little"))

@@ -6,6 +6,7 @@ from repro.k8s import Cluster
 from repro.kernel.sockets import tcp_rr_server, udp_echo_server
 from repro.netsim.addresses import ipv4
 from repro.netsim.packet import IPPROTO_TCP, IPPROTO_UDP, IPv4, TCP, UDP
+from repro.tools import ip, ipvsadm
 
 
 def rr_once(cluster, client, server, sport=40000, dport=5201):
@@ -167,3 +168,36 @@ class TestTransparentAcceleration:
         tcp_rr_server(server.kernel, 5201)
         for __ in range(5):
             assert rr_once(cluster, client, server) is not None
+
+    def test_accelerated_cluster_serves_an_ipvs_service(self):
+        """A ClusterIP programmed the way kube-proxy's ipvs mode does it
+        (the VIP on ``lo``, ipvs round-robin over the endpoint pods) keeps
+        answering once LinuxFP accelerates every node with the ipvs FPM."""
+        cluster = Cluster(workers=2)
+        client = cluster.create_pod(cluster.workers[0], "client")
+        backend_a = cluster.create_pod(cluster.workers[0], "backend-a")
+        backend_b = cluster.create_pod(cluster.workers[1], "backend-b")
+        for backend in (backend_a, backend_b):
+            tcp_rr_server(backend.kernel, 8080, response_size=1)
+        for node in cluster.nodes:
+            ip(node.kernel, "addr add 10.96.0.1/32 dev lo")
+            ipvsadm(node.kernel, "-A -t 10.96.0.1:80 -s rr")
+            for backend in (backend_a, backend_b):
+                ipvsadm(node.kernel, f"-a -t 10.96.0.1:80 -r {backend.ip}:8080")
+        cluster.accelerate(enable_ipvs=True)
+        answered = 0
+        for i in range(4):
+            responses = []
+            sport = 34000 + i
+            client.kernel.sockets.bind(IPPROTO_TCP, sport, lambda k, skb: responses.append(skb))
+            client.kernel.send_ip(
+                IPv4(src=ipv4(client.ip), dst=ipv4("10.96.0.1"), proto=IPPROTO_TCP),
+                TCP(sport=sport, dport=80, flags=TCP.ACK | TCP.PSH),
+                b"\x01",
+            )
+            client.kernel.sockets.unbind(IPPROTO_TCP, sport)
+            answered += len(responses)
+        assert answered == 4
+        assert backend_a.kernel.sockets.delivered == 2
+        assert backend_b.kernel.sockets.delivered == 2
+        assert "ipvs" in str(cluster.workers[0].controller.deployed_summary())

@@ -5,14 +5,13 @@ backlog is drained first (the ``dev_cpu_dead`` analogy), RSS indirection
 and RX-queue affinity re-spread over the online set, the conntrack shard is
 merged into a live one (lookups keep resolving via the hash-slot
 indirection), the flow-cache shard is invalidated, and the controller hears
-about it over netlink — surfacing a ``cpu-offline`` incident and rehoming
-per-CPU map slots of deployed programs. ``cpu_online`` reverses all of it.
+about it over netlink, surfacing a ``cpu-offline`` incident. ``cpu_online``
+reverses all of it.
 """
 
 import pytest
 
 from repro.core import Controller
-from repro.core.custom import make_flow_counter
 from repro.kernel.conntrack import Conntrack, ConnTuple
 from repro.measure.topology import LineTopology
 from repro.netsim.addresses import IPv4Addr
@@ -195,9 +194,9 @@ class TestFlowCacheShard:
 
 
 class TestControllerIntegration:
-    def accelerated(self, customs=()):
+    def accelerated(self):
         topo, delivered = build(num_queues=4)
-        controller = Controller(topo.dut, hook="xdp", custom_fpms=list(customs))
+        controller = Controller(topo.dut, hook="xdp")
         controller.start()
         topo.prewarm_neighbors()
         return topo, delivered, controller
@@ -212,25 +211,6 @@ class TestControllerIntegration:
         topo.dut.cpu_online(2)
         assert "cpu-online" in [i.kind for i in controller.incidents]
         assert controller.health()["offline_cpus"] == []
-
-    def test_offline_rehomes_percpu_map_slots_of_deployed_programs(self):
-        topo, delivered, controller = self.accelerated(customs=[make_flow_counter("flowmon")])
-        for i in range(64):
-            topo.dut_in.nic.receive_from_wire(frame_for(topo, i))
-        entry = controller.deployer.deployed["eth0"]
-        percpu = next(
-            m for m in entry.current.program.maps if hasattr(m, "drain_cpu")
-        )
-        dead_before = len(percpu._cpu_data[1])
-        total_before = sum(len(slot) for slot in percpu._cpu_data)
-        assert dead_before > 0
-        topo.dut.cpu_offline(1)
-        target = topo.dut._hotplug_target(1)  # the post-offline online set
-        assert len(percpu._cpu_data[1]) < dead_before  # slots rehomed
-        assert sum(len(slot) for slot in percpu._cpu_data) == total_before
-        assert len(percpu._cpu_data[target]) > 0
-        kinds = [i.kind for i in controller.incidents]
-        assert "cpu-map-drain" in kinds
 
     def test_traffic_keeps_flowing_across_an_offline_online_cycle(self):
         topo, delivered, controller = self.accelerated()

@@ -162,20 +162,16 @@ class TestInjectedDataPlaneFaults:
         assert inj2.decide("link_flap", "eth0") == "drop"
 
     def test_map_update_faults_degrade_to_pass_with_counter(self):
-        # a custom FPM whose map updates fail must not perturb forwarding:
-        # the helper returns an error code, the program continues, and the
-        # failure is visible on the map's pressure counter
-        from repro.core import Controller
-        from repro.core.custom import make_protocol_counter
+        # Polycube's router cube updates its counter map on every packet;
+        # failing updates must not perturb forwarding: the helper returns an
+        # error code, the program continues, and the failure is visible on
+        # the map's pressure counter
+        from repro.measure.scenarios import setup_router
 
-        topo = LineTopology()
-        topo.install_prefixes(4)
-        protomon = make_protocol_counter()
-        Controller(topo.dut, hook="xdp", custom_fpms=[protomon]).start()
-        topo.prewarm_neighbors()
+        topo = setup_router("polycube", 4)
         delivered = []
         topo.sink_eth.nic.attach(lambda frame, q: delivered.append(frame))
-        counters = next(iter(protomon.maps.values()))
+        counters = topo.polycube.counters
         with faults.injected(seed=3) as inj:
             inj.arm("map_update", match=counters.name)
             for i in range(8):
