@@ -142,9 +142,10 @@ class Deployer:
         """Per-interface JIT outcome for the *serving* program, from the
         kernel's engine (which compiles it now if no packet has yet).
 
-        ``status`` is ``"compiled"``, or ``"fallback"`` when compilation
-        failed and the interpreter serves, fail-closed. Withdrawn
-        interfaces are omitted.
+        ``status`` is ``"compiled"``, or ``"fallback"`` when the JIT
+        declined the program and the interpreter serves, fail-closed;
+        ``inline_mem_ops`` counts the packet and stack accesses compiled to
+        direct slices. Withdrawn interfaces are omitted.
         """
         out: Dict[str, Dict[str, object]] = {}
         for ifname, entry in sorted(self.deployed.items()):
@@ -155,7 +156,6 @@ class Deployer:
                 "status": report.status,
                 "insns": len(entry.current.program),
                 "inline_mem_ops": report.inline_mem_ops,
-                "folded_null_checks": report.folded_null_checks,
             }
         return out
 

@@ -32,11 +32,9 @@ PTR_TO_PACKET = "ptr_to_packet"
 PACKET_LEN = "packet_len"
 PTR_TO_STACK = "ptr_to_stack"
 CONST_PTR_TO_MAP = "const_ptr_to_map"
-PTR_TO_MAP_VALUE = "ptr_to_map_value"
-MAP_VALUE_OR_NULL = "map_value_or_null"
 
 #: Kinds that are a live fat pointer at runtime.
-POINTER_KINDS = frozenset({PTR_TO_PACKET, PTR_TO_STACK, PTR_TO_MAP_VALUE})
+POINTER_KINDS = frozenset({PTR_TO_PACKET, PTR_TO_STACK})
 #: Kinds that are a plain integer at runtime.
 SCALAR_KINDS = frozenset({SCALAR, PACKET_LEN})
 
@@ -218,9 +216,8 @@ class AbstractVal:
     kinds it is the byte offset into the region; for :data:`PACKET_LEN` the
     range lives in the interpreter state (all packet-length values alias the
     single tracked length) and the field here is ignored; for
-    :data:`CONST_PTR_TO_MAP`, :data:`PTR_TO_MAP_VALUE` and
-    :data:`MAP_VALUE_OR_NULL` the ``map`` field names the map object whose
-    ``key_size``/``value_size`` bound the access.
+    :data:`CONST_PTR_TO_MAP` the ``map`` field names the map object whose
+    type and ``key_size``/``value_size`` the helper signatures check.
     """
 
     kind: str

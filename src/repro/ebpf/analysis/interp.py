@@ -14,16 +14,16 @@ What is proven statically (the VM's fat pointers then only re-assert it):
   established by dominating length checks (``PACKET_LEN`` comparisons);
 - stack accesses stay inside the 512-byte frame, and spilled pointers are
   only filled back full-width from the exact slot they went into;
-- map-value accesses stay within the map's declared ``value_size`` and
-  maybe-NULL map values are null-checked before any dereference;
 - helper calls match the declared signatures in ``HELPER_SIGS`` (argument
-  kinds, pointed-to buffer sizes, map-type constraints);
+  kinds, pointed-to buffer sizes checked against the packet, the frame, or
+  the map's ``key_size``/``value_size``, map-type constraints);
 - no pointer leaks into scalar arithmetic, comparisons (beyond null
   checks), stores to non-stack memory, or the R0 exit value.
 
 The walk also records per-instruction coverage and per-branch feasible
 outcomes, which :mod:`repro.ebpf.analysis.lint` turns into dead-code and
-redundant-check findings.
+redundant-check findings, and the operand facts the JIT's translator
+(:mod:`repro.ebpf.jit.compiler`) selects its typed forms by.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from typing import Dict, List, NoReturn, Optional, Set, Tuple
 from repro.ebpf import helpers as helpers_mod
 from repro.ebpf.analysis.domain import (
     CONST_PTR_TO_MAP,
-    MAP_VALUE_OR_NULL,
     PACKET_LEN,
     POINTER_KINDS,
-    PTR_TO_MAP_VALUE,
     PTR_TO_PACKET,
     PTR_TO_STACK,
     SCALAR,
@@ -71,9 +69,54 @@ def default_entry_kinds(count: int) -> Tuple[str, ...]:
     return kinds + (ENTRY_SCALAR,) * (count - len(kinds))
 
 
+#: An operand kind the walk records for the JIT: ``(kind, offset)``, where
+#: ``kind`` is :data:`SCALAR` (packet lengths included), ``PTR_TO_PACKET``,
+#: ``PTR_TO_STACK``, ``CONST_PTR_TO_MAP`` or :data:`MIXED`, and ``offset``
+#: is a stack pointer's absolute frame offset when it is the same constant
+#: on every path (None otherwise, and for every other kind).
+Operand = Tuple[str, Optional[int]]
+
+#: Paths disagree on the operand's kind.
+MIXED = "mixed"
+
+SCALAR_OPERAND: Operand = (SCALAR, None)
+MIXED_OPERAND: Operand = (MIXED, None)
+_OPERANDS: Dict[str, Operand] = {
+    SCALAR: SCALAR_OPERAND,
+    PACKET_LEN: SCALAR_OPERAND,
+    PTR_TO_PACKET: (PTR_TO_PACKET, None),
+    CONST_PTR_TO_MAP: (CONST_PTR_TO_MAP, None),
+}
+
+
+def _operand(value: AbstractVal) -> Operand:
+    operand = _OPERANDS.get(value.kind)
+    if operand is not None:
+        return operand
+    rng = value.rng  # a stack pointer
+    return (PTR_TO_STACK, rng.lo if rng.lo == rng.hi else None)
+
+
+def _join(a: Optional[Operand], b: Optional[Operand]) -> Optional[Operand]:
+    """Two paths' kinds of one operand: stack pointers that disagree on the
+    offset lose it, any other disagreement is :data:`MIXED`."""
+    if a == b:
+        return a
+    if a[0] == b[0] == PTR_TO_STACK:
+        return (PTR_TO_STACK, None)
+    return MIXED_OPERAND
+
+
 @dataclass
 class Analysis:
-    """Coverage facts collected while proving the program safe."""
+    """What proving the program safe established.
+
+    Coverage facts for lint, plus per-instruction facts for the JIT, each
+    joined over every path that reaches the instruction. Every register an
+    instruction reads is initialised on every such path (the walk rejects
+    the program otherwise), so no fact has an uninitialised case. The
+    analysis holds no reference to the program it describes.
+    """
 
     #: Instruction indices reached on at least one feasible path.
     visited: Set[int] = field(default_factory=set)
@@ -83,6 +126,17 @@ class Analysis:
     used_maps: Set[int] = field(default_factory=set)
     #: Total transfer steps (explored program points, all paths).
     steps: int = 0
+    #: For each reached ALU op (NEG aside), load, store and conditional
+    #: jump: the :data:`Operand` kinds of its ``dst`` and ``src`` registers,
+    #: None for a register the instruction does not read.
+    operands: Dict[int, Tuple[Optional[Operand], Optional[Operand]]] = field(default_factory=dict)
+    #: For each reached 8-byte stack load at a constant offset: the kind of
+    #: the value it fills. A pointer kind means the slot holds a spilled
+    #: pointer on every path, :data:`SCALAR` on none, :data:`MIXED` on some.
+    fills: Dict[int, Operand] = field(default_factory=dict)
+    #: Reached scalar stack stores at a constant offset that overlap a slot
+    #: holding a spilled pointer on some path.
+    spill_clobbers: Set[int] = field(default_factory=set)
 
 
 class _State:
@@ -123,9 +177,6 @@ class _State:
             self.pkt_len = rng
         else:
             self.vals[vid] = AbstractVal(value.kind, rng, value.map)
-
-    def set_val(self, vid: int, value: AbstractVal) -> None:
-        self.vals[vid] = value
 
 
 def interpret(
@@ -177,6 +228,16 @@ class _Interp:
         if vid is None:
             self.fail(pc, insn, "uninitialized-register", f"r{reg} may be used uninitialized ({insn!r})")
         return vid
+
+    def note(self, pc: int, dst: Optional[AbstractVal], src: Optional[AbstractVal]) -> None:
+        """Join this path's kinds of the registers ``pc`` reads into its facts."""
+        new = (None if dst is None else _operand(dst), None if src is None else _operand(src))
+        operands = self.analysis.operands
+        old = operands.get(pc)
+        if old is None:
+            operands[pc] = new
+        elif old != new:
+            operands[pc] = (_join(old[0], new[0]), _join(old[1], new[1]))
 
     # ------------------------------------------------------------- driving
 
@@ -242,20 +303,26 @@ class _Interp:
                 op_name = op.value[:-4]
                 right = AbstractVal(SCALAR, Range.const(insn.imm & U64MAX))
             left = st.val(self.read(st, pc, insn, insn.dst))
+            if op is not Op.NEG:
+                self.note(pc, left, right if op in ALU_REG_OPS else None)
             result = self._alu(pc, insn, op_name, left, right)
             st.regs[insn.dst] = self.new_vid(st, result)
             return pc + 1
         if op is Op.LDX:
             pointer = st.val(self.read(st, pc, insn, insn.src))
+            self.note(pc, None, pointer)
             st.regs[insn.dst] = self._load(pc, insn, st, pointer, insn.imm)
             return pc + 1
         if op is Op.STX:
             pointer = st.val(self.read(st, pc, insn, insn.dst))
             svid = self.read(st, pc, insn, insn.src)
-            self._store(pc, insn, st, pointer, svid, st.val(svid), insn.imm)
+            value = st.val(svid)
+            self.note(pc, pointer, value)
+            self._store(pc, insn, st, pointer, svid, value, insn.imm)
             return pc + 1
         if op is Op.ST_IMM:
             pointer = st.val(self.read(st, pc, insn, insn.dst))
+            self.note(pc, pointer, None)
             value = AbstractVal(SCALAR, Range.const(insn.imm & U64MAX))
             self._store(pc, insn, st, pointer, self.new_vid(st, value), value, insn.src)
             return pc + 1
@@ -272,11 +339,6 @@ class _Interp:
     def _alu(self, pc: int, insn: Insn, op_name: str, left: AbstractVal, right: AbstractVal) -> AbstractVal:
         if CONST_PTR_TO_MAP in (left.kind, right.kind):
             self.fail(pc, insn, "map-reference-misuse", f"arithmetic on a map reference ({insn!r})")
-        if MAP_VALUE_OR_NULL in (left.kind, right.kind):
-            self.fail(
-                pc, insn, "maybe-null-deref",
-                f"arithmetic on a possibly-NULL map value; null-check first ({insn!r})",
-            )
         left_ptr = left.kind in POINTER_KINDS
         right_ptr = right.kind in POINTER_KINDS
         if left_ptr and right_ptr:
@@ -311,15 +373,6 @@ class _Interp:
                 f"(guaranteed length {st.pkt_len.lo}); add a packet length guard",
             )
 
-    def _check_map_value(self, pc: int, insn: Insn, value: AbstractVal, offset: Range, size: int) -> None:
-        low, high_end = offset.lo, offset.hi + size
-        if low < 0 or high_end > value.map.value_size:
-            self.fail(
-                pc, insn, "map-value-out-of-bounds",
-                f"map value access [{low}, {high_end}) outside {value.map.name} "
-                f"value size {value.map.value_size}",
-            )
-
     def _check_stack(self, pc: int, insn: Insn, offset: Range, size: int) -> None:
         if offset.lo < 0 or offset.hi + size > STACK_SIZE:
             self.fail(
@@ -331,15 +384,18 @@ class _Interp:
     def _ptr_slot_in(self, st: _State, low: int, high_end: int) -> bool:
         """Is any spilled-pointer slot overlapped by byte range [low, high_end)?"""
         for slot, vid in st.slots.items():
-            if slot < high_end and slot + 8 > low:
-                kind = st.vals[vid].kind
-                if kind in POINTER_KINDS or kind == MAP_VALUE_OR_NULL:
-                    return True
+            if slot < high_end and slot + 8 > low and st.vals[vid].kind in POINTER_KINDS:
+                return True
         return False
 
-    def _clobber_slots(self, st: _State, low: int, high_end: int) -> None:
+    def _clobber_slots(self, st: _State, low: int, high_end: int) -> bool:
+        """Forget every slot byte range [low, high_end) overlaps; returns
+        whether one of them held a spilled pointer."""
+        held_pointer = False
         for slot in [s for s in st.slots if s < high_end and s + 8 > low]:
-            del st.slots[slot]
+            if st.vals[st.slots.pop(slot)].kind in POINTER_KINDS:
+                held_pointer = True
+        return held_pointer
 
     def _load(self, pc: int, insn: Insn, st: _State, pointer: AbstractVal, size: int) -> int:
         kind = pointer.kind
@@ -347,22 +403,19 @@ class _Interp:
             self.fail(pc, insn, "bad-access", f"load via non-pointer r{insn.src} ({insn!r})")
         if kind == CONST_PTR_TO_MAP:
             self.fail(pc, insn, "map-reference-misuse", f"load via map reference r{insn.src} ({insn!r})")
-        if kind == MAP_VALUE_OR_NULL:
-            self.fail(
-                pc, insn, "maybe-null-deref",
-                f"r{insn.src} may be NULL (unchecked map_lookup result); null-check before dereference",
-            )
         offset = Range(pointer.rng.lo + insn.off, pointer.rng.hi + insn.off)
         if kind == PTR_TO_PACKET:
             self._check_packet(pc, insn, st, offset, size)
             return self.new_vid(st, AbstractVal(SCALAR, Range.sized(size)))
-        if kind == PTR_TO_MAP_VALUE:
-            self._check_map_value(pc, insn, pointer, offset, size)
-            return self.new_vid(st, AbstractVal(SCALAR, Range.sized(size)))
         self._check_stack(pc, insn, offset, size)
         if offset.is_const:
-            if size == 8 and offset.lo in st.slots:
-                return st.slots[offset.lo]  # exact fill: the spilled value, shared vid
+            if size == 8:
+                vid = st.slots.get(offset.lo)
+                filled = SCALAR_OPERAND if vid is None else _operand(st.vals[vid])
+                fills = self.analysis.fills
+                fills[pc] = _join(fills.get(pc, filled), filled)
+                if vid is not None:
+                    return vid  # exact fill: the spilled value, shared vid
             # partial or untracked read: the VM returns plain bytes (a
             # pointer's backing store reads as zeros), so a scalar is exact
             return self.new_vid(st, AbstractVal(SCALAR, Range.sized(size)))
@@ -381,24 +434,14 @@ class _Interp:
             self.fail(pc, insn, "bad-access", f"store via non-pointer r{insn.dst} ({insn!r})")
         if kind == CONST_PTR_TO_MAP:
             self.fail(pc, insn, "map-reference-misuse", f"store via map reference r{insn.dst} ({insn!r})")
-        if kind == MAP_VALUE_OR_NULL:
-            self.fail(
-                pc, insn, "maybe-null-deref",
-                f"r{insn.dst} may be NULL (unchecked map_lookup result); null-check before dereference",
-            )
         if value.kind == CONST_PTR_TO_MAP:
             self.fail(pc, insn, "map-reference-misuse", f"storing a map reference to memory ({insn!r})")
-        value_is_ptr = value.kind in POINTER_KINDS or value.kind == MAP_VALUE_OR_NULL
+        value_is_ptr = value.kind in POINTER_KINDS
         offset = Range(pointer.rng.lo + insn.off, pointer.rng.hi + insn.off)
         if kind == PTR_TO_PACKET:
             if value_is_ptr:
                 self.fail(pc, insn, "pointer-spill", "cannot spill a pointer to packet memory")
             self._check_packet(pc, insn, st, offset, size)
-            return
-        if kind == PTR_TO_MAP_VALUE:
-            if value_is_ptr:
-                self.fail(pc, insn, "pointer-spill", "cannot spill a pointer to map-value memory")
-            self._check_map_value(pc, insn, pointer, offset, size)
             return
         self._check_stack(pc, insn, offset, size)
         if value_is_ptr:
@@ -410,7 +453,8 @@ class _Interp:
             st.slots[offset.lo] = svid
             return
         if offset.is_const:
-            self._clobber_slots(st, offset.lo, offset.lo + size)
+            if self._clobber_slots(st, offset.lo, offset.lo + size):
+                self.analysis.spill_clobbers.add(pc)
             if size == 8:
                 st.slots[offset.lo] = svid
             return
@@ -432,29 +476,19 @@ class _Interp:
         if op in JMP_REG_OPS:
             rvid: Optional[int] = self.read(st, pc, insn, insn.src)
             right = st.val(rvid)
+            self.note(pc, left, right)
         else:
             rvid = None
             right = AbstractVal(SCALAR, Range.const(insn.imm & U64MAX))
+            self.note(pc, left, None)
         if CONST_PTR_TO_MAP in (left.kind, right.kind):
             self.fail(pc, insn, "map-reference-misuse", f"comparison on a map reference ({insn!r})")
-        left_ptrish = left.kind in POINTER_KINDS or left.kind == MAP_VALUE_OR_NULL
-        right_ptrish = right.kind in POINTER_KINDS or right.kind == MAP_VALUE_OR_NULL
-        if left_ptrish or right_ptrish:
+        if left.kind in POINTER_KINDS or right.kind in POINTER_KINDS:
             if op in (Op.JEQ_IMM, Op.JNE_IMM) and insn.imm == 0:
                 # A null check. Live pointers are never null at runtime, but
-                # both edges are explored so joins stay sound; a maybe-NULL
-                # map value is *refined* by the check — that is the proof
-                # obligation before dereferencing a map_lookup result.
+                # both edges are explored so joins stay sound.
                 outcomes.update((True, False))
-                taken_st = st.copy()
-                for state, taken in ((taken_st, True), (st, False)):
-                    if left.kind == MAP_VALUE_OR_NULL:
-                        is_null = (op is Op.JEQ_IMM) == taken
-                        if is_null:
-                            state.set_val(lvid, AbstractVal(SCALAR, Range.const(0)))
-                        else:
-                            state.set_val(lvid, AbstractVal(PTR_TO_MAP_VALUE, left.rng, left.map))
-                work.append((target, taken_st))
+                work.append((target, st.copy()))
                 return pc + 1
             self.fail(pc, insn, "pointer-comparison", f"pointer comparison ({insn!r})")
 
@@ -527,8 +561,6 @@ class _Interp:
                 self._check_mem_arg(pc, insn, st, helper_name, index, reg, value, spec, resolved_maps)
             else:  # pragma: no cover - signature table is static
                 raise AssertionError(f"bad arg spec kind {spec.kind}")
-        if sig.ret == "map_value_or_null":
-            return AbstractVal(MAP_VALUE_OR_NULL, Range.const(0), resolved_maps.get(0))
         ret_lo, ret_hi = sig.ret
         return AbstractVal(SCALAR, Range(ret_lo, ret_hi))
 
@@ -555,11 +587,6 @@ class _Interp:
         resolved_maps[index] = bpf_map
 
     def _check_mem_arg(self, pc, insn, st, helper_name, index, reg, value, spec, resolved_maps) -> None:
-        if value.kind == MAP_VALUE_OR_NULL:
-            self.fail(
-                pc, insn, "maybe-null-deref",
-                f"helper {helper_name} argument {index + 1} (r{reg}) may be NULL; null-check first",
-            )
         if value.kind not in POINTER_KINDS:
             self.fail(
                 pc, insn, "helper-signature",
@@ -601,12 +628,8 @@ class _Interp:
         low, high_end = value.rng.lo, value.rng.hi + size_hi
         if value.kind == PTR_TO_PACKET:
             limit, code, what = st.pkt_len.lo, "packet-out-of-bounds", "packet bounds"
-        elif value.kind == PTR_TO_STACK:
-            limit, code, what = STACK_SIZE, "stack-out-of-bounds", f"the {STACK_SIZE}-byte frame"
         else:
-            limit, code, what = value.map.value_size, "map-value-out-of-bounds", (
-                f"{value.map.name} value size {value.map.value_size}"
-            )
+            limit, code, what = STACK_SIZE, "stack-out-of-bounds", f"the {STACK_SIZE}-byte frame"
         if low < 0 or high_end > limit:
             self.fail(
                 pc, insn, code,

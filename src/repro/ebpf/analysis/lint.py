@@ -3,14 +3,16 @@
 The abstract interpreter already walks every feasible path, so linting is
 free: instructions it never reached are dead code, conditional jumps with a
 single feasible outcome are redundant checks, and map slots never touched
-by a reachable ``LD_MAP`` are unused. Synthesized fast paths are expected
-to be lint-clean — a finding means the synthesizer emitted code it did not
-need (CI runs ``python -m repro.tools.fpmlint`` over the whole template
-library to enforce this).
+by a reachable ``LD_MAP`` are unused. Lint reads the program's one
+analysis (the one :func:`~repro.ebpf.verifier.verify` keeps on it) and
+runs none of its own. Synthesized fast paths are expected to be lint-clean
+— a finding means the synthesizer emitted code it did not need (CI runs
+``python -m repro.tools.fpmlint`` over the whole template library to
+enforce this).
 
-Pointer-null checks (``map_lookup`` result tests) are never flagged as
-redundant: the interpreter records both outcomes for them by construction,
-since NULL-ness is not modeled as a numeric range.
+Null checks on packet and stack pointers are never flagged as redundant:
+the interpreter records both outcomes for them by construction, since
+NULL-ness is not modeled as a numeric range.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.ebpf.analysis.interp import Analysis, interpret
 from repro.ebpf.program import Program
+from repro.ebpf.verifier import analyze
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,7 @@ def lint_program(
     Raises :class:`~repro.ebpf.analysis.errors.VerifierError` if the program
     does not verify — lint findings are only meaningful for safe programs.
     """
-    # imported here: verifier imports the interpreter, so a module-level
-    # import would be circular
-    from repro.ebpf.verifier import check_structure
-
-    check_structure(program)
-    analysis: Analysis = interpret(program, entry_regs, entry_kinds)
+    analysis = analyze(program, entry_regs, entry_kinds)
     findings: List[LintFinding] = []
     name = program.name
 

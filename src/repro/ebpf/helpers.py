@@ -438,15 +438,14 @@ class ArgSpec:
 class HelperSig:
     """A helper's declared signature: argument specs plus return range.
 
-    ``ret`` is either an inclusive u64 ``(lo, hi)`` interval — it must be a
-    sound over-approximation of every value the helper can return, since the
-    verifier prunes branches with it — or the string ``"map_value_or_null"``
-    for lookup-style helpers that return a maybe-NULL value pointer.
+    ``ret`` is an inclusive u64 ``(lo, hi)`` interval. It must be a sound
+    over-approximation of every value the helper can return, since the
+    verifier prunes branches with it. Every helper returns a scalar.
     """
 
     name: str
     args: Tuple[ArgSpec, ...]
-    ret: Union[Tuple[int, int], str] = (0, U64_MAX)
+    ret: Tuple[int, int] = (0, U64_MAX)
 
 
 _SCALAR = ArgSpec("scalar")

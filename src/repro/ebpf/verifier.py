@@ -11,17 +11,21 @@ A simplified analogue of the kernel's eBPF verifier, in two passes:
 
 2. **Range tracking** (:mod:`repro.ebpf.analysis.interp`): a path-sensitive
    abstract interpretation that types every register (scalar, packet
-   pointer, packet length, stack pointer, map reference, map value) and
-   tracks u64 ranges refined at conditional branches. It proves packet and
-   map-value accesses in bounds, models fat-pointer spill/fill through the
-   stack, null-checks maybe-NULL map values, and enforces the declared
-   helper signatures in ``HELPER_SIGS`` — so any accepted program can never
-   raise a memory error in the VM. The fat pointers at runtime are
-   defense-in-depth, not the safety mechanism. See ``docs/verifier.md``.
+   pointer, packet length, stack pointer, map reference) and tracks u64
+   ranges refined at conditional branches. It proves packet and stack
+   accesses in bounds, models fat-pointer spill/fill through the stack, and
+   enforces the declared helper signatures in ``HELPER_SIGS`` — so any
+   accepted program can never raise a memory error in the VM. The fat
+   pointers at runtime are defense-in-depth, not the safety mechanism. See
+   ``docs/verifier.md``.
 
 The entry ABI defaults to the hook convention (r1 = packet pointer,
 r2 = packet length, r3 = ifindex scalar); pass ``entry_kinds`` to verify
 programs with a different ABI, e.g. pure-scalar arithmetic kernels.
+
+A program is analyzed once: the first successful hook-ABI analysis is kept
+on the (immutable) program, and every later :func:`verify`, lint run and
+JIT compile reads it. The ``verify`` fault site still fires on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.ebpf.analysis.errors import VerifierError
-from repro.ebpf.analysis.interp import interpret
+from repro.ebpf.analysis.interp import Analysis, default_entry_kinds, interpret
 from repro.ebpf.helpers import HELPERS
 from repro.ebpf.isa import (
     ALU_IMM_OPS,
@@ -46,20 +50,48 @@ from repro.ebpf.program import Program
 from repro.ebpf.vm import STACK_SIZE
 from repro.testing import faults
 
-__all__ = ["MAX_INSNS", "VerifierError", "check_structure", "verify"]
+__all__ = ["MAX_INSNS", "VerifierError", "analyze", "check_structure", "verify"]
 
 MAX_INSNS = 4096
+
+_HOOK_REGS = (1, 2, 3)
+_HOOK_KINDS = default_entry_kinds(len(_HOOK_REGS))
 
 
 def verify(
     program: Program,
-    entry_regs: Tuple[int, ...] = (1, 2, 3),
+    entry_regs: Tuple[int, ...] = _HOOK_REGS,
     entry_kinds: Optional[Tuple[str, ...]] = None,
-) -> None:
-    """Statically check ``program``; raises :class:`VerifierError`."""
+) -> Analysis:
+    """Statically check ``program``; raises :class:`VerifierError`.
+
+    Returns the :class:`Analysis` that proved it safe.
+    """
     faults.fire("verify", program.name)
+    return analyze(program, entry_regs, entry_kinds)
+
+
+def analyze(
+    program: Program,
+    entry_regs: Tuple[int, ...] = _HOOK_REGS,
+    entry_kinds: Optional[Tuple[str, ...]] = None,
+) -> Analysis:
+    """:func:`verify` without its fault site: lint and the JIT read the
+    proof through here, so they never trip armed chaos faults.
+
+    Under the hook ABI the analysis runs only if the program does not hold
+    one yet, and a successful one is kept on ``program.analysis``; a
+    rejected program keeps nothing, so a retry is analyzed (and rejected)
+    again. Any other entry ABI is analyzed afresh and not kept.
+    """
+    hook_abi = tuple(entry_regs) == _HOOK_REGS and entry_kinds in (None, _HOOK_KINDS)
+    if hook_abi and program.analysis is not None:
+        return program.analysis
     check_structure(program)
-    interpret(program, entry_regs, entry_kinds)
+    analysis = interpret(program, entry_regs, entry_kinds)
+    if hook_abi:
+        program.analysis = analysis
+    return analysis
 
 
 def check_structure(program: Program) -> None:

@@ -12,8 +12,10 @@ Sites
 ========================  ====================================================
 ``compile``               :func:`repro.ebpf.minic.compile_c` (synthesis and
                           dispatcher builds)
-``verify``                :func:`repro.ebpf.verifier.verify` (every load
-                          re-verifies, as in Linux)
+``verify``                :func:`repro.ebpf.verifier.verify`: fires on every
+                          verify call (every load re-verifies, as in
+                          Linux), while the analysis itself runs once per
+                          program and is kept on it
 ``load``                  :meth:`repro.ebpf.loader.Loader.load` (the
                           ``bpf(BPF_PROG_LOAD)`` step)
 ``prog_array``            :meth:`~repro.ebpf.maps.ProgArray.set_prog` (the

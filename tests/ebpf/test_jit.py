@@ -1,11 +1,12 @@
 """Tests for the bytecode→Python JIT.
 
-Covers the compiler's reports and fail-closed fallback, the per-program
+Covers the compiler's reports and fail-closed fallback (including the
+decline of an operand whose kind differs across paths), the per-program
 unit record, the entry-ABI guard, interpreter resume mid-tail-chain,
 tail-call-limit parity, and the burst hook entry point; then the deployed
 system: every template family runs compiled with no silent fallback, set-up
-compiles nothing, each program compiles once, and a retired program is
-freed by reference counting alone.
+compiles nothing, each program compiles once and is analyzed once, and a
+retired program is freed by reference counting alone.
 """
 
 import gc
@@ -15,14 +16,16 @@ import pytest
 
 from repro.core import Controller
 from repro.core.fpm.library import render_dispatcher, render_fast_path
+from repro.ebpf.analysis import interp
 from repro.ebpf.hooks import XdpAttachment
-from repro.ebpf.isa import mov_imm
+from repro.ebpf.isa import Insn, Op, exit_, mov_imm, mov_reg
 from repro.ebpf.jit import JitEngine, JitReport, compile_program
 from repro.ebpf.jit import compiler as jit_compiler
 from repro.ebpf.maps import ProgArray
 from repro.ebpf.memory import Pointer, Region
 from repro.ebpf.minic import compile_c
 from repro.ebpf.program import Program
+from repro.ebpf.verifier import verify
 from repro.ebpf.vm import VM, Env, VMError
 from repro.k8s import Cluster
 from repro.kernel import Kernel
@@ -30,6 +33,7 @@ from repro.kernel.sockets import tcp_rr_server
 from repro.measure.scenarios import setup_gateway, setup_router
 from repro.netsim.addresses import ipv4
 from repro.netsim.packet import IPPROTO_TCP, IPv4, TCP, make_udp
+from repro.testing import faults
 from repro.tools import iptables
 from repro.tools.fpmlint import HOOKS, _configurations
 
@@ -93,12 +97,37 @@ class TestCompiler:
         assert report.status == "fallback"
         assert report.error
 
-    def test_null_checks_folded_on_router(self):
-        nodes = _configurations()["router"]
-        program = compile_src(render_fast_path("eth0", "xdp", nodes), hook="xdp")
-        _, report = compile_program(program)
-        assert report.folded_null_checks >= 0  # fact is reported
-        assert report.inline_mem_ops > report.generic_ops
+    def test_mixed_operand_declines_to_interpreter(self):
+        # r6 is the packet pointer on one path and a scalar on the other:
+        # the verifier accepts ``add r6, 1`` on both, but the JIT has no
+        # typed form for a mixed operand, so it declines the program.
+        program = Program(name="mixed", insns=[
+            Insn(Op.JEQ_IMM, dst=3, imm=0, off=2),
+            mov_reg(6, 1),
+            Insn(Op.JA, off=1),
+            mov_imm(6, 7),
+            Insn(Op.ADD_IMM, dst=6, imm=1),
+            mov_imm(0, 2),
+            exit_(),
+        ], hook="xdp")
+        verify(program)
+        unit, report = compile_program(program)
+        assert unit is None
+        assert report.status == "fallback"
+        assert "pc 4" in report.error
+        for ifindex in (0, 1):  # both paths through the join
+            k_jit, k_int = Kernel("jit-mixed-a"), Kernel("jit-mixed-b")
+            engine = JitEngine(k_jit)
+            _, args = frame_args(FRAME)
+            args[2] = ifindex
+            verdict, executed = engine.execute(program, args, Env(k_jit, 4))
+            _, args2 = frame_args(FRAME)
+            args2[2] = ifindex
+            vm = VM(k_int)
+            assert verdict == vm.run(program, args2, Env(k_int, 4))
+            assert executed == vm.insns_executed
+            assert k_jit.clock.now_ns == k_int.clock.now_ns
+            assert engine.stats["interp_runs"] == 1
 
 
 # --------------------------------------------------------------- engine
@@ -342,6 +371,43 @@ class TestDeployedPrograms:
         entry = topo.controller.deployer.deployed["eth0"]
         ran = [entry.dispatcher.program, entry.current.program]
         assert sorted(map(id, compiled)) == sorted(map(id, ran))
+
+    def test_each_program_analyzed_once_with_unchanged_fault_sites(self, monkeypatch):
+        # Synthesis verifies and lints, the deployer and the loader verify
+        # again, and the JIT compiles: one analysis serves all of them,
+        # while every fault site fires as often as each step asks.
+        runs = []
+        real = interp._Interp.run
+
+        def counting(self, *args):
+            runs.append(self.name)
+            return real(self, *args)
+
+        monkeypatch.setattr(interp._Interp, "run", counting)
+        sites = ("compile", "verify", "load", "prog_array")
+        counts = []
+
+        def step(action):
+            before = dict(inj.evaluated)
+            del runs[:]
+            action()
+            counts.append(
+                (len(runs), tuple(inj.evaluated[s] - before.get(s, 0) for s in sites))
+            )
+
+        with faults.injected(seed=0) as inj:
+            box = {}
+            step(lambda: box.setdefault("topo", setup_router("linuxfp", hook="xdp")))
+            topo = box["topo"]
+            step(lambda: _send_bursts(topo, bursts=2))
+            step(lambda: iptables(topo.dut, "-A FORWARD -s 10.9.9.9/32 -j DROP"))
+            step(lambda: _send_bursts(topo, bursts=1))
+        assert counts == [
+            (4, (4, 8, 4, 2)),  # set-up: two fast paths, two dispatchers
+            (0, (0, 0, 0, 0)),  # the JIT compiles from the kept analyses
+            (2, (2, 6, 2, 2)),  # a structural change: two new fast paths
+            (0, (0, 0, 0, 0)),
+        ]
 
     def test_retired_program_freed_without_cyclic_gc(self):
         topo = setup_router("linuxfp")

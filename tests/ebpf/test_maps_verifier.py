@@ -332,6 +332,43 @@ class TestHelperRegistry:
             assert HELPER_SIGS[hid].ret == (0, 1)
 
 
+class TestOneAnalysis:
+    """A program is analyzed once: the first successful hook-ABI analysis
+    is kept on it and read by every later verify, lint run and JIT compile,
+    while the ``verify`` fault site still fires on every verify call."""
+
+    def test_verify_keeps_and_returns_one_analysis(self):
+        from repro.ebpf.analysis.lint import lint_program
+        from repro.ebpf.jit import compile_program
+        from repro.testing import faults
+
+        program = prog([mov_imm(0, 2), exit_()])
+        with faults.injected(seed=0) as inj:
+            first = verify(program)
+            assert program.analysis is first
+            assert verify(program) is first
+            assert lint_program(program) == []
+            assert compile_program(program)[0] is not None
+        assert program.analysis is first
+        assert inj.evaluated["verify"] == 2  # lint and the JIT fire no fault
+
+    def test_rejected_program_keeps_nothing(self):
+        program = prog([ldx(0, 1, 0, 1), exit_()])  # unguarded packet read
+        for _ in range(2):
+            with pytest.raises(VerifierError, match="packet access"):
+                verify(program)
+            assert program.analysis is None
+
+    def test_other_entry_abi_is_analyzed_afresh(self):
+        program = prog([mov_reg(0, 1), exit_()])
+        scalar_abi = (1,), ("scalar",)
+        first = verify(program, *scalar_abi)
+        assert program.analysis is None
+        assert verify(program, *scalar_abi) is not first
+        with pytest.raises(VerifierError, match="exit"):
+            verify(program)  # under the hook ABI r1 is the packet pointer
+
+
 def guarded(min_len, body):
     """Prefix: punt (return 0) unless len >= min_len, then run ``body``."""
     return [
@@ -360,56 +397,6 @@ class TestAdversarialCorpus:
         insns = [ldx(0, 1, 0, 1), exit_()]
         with pytest.raises(VerifierError, match="guaranteed length 0"):
             verify(prog(insns))
-
-    def test_unchecked_map_lookup_deref(self):
-        # a helper returning a maybe-NULL map value must be null-checked
-        # before any dereference; register one for the duration of the test
-        from repro.ebpf.helpers import HELPERS, HELPER_IDS, HELPER_SIGS, ArgSpec, HelperSig
-
-        value_map = HashMap("vals", 4, 8)
-        HELPERS[99] = ("test_lookup_ptr", lambda env, args: 0)
-        HELPER_IDS["test_lookup_ptr"] = 99
-        HELPER_SIGS[99] = HelperSig(
-            "test_lookup_ptr",
-            (ArgSpec("map", byte_addressable=True),),
-            ret="map_value_or_null",
-        )
-        try:
-            deref_unchecked = [
-                Insn(Op.LD_MAP, dst=1, imm=0),
-                call(99),
-                ldx(0, 0, 0, 4),  # r0 may be NULL here
-                exit_(),
-            ]
-            with pytest.raises(VerifierError, match="null-check") as exc_info:
-                verify(prog(deref_unchecked, maps=[value_map]))
-            assert exc_info.value.code == "maybe-null-deref"
-
-            checked = [
-                Insn(Op.LD_MAP, dst=1, imm=0),
-                call(99),
-                Insn(Op.JNE_IMM, dst=0, imm=0, off=2),
-                mov_imm(0, 0),
-                exit_(),
-                ldx(0, 0, 0, 4),  # non-NULL branch: within value_size 8
-                exit_(),
-            ]
-            verify(prog(checked, maps=[value_map]))
-
-            beyond_value = [
-                Insn(Op.LD_MAP, dst=1, imm=0),
-                call(99),
-                Insn(Op.JNE_IMM, dst=0, imm=0, off=2),
-                mov_imm(0, 0),
-                exit_(),
-                ldx(0, 0, 6, 4),  # [6, 10) exceeds value_size 8
-                exit_(),
-            ]
-            with pytest.raises(VerifierError, match="value size") as exc_info:
-                verify(prog(beyond_value, maps=[value_map]))
-            assert exc_info.value.code == "map-value-out-of-bounds"
-        finally:
-            del HELPERS[99], HELPER_IDS["test_lookup_ptr"], HELPER_SIGS[99]
 
     def test_pointer_leaks_into_scalar_op(self):
         insns = [
