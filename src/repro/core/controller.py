@@ -267,8 +267,9 @@ class Controller:
 
         A repeat of the same (kind, detail, ifname) within the last
         :data:`INCIDENT_DEDUP_WINDOW` entries bumps that entry's ``count``
-        and timestamp instead of appending, so a flapping router or probe
-        cannot wash every other incident out of the bounded ring buffer.
+        and timestamp instead of appending, so a flapping CPU or a failing
+        deploy cannot wash every other incident out of the bounded ring
+        buffer.
         """
         self.incidents_total += 1
         now = self.kernel.clock.now_ns
@@ -279,11 +280,6 @@ class Controller:
                 incident.at_ns = now
                 return
         self.incidents.append(Incident(kind=kind, detail=detail, at_ns=now, ifname=ifname))
-
-    def notify_incident(self, kind: str, detail: str, ifname: Optional[str] = None) -> None:
-        """Public incident intake for collaborating subsystems (the fleet's
-        health monitor reports ``router-offline``/``router-drain`` here)."""
-        self._incident(kind, detail, ifname)
 
     def _rebuild(self, force: bool = False) -> Optional[List[str]]:
         """Re-derive the graph; deploy deltas. Returns redeployed interface

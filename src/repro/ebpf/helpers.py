@@ -195,12 +195,6 @@ def bpf_fib_lookup(env: "Env", args: List[object]) -> int:
     route = kernel.fib.lookup(dst)
     if route is None:
         return FIB_LKUP_RET_NOT_FWDED
-    if route.is_multipath:
-        # ECMP routes need the per-flow bucket-table selection (and its
-        # idle-bucket bookkeeping), which lives in the slow path; the helper
-        # only sees the destination, not the 5-tuple. Punt — mainline's
-        # helper similarly leaves multipath selection to fib_select_path.
-        return FIB_LKUP_RET_NOT_FWDED
     next_hop = route.next_hop or dst
     mac = kernel.neighbors.resolved(route.oif, next_hop)
     if mac is None:

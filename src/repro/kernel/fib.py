@@ -3,23 +3,12 @@
 Routes live in a binary trie keyed by prefix bits (the same structure Linux's
 ``fib_trie`` approximates). A lookup walks from the most-specific candidate
 outward, honoring route metrics when several routes share a prefix.
-
-ECMP multipath mirrors Linux's *resilient nexthop groups*
-(``net/ipv4/nexthop.c``): a multipath route references a ``NexthopGroup``
-whose bucket table maps ``flow_hash % num_buckets`` to a member next hop.
-On membership change only the affected member's buckets are reassigned, so
-roughly 1/N of flows churn — versus the naive ``hash % N`` rehash (also
-implemented here as the ``modn`` policy, for the failover scorecard's
-baseline) which remaps (N-1)/N of flows. Buckets remember when they last
-carried traffic; a *draining* member keeps its non-idle buckets until the
-flows on them go quiet, which is what makes graceful connection draining
-possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, ipv4
 
@@ -28,13 +17,6 @@ SCOPE_UNIVERSE = 0  # via a gateway
 SCOPE_LINK = 253  # directly connected
 
 MAIN_TABLE = 254
-
-# Nexthop-group selection policies
-POLICY_RESILIENT = "resilient"  # consistent-hash bucket table (~1/N churn)
-POLICY_MODN = "modn"  # naive hash % N (disrupts (N-1)/N on change)
-
-# Sentinel for "this bucket never carried traffic": always idle.
-_NEVER_USED = -(1 << 62)
 
 
 class RouteError(ValueError):
@@ -51,13 +33,8 @@ class Route:
     scope: int = SCOPE_UNIVERSE
     metric: int = 0
     table: int = MAIN_TABLE
-    nhg: Optional[int] = None  # nexthop-group id for ECMP multipath routes
 
     def __post_init__(self) -> None:
-        if self.nhg is not None:
-            # Multipath routes resolve through their group per-flow; the
-            # placeholder oif/gateway carry no forwarding meaning.
-            return
         if self.gateway is None and self.scope == SCOPE_UNIVERSE and self.prefix.length != 32:
             # A gateway-less universe route is only meaningful as an onlink
             # host/interface route; normalize to link scope.
@@ -67,284 +44,6 @@ class Route:
     def next_hop(self) -> Optional[IPv4Addr]:
         """The IP whose MAC we need: the gateway, or None for onlink routes."""
         return self.gateway
-
-    @property
-    def is_multipath(self) -> bool:
-        return self.nhg is not None
-
-
-@dataclass(frozen=True)
-class NextHop:
-    """One member of an ECMP nexthop group."""
-
-    oif: int
-    gateway: IPv4Addr
-    weight: int = 1
-
-
-class _Member:
-    """Mutable per-member state inside a group."""
-
-    __slots__ = ("nexthop", "alive", "draining")
-
-    def __init__(self, nexthop: NextHop) -> None:
-        self.nexthop = nexthop
-        self.alive = True
-        self.draining = False
-
-    @property
-    def active(self) -> bool:
-        """Eligible to receive (new) buckets."""
-        return self.alive and not self.draining and self.nexthop.weight > 0
-
-
-class NexthopGroup:
-    """A resilient-hash (or mod-N baseline) ECMP next-hop group.
-
-    The resilient policy keeps a fixed-size bucket table; each bucket is
-    owned by one member and records when it last forwarded a packet.
-    Membership changes only reassign buckets whose owner became unusable
-    (dead/removed) — or, for a *draining* owner, buckets that have been idle
-    for ``idle_timer_ns`` — so established flows keep their mapping.
-    """
-
-    def __init__(
-        self,
-        group_id: int,
-        nexthops: Sequence[NextHop],
-        policy: str = POLICY_RESILIENT,
-        num_buckets: int = 64,
-        idle_timer_ns: int = 1_000_000_000,
-    ) -> None:
-        if not nexthops:
-            raise RouteError("nexthop group needs at least one next hop")
-        if policy not in (POLICY_RESILIENT, POLICY_MODN):
-            raise RouteError(f"unknown nexthop policy {policy!r}")
-        gateways = [nh.gateway for nh in nexthops]
-        if len(set(gateways)) != len(gateways):
-            raise RouteError("nexthop group gateways must be unique")
-        if num_buckets < len(nexthops):
-            raise RouteError("fewer buckets than next hops")
-        self.group_id = group_id
-        self.policy = policy
-        self.num_buckets = num_buckets
-        self.idle_timer_ns = idle_timer_ns
-        self._members: List[_Member] = [_Member(nh) for nh in nexthops]
-        self._buckets: List[Optional[_Member]] = [None] * num_buckets
-        self._last_used: List[int] = [_NEVER_USED] * num_buckets
-        # Fib wires this to its generation bump so any group mutation
-        # invalidates cached forwarding decisions.
-        self._on_change: Optional[Callable[[], None]] = None
-        self._rebalance(now_ns=0)
-
-    # ------------------------------------------------------------ selection
-
-    def select(self, flow_hash: int, now_ns: int = 0) -> Optional[NextHop]:
-        """Pick the next hop for a flow; None when no member can serve."""
-        if self.policy == POLICY_MODN:
-            active = [m for m in self._members if m.active]
-            if not active:
-                return None
-            return active[flow_hash % len(active)].nexthop
-        bucket = flow_hash % self.num_buckets
-        owner = self._buckets[bucket]
-        if owner is None or not owner.alive:
-            # Stale table (owner died without an explicit weight-out yet).
-            self._rebalance(now_ns)
-            owner = self._buckets[bucket]
-            if owner is None or not owner.alive:
-                return None
-        self._last_used[bucket] = now_ns
-        return owner.nexthop
-
-    # ----------------------------------------------------------- membership
-
-    def member_gateways(self) -> List[IPv4Addr]:
-        return [m.nexthop.gateway for m in self._members]
-
-    def active_gateways(self) -> List[IPv4Addr]:
-        return [m.nexthop.gateway for m in self._members if m.active]
-
-    def set_alive(self, gateway: AddrLike, alive: bool, now_ns: int = 0) -> None:
-        """Weight a member out (dead) or back in; dead buckets move at once."""
-        member = self._member_for(gateway)
-        if member.alive == alive:
-            return
-        member.alive = alive
-        self._rebalance(now_ns)
-        self._changed()
-
-    def set_draining(self, gateway: AddrLike, draining: bool, now_ns: int = 0) -> None:
-        """Start/stop graceful drain: no new buckets, idle buckets migrate."""
-        member = self._member_for(gateway)
-        if member.draining == draining:
-            return
-        member.draining = draining
-        self._rebalance(now_ns)
-        self._changed()
-
-    def add_nexthop(self, nexthop: NextHop, now_ns: int = 0) -> None:
-        if any(m.nexthop.gateway == nexthop.gateway for m in self._members):
-            raise RouteError(f"nexthop {nexthop.gateway} already in group {self.group_id}")
-        self._members.append(_Member(nexthop))
-        self._rebalance(now_ns)
-        self._changed()
-
-    def remove_nexthop(self, gateway: AddrLike, now_ns: int = 0) -> NextHop:
-        member = self._member_for(gateway)
-        self._members.remove(member)
-        removed_buckets = [i for i, owner in enumerate(self._buckets) if owner is member]
-        for i in removed_buckets:
-            self._buckets[i] = None
-        self._rebalance(now_ns)
-        self._changed()
-        return member.nexthop
-
-    def maintain(self, now_ns: int) -> None:
-        """Periodic upkeep: migrate draining members' now-idle buckets."""
-        if self._rebalance(now_ns):
-            self._changed()
-
-    # -------------------------------------------------------- introspection
-
-    def buckets_owned(self, gateway: AddrLike) -> int:
-        addr = ipv4(gateway)
-        return sum(
-            1 for owner in self._buckets if owner is not None and owner.nexthop.gateway == addr
-        )
-
-    def is_drained(self, gateway: AddrLike) -> bool:
-        """A draining member with no buckets left carries no flows."""
-        return self.buckets_owned(gateway) == 0
-
-    def owner_map(self) -> Tuple[Optional[IPv4Addr], ...]:
-        """Bucket → owning gateway snapshot (for churn measurement)."""
-        return tuple(owner.nexthop.gateway if owner is not None else None for owner in self._buckets)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "id": self.group_id,
-            "policy": self.policy,
-            "num_buckets": self.num_buckets,
-            "members": [
-                {
-                    "gateway": str(m.nexthop.gateway),
-                    "oif": m.nexthop.oif,
-                    "weight": m.nexthop.weight,
-                    "alive": m.alive,
-                    "draining": m.draining,
-                    "buckets": self.buckets_owned(m.nexthop.gateway),
-                }
-                for m in self._members
-            ],
-        }
-
-    # ------------------------------------------------------------ internals
-
-    def _member_for(self, gateway: AddrLike) -> _Member:
-        addr = ipv4(gateway)
-        for member in self._members:
-            if member.nexthop.gateway == addr:
-                return member
-        raise RouteError(f"no nexthop {addr} in group {self.group_id}")
-
-    def _changed(self) -> None:
-        if self._on_change is not None:
-            self._on_change()
-
-    def _is_idle(self, bucket: int, now_ns: int) -> bool:
-        return now_ns - self._last_used[bucket] >= self.idle_timer_ns
-
-    def _wants(self) -> Dict[int, int]:
-        """Fair bucket share per member index, proportional to weight."""
-        active = [(i, m) for i, m in enumerate(self._members) if m.active]
-        if not active:
-            return {}
-        total_weight = sum(m.nexthop.weight for _, m in active)
-        shares = [
-            (i, self.num_buckets * m.nexthop.weight / total_weight, m.nexthop.weight)
-            for i, m in active
-        ]
-        wants = {i: int(share) for i, share, _ in shares}
-        remainder = self.num_buckets - sum(wants.values())
-        # Hand leftover buckets to the largest fractional shares (stable
-        # tie-break on member index keeps the layout deterministic).
-        by_frac = sorted(shares, key=lambda t: (-(t[1] - int(t[1])), t[0]))
-        for i, _, _ in by_frac[:remainder]:
-            wants[i] += 1
-        return wants
-
-    def _rebalance(self, now_ns: int) -> bool:
-        """Reassign buckets that must (or may) move. Returns True on change.
-
-        Buckets move when their owner is gone/dead, when a draining owner's
-        bucket has gone idle, or — for weight fairness — when an overfull
-        member's *idle* bucket can satisfy an underfilled member. Non-idle
-        buckets of live members never move: that is the resilience property.
-        """
-        wants = self._wants()
-        if not wants:
-            return False
-        members = self._members
-        has: Dict[int, int] = {i: 0 for i in wants}
-        for owner in self._buckets:
-            if owner is None:
-                continue
-            try:
-                idx = members.index(owner)
-            except ValueError:
-                continue
-            if idx in has:
-                has[idx] += 1
-
-        def underfilled() -> Optional[int]:
-            for i in sorted(wants):
-                if has[i] < wants[i]:
-                    return i
-            # Everyone at fair share; any active member may absorb extras.
-            return min(wants) if wants else None
-
-        changed = False
-        for bucket, owner in enumerate(self._buckets):
-            idx = members.index(owner) if owner in members else None
-            usable = idx is not None and owner.alive
-            if usable and not owner.draining:
-                continue
-            if usable and owner.draining and not self._is_idle(bucket, now_ns):
-                continue  # graceful: flows still using this bucket stay put
-            target = underfilled()
-            if target is None:
-                continue
-            self._buckets[bucket] = members[target]
-            self._last_used[bucket] = _NEVER_USED
-            has[target] += 1
-            changed = True
-        # Fairness pass: migrate idle buckets from overfull to underfilled
-        # members (this is how a revived/added member earns buckets back
-        # without disturbing active flows).
-        for bucket, owner in enumerate(self._buckets):
-            if owner is None:
-                continue
-            idx = members.index(owner) if owner in members else None
-            if idx is None or idx not in has:
-                continue
-            if has[idx] <= wants.get(idx, 0):
-                continue
-            if not self._is_idle(bucket, now_ns):
-                continue
-            target = None
-            for i in sorted(wants):
-                if has[i] < wants[i]:
-                    target = i
-                    break
-            if target is None:
-                break
-            self._buckets[bucket] = members[target]
-            self._last_used[bucket] = _NEVER_USED
-            has[idx] -= 1
-            has[target] += 1
-            changed = True
-        return changed
 
 
 @dataclass
@@ -360,63 +59,11 @@ class Fib:
         self._root = _TrieNode()
         self._count = 0
         # Bumped on every semantic mutation; the flow cache keys entry
-        # validity off this (generation-tag invalidation). Nexthop-group
-        # mutations bump it too (they change forwarding decisions just as
-        # surely as a route replace does).
+        # validity off this (generation-tag invalidation).
         self.gen = 0
-        self.nexthop_groups: Dict[int, NexthopGroup] = {}
 
     def __len__(self) -> int:
         return self._count
-
-    # ------------------------------------------------------ nexthop groups
-
-    def _bump(self) -> None:
-        self.gen += 1
-
-    def nexthop_group_add(self, group: NexthopGroup, replace: bool = False) -> None:
-        if group.group_id in self.nexthop_groups and not replace:
-            raise RouteError(f"nexthop group {group.group_id} exists")
-        group._on_change = self._bump
-        self.nexthop_groups[group.group_id] = group
-        self.gen += 1
-
-    def nexthop_group_del(self, group_id: int) -> NexthopGroup:
-        try:
-            group = self.nexthop_groups.pop(group_id)
-        except KeyError:
-            raise RouteError(f"no nexthop group {group_id}") from None
-        group._on_change = None
-        self.gen += 1
-        return group
-
-    def nexthop_group(self, group_id: int) -> Optional[NexthopGroup]:
-        return self.nexthop_groups.get(group_id)
-
-    def resolve(self, route: Route, flow_hash: int, now_ns: int = 0) -> Optional[Route]:
-        """Collapse a (possibly multipath) route to one concrete next hop.
-
-        Single-path routes come back unchanged. Multipath routes consult
-        their nexthop group with the flow's symmetric hash; ``None`` means
-        no member can serve (group missing or every hop weighted out), which
-        callers treat exactly like a FIB miss.
-        """
-        if route.nhg is None:
-            return route
-        group = self.nexthop_groups.get(route.nhg)
-        if group is None:
-            return None
-        nexthop = group.select(flow_hash, now_ns)
-        if nexthop is None:
-            return None
-        return Route(
-            prefix=route.prefix,
-            oif=nexthop.oif,
-            gateway=nexthop.gateway,
-            scope=SCOPE_UNIVERSE,
-            metric=route.metric,
-            table=route.table,
-        )
 
     def add(self, route: Route, replace: bool = True) -> None:
         """Insert a route; same-prefix same-metric routes are replaced."""

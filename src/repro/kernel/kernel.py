@@ -306,18 +306,10 @@ class Kernel:
         dev: Optional[str] = None,
         metric: int = 0,
         onlink: bool = False,
-        nhg: Optional[int] = None,
         _replace: bool = False,
         _quiet_exists: bool = False,
     ) -> Route:
         dst = parse_prefix(dst) if isinstance(dst, str) else dst
-        if nhg is not None:
-            if self.fib.nexthop_group(nhg) is None:
-                raise DeviceError(f"nexthop group {nhg} does not exist")
-            route = Route(prefix=dst, oif=0, metric=metric, nhg=nhg)
-            self.fib.add(route, replace=_replace or _quiet_exists)
-            self._notify_route(msg.RTM_NEWROUTE, route)
-            return route
         gateway = ipv4(via) if via is not None else None
         if dev is not None:
             oif = self.devices.by_name(dev).ifindex
@@ -346,49 +338,17 @@ class Kernel:
         dev: Optional[str] = None,
         metric: int = 0,
         onlink: bool = False,
-        nhg: Optional[int] = None,
     ) -> Route:
         """``ip route replace``: add-or-overwrite the same-prefix same-metric
         entry. The FIB bumps its generation either way, so flow-cache entries
         forwarding via the old next hop are invalidated."""
-        return self.route_add(dst, via=via, dev=dev, metric=metric, onlink=onlink, nhg=nhg, _replace=True)
+        return self.route_add(dst, via=via, dev=dev, metric=metric, onlink=onlink, _replace=True)
 
     def route_del(self, dst: Union[str, IPv4Prefix], metric: Optional[int] = None) -> Route:
         dst = parse_prefix(dst) if isinstance(dst, str) else dst
         removed = self.fib.remove(dst, metric)
         self._notify_route(msg.RTM_DELROUTE, removed)
         return removed
-
-    # -------------------------------------------------------- nexthop groups
-
-    def nexthop_group_add(
-        self,
-        group_id: int,
-        nexthops,
-        policy: str = "resilient",
-        num_buckets: int = 64,
-        idle_timer_ns: int = 1_000_000_000,
-    ):
-        """Create an ECMP nexthop group (``ip nexthop add group ...``)."""
-        from repro.kernel.fib import NexthopGroup
-
-        group = NexthopGroup(
-            group_id, nexthops, policy=policy, num_buckets=num_buckets, idle_timer_ns=idle_timer_ns
-        )
-        self.fib.nexthop_group_add(group)
-        self.bus.notify(
-            RTNLGRP_IPV4_ROUTE,
-            NetlinkMsg(
-                msg.RTM_NEWROUTE,
-                {"nhg": group_id, "nhg_policy": group.policy, "nhg_buckets": group.num_buckets},
-            ),
-        )
-        return group
-
-    def nexthop_group_del(self, group_id: int):
-        group = self.fib.nexthop_group_del(group_id)
-        self.bus.notify(RTNLGRP_IPV4_ROUTE, NetlinkMsg(msg.RTM_DELROUTE, {"nhg": group_id}))
-        return group
 
     # ------------------------------------------------------------ neighbors
 

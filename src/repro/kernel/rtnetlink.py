@@ -67,8 +67,6 @@ def route_attrs(route: Route) -> Dict[str, Any]:
     }
     if route.gateway is not None:
         attrs["gateway"] = route.gateway
-    if route.nhg is not None:
-        attrs["nhg"] = route.nhg
     return attrs
 
 
@@ -260,7 +258,6 @@ def register(kernel: "Kernel") -> None:
             via=attrs.get("gateway"),
             dev=dev_name,
             metric=attrs.get("metric", 0),
-            nhg=attrs.get("nhg"),
         )
         return []
 

@@ -452,7 +452,6 @@ class Stack:
         with kernel.profiler.frame("fib_table_lookup"):
             kernel.costs_charge("fib_lookup")
             route = kernel.fib.lookup(ip.dst)
-            route = self._multipath_resolve(route, skb)
         if route is None:
             self.drop("no_route", dev, skb)
             self._icmp_unreachable(dev, skb)
@@ -603,7 +602,7 @@ class Stack:
             self.local_deliver(skb)
             return
         kernel.costs_charge("fib_lookup")
-        route = self._multipath_resolve(kernel.fib.lookup(ip.dst), skb)
+        route = kernel.fib.lookup(ip.dst)
         if route is None:
             self.drop("no_route_out", skb=skb)
             return
@@ -725,7 +724,7 @@ class Stack:
         skb.invalidate_wire()
         skb.pkt.l4.dport = new_port
         kernel.costs_charge("fib_lookup")
-        route = self._multipath_resolve(kernel.fib.lookup(new_ip), skb)
+        route = kernel.fib.lookup(new_ip)
         if route is None:
             self.drop("no_route", dev, skb)
             return True
@@ -734,28 +733,6 @@ class Stack:
         return True
 
     # ------------------------------------------------------------- helpers
-
-    def _multipath_resolve(self, route: Optional[Route], skb: SKBuff) -> Optional[Route]:
-        """Collapse an ECMP multipath route to one concrete next hop.
-
-        Uses the symmetric 5-tuple flow hash (the same one RPS steering and
-        conntrack sharding use), so both directions of a flow pick the same
-        member and the choice is stable for the flow's lifetime under the
-        resilient policy. ``None`` (no usable member) is treated by callers
-        exactly like a FIB miss.
-        """
-        if route is None or route.nhg is None:
-            return route
-        from repro.netsim.rss import symmetric_flow_hash
-
-        kernel = self.kernel
-        ip = skb.pkt.ip
-        l4 = skb.pkt.l4
-        sport = getattr(l4, "sport", 0) or 0
-        dport = getattr(l4, "dport", 0) or 0
-        kernel.costs_charge("fib_lookup")  # bucket-table indirection cost
-        flow_hash = symmetric_flow_hash(ip.src.value, ip.dst.value, ip.proto, sport, dport)
-        return kernel.fib.resolve(route, flow_hash, kernel.clock.now_ns)
 
     def _is_local(self, addr: IPv4Addr) -> bool:
         for dev in self.kernel.devices.all():

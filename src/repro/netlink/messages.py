@@ -150,10 +150,7 @@ ROUTE_SCHEMA = schema(
     table=(5, "u32"),
     scope=(6, "u8"),  # 0 = universe (via gateway), 253 = link (connected)
     metric=(7, "u32"),
-    nhg=(8, "u32"),  # multipath: the nexthop group serving this route
     replace=(9, "flag"),  # NLM_F_REPLACE-style request
-    nhg_policy=(10, "string"),  # group announcements: hash policy
-    nhg_buckets=(11, "u32"),  # group announcements: bucket-table size
 )
 
 NEIGH_SCHEMA = schema(

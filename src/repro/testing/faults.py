@@ -41,16 +41,6 @@ Sites
                           (:meth:`repro.kernel.kernel.Kernel.cpu_offline`);
                           never fires on the last online CPU (action
                           ``offline``)
-``router_kill``           cluster: a fleet gateway loses power
-                          (:meth:`repro.cluster.fleet.AnycastFleet.
-                          kill_router` consults this site); its NICs stop
-                          delivering received frames (action ``kill``)
-``partition``             cluster: asymmetric partition — health probes
-                          toward the matched router are lost while its data
-                          plane keeps forwarding (action ``drop``)
-``probe_flap``            cluster: one BFD-style health probe is lost
-                          without any underlying failure, exercising the
-                          detect-multiplier debounce (action ``miss``)
 ========================  ====================================================
 
 ``link_flap``/``backlog_overflow``/``cpu_offline`` (the :data:`DATA_SITES`)
@@ -83,55 +73,25 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-SITES = (
-    "compile",
-    "verify",
-    "load",
-    "prog_array",
-    "map_update",
-    "netlink_deliver",
-    "link_flap",
-    "backlog_overflow",
-    "cpu_offline",
-    "router_kill",
-    "partition",
-    "probe_flap",
-)
-
-#: Data-plane sites: firing one loses/perturbs *packets*, not control-plane
-#: work. Excluded from :meth:`FaultInjector.arm_everything` unless asked for.
-DATA_SITES = frozenset({"link_flap", "backlog_overflow", "cpu_offline"})
-
-#: Cluster sites: fleet-level chaos (dead routers, partitions, probe loss).
-#: They only make sense on a multi-router topology, so the failover harness
-#: arms them explicitly; :meth:`FaultInjector.arm_everything` always skips
-#: them (a single-gateway chaos run has no routers to kill).
-CLUSTER_SITES = frozenset({"router_kill", "partition", "probe_flap"})
-
-#: Valid actions per cluster site.
-CLUSTER_SITE_ACTIONS = {
-    "router_kill": ("kill",),
-    "partition": ("drop",),
-    "probe_flap": ("miss",),
-}
-
-#: Sites whose armed action is raising :class:`InjectedFault` at the caller.
-RAISE_SITES = frozenset(
-    s for s in SITES if s != "netlink_deliver" and s not in DATA_SITES and s not in CLUSTER_SITES
-)
-
-#: Valid actions for the ``netlink_deliver`` site.
-NETLINK_ACTIONS = ("drop", "dup")
-
-#: Valid actions per data-plane site.
-DATA_SITE_ACTIONS = {
+#: Every site with the actions it allows, in arming order; the first action
+#: is the default. Raising sites raise :class:`InjectedFault` at the caller.
+SITE_ACTIONS = {
+    "compile": ("raise",),
+    "verify": ("raise",),
+    "load": ("raise",),
+    "prog_array": ("raise",),
+    "map_update": ("raise",),
+    "netlink_deliver": ("drop", "dup"),
     "link_flap": ("drop",),
     "backlog_overflow": ("drop",),
     "cpu_offline": ("offline",),
 }
 
-#: Valid actions for the ``link_flap`` site (kept for suites that import it).
-LINK_FLAP_ACTIONS = DATA_SITE_ACTIONS["link_flap"]
+SITES = tuple(SITE_ACTIONS)
+
+#: Data-plane sites: firing one loses/perturbs *packets*, not control-plane
+#: work. Excluded from :meth:`FaultInjector.arm_everything` unless asked for.
+DATA_SITES = frozenset({"link_flap", "backlog_overflow", "cpu_offline"})
 
 
 class InjectedFault(RuntimeError):
@@ -176,30 +136,16 @@ class FaultInjector:
     ) -> _Arm:
         """Arm ``site``: each evaluation fails with ``probability``, at most
         ``count`` times (None = forever), only when ``match`` (a substring)
-        appears in the site detail. ``action`` is meaningful only for
-        ``netlink_deliver`` (``drop``/``dup``; default ``drop``)."""
+        appears in the site detail. ``action`` must be one the site allows
+        in :data:`SITE_ACTIONS`; it defaults to the first."""
         if site not in SITES:
             raise ValueError(f"unknown fault site {site!r} (sites: {', '.join(SITES)})")
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if site in RAISE_SITES:
-            if action not in (None, "raise"):
-                raise ValueError(f"site {site!r} only supports action 'raise'")
-            action = "raise"
-        elif site in DATA_SITES:
-            valid = DATA_SITE_ACTIONS[site]
-            action = action or valid[0]
-            if action not in valid:
-                raise ValueError(f"{site} action must be one of {valid}")
-        elif site in CLUSTER_SITES:
-            valid = CLUSTER_SITE_ACTIONS[site]
-            action = action or valid[0]
-            if action not in valid:
-                raise ValueError(f"{site} action must be one of {valid}")
-        else:
-            action = action or "drop"
-            if action not in NETLINK_ACTIONS:
-                raise ValueError(f"netlink_deliver action must be one of {NETLINK_ACTIONS}")
+        valid = SITE_ACTIONS[site]
+        action = action or valid[0]
+        if action not in valid:
+            raise ValueError(f"{site} action must be one of {valid}")
         arm = _Arm(site=site, probability=probability, remaining=count, match=match, action=action)
         self._arms.append(arm)
         return arm
@@ -216,13 +162,8 @@ class FaultInjector:
         ``cpu_offline``) drop packets or unplug CPUs, which would make the
         chaos suites' fast-vs-slow equivalence assertions diverge for reasons
         unrelated to the control plane — opt in with ``include_data_plane``.
-        Cluster sites (``router_kill``, ``partition``, ``probe_flap``) are
-        always skipped: they only exist on multi-router fleets, which arm
-        them explicitly.
         """
         for site in SITES:
-            if site in CLUSTER_SITES:
-                continue
             if site in DATA_SITES and not include_data_plane:
                 continue
             self.arm(site, probability=probability, count=count)

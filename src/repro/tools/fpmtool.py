@@ -288,45 +288,6 @@ def _print_storm_report(report) -> bool:
     return not report.ok
 
 
-def cmd_failover(args) -> int:
-    from repro.measure.failover import run_scorecard, write_report
-
-    seeds = _parse_seeds(args.seeds, [7, 19, 42])
-    payload = run_scorecard(
-        seeds,
-        num_routers=args.routers,
-        num_flows=args.flows,
-        chaos=not args.no_chaos,
-    )
-    print(
-        f"== failover scorecard ({args.routers} routers, {args.flows} flows, "
-        f"seeds {','.join(str(s) for s in seeds)}) =="
-    )
-    print(f"{'seed':>6s} {'event':10s} {'policy':10s} {'disrupted':>10s} {'threshold':>10s} {'detect_ms':>10s} verdict")
-    for run in payload["runs"]:
-        config = run["config"]
-        detect = "-" if run["detection_ns"] is None else f"{run['detection_ns'] / 1e6:.1f}"
-        relation = ">=" if config["policy"] == "modn" else "<="
-        print(
-            f"{config['seed']:>6d} {config['event']:10s} {config['policy']:10s} "
-            f"{run['disrupted_fraction']:>10.3f} {relation}{run['threshold']:>8.3f} "
-            f"{detect:>10s} {'PASS' if run['ok'] else 'FAIL'}"
-        )
-    summary = payload["summary"]
-    print(
-        f"summary: resilient worst {summary['resilient_kill_max_fraction']:.3f} "
-        f"(<= {summary['resilient_threshold']:.3f}), "
-        f"mod-N best {summary['modn_kill_min_fraction']:.3f} (>= {summary['modn_threshold']:.2f}), "
-        f"drain worst {summary['drain_max_fraction']:.3f} (== 0), "
-        f"conserved={summary['all_conserved']}"
-    )
-    if args.out:
-        write_report(payload, args.out)
-        print(f"fpmtool: wrote {args.out} ({len(payload['runs'])} run(s))")
-    print(f"verdict: {'PASS' if payload['all_ok'] else 'FAIL'}")
-    return 0 if payload["all_ok"] else 1
-
-
 # --------------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,13 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--out", default="", help="write BENCH_reliability.json here")
     p_rel.set_defaults(func=cmd_reliability)
 
-    p_fail = sub.add_parser("failover", help="multi-router ECMP/anycast failover scorecard")
-    p_fail.add_argument("--seeds", default="", help="comma-separated seeds (default 7,19,42)")
-    p_fail.add_argument("--routers", type=int, default=4, help="fleet size")
-    p_fail.add_argument("--flows", type=int, default=128, help="established flows per run")
-    p_fail.add_argument("--no-chaos", action="store_true", help="disarm probe_flap noise")
-    p_fail.add_argument("--out", default="", help="write BENCH_failover.json here")
-    p_fail.set_defaults(func=cmd_failover)
     return parser
 
 

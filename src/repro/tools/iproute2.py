@@ -186,9 +186,6 @@ class IpTool(NetlinkTool):
             elif word == "metric":
                 attrs["metric"] = int(rest[i + 1])
                 i += 2
-            elif word == "nhid":
-                attrs["nhg"] = int(rest[i + 1])
-                i += 2
             elif word == "onlink":
                 i += 1
             else:

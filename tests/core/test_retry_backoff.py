@@ -116,7 +116,7 @@ class TestIncidentDedup:
         topo, controller = self.plain_controller()
         base = len(controller.incidents)
         for _ in range(50):
-            controller.notify_incident("probe-flap", "gw1: probe lost", "gw1")
+            controller._incident("probe-flap", "gw1: probe lost", "gw1")
         assert len(controller.incidents) == base + 1
         assert controller.incidents[-1].count == 50
         assert controller.incidents_total >= 50
@@ -124,22 +124,22 @@ class TestIncidentDedup:
     def test_distinct_details_do_not_coalesce(self):
         topo, controller = self.plain_controller()
         base = len(controller.incidents)
-        controller.notify_incident("router-offline", "gw1 down", "gw1")
-        controller.notify_incident("router-offline", "gw2 down", "gw2")
+        controller._incident("router-offline", "gw1 down", "gw1")
+        controller._incident("router-offline", "gw2 down", "gw2")
         assert len(controller.incidents) == base + 2
 
     def test_flap_cannot_wash_out_other_incidents(self):
         topo, controller = self.plain_controller()
-        controller.notify_incident("router-offline", "gw3 down", "gw3")
+        controller._incident("router-offline", "gw3 down", "gw3")
         for _ in range(2 * MAX_INCIDENTS):
-            controller.notify_incident("probe-flap", "gw1: probe lost", "gw1")
+            controller._incident("probe-flap", "gw1: probe lost", "gw1")
         kinds = [i.kind for i in controller.incidents]
         assert "router-offline" in kinds  # survived the flap storm
 
     def test_ring_buffer_stays_bounded(self):
         topo, controller = self.plain_controller()
         for i in range(MAX_INCIDENTS + 200):
-            controller.notify_incident("unique", f"incident {i}")
+            controller._incident("unique", f"incident {i}")
         assert len(controller.incidents) == MAX_INCIDENTS
         assert controller.incidents_total >= MAX_INCIDENTS + 200
         assert controller.health()["incidents_total"] == controller.incidents_total
@@ -148,11 +148,11 @@ class TestIncidentDedup:
         """Only the last few entries are scanned — an old identical incident
         beyond the window starts a fresh entry (bounded work per incident)."""
         topo, controller = self.plain_controller()
-        controller.notify_incident("kind-a", "same detail")
+        controller._incident("kind-a", "same detail")
         for i in range(INCIDENT_DEDUP_WINDOW + 1):
-            controller.notify_incident("filler", f"noise {i}")
+            controller._incident("filler", f"noise {i}")
         before = len(controller.incidents)
-        controller.notify_incident("kind-a", "same detail")
+        controller._incident("kind-a", "same detail")
         assert len(controller.incidents) == before + 1
 
     def test_metrics_weight_incidents_by_count(self):
@@ -160,6 +160,6 @@ class TestIncidentDedup:
 
         topo, controller = self.plain_controller()
         for _ in range(7):
-            controller.notify_incident("probe-flap", "gw1: probe lost", "gw1")
+            controller._incident("probe-flap", "gw1: probe lost", "gw1")
         by_kind = _incidents_by_kind(controller)
         assert by_kind["probe-flap"] == 7

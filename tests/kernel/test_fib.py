@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import Controller
+from repro.kernel import Kernel
 from repro.kernel.fib import Fib, Route, RouteError, SCOPE_LINK, SCOPE_UNIVERSE
-from repro.netsim.addresses import IPv4Addr, IPv4Prefix
+from repro.measure.topology import LineTopology
+from repro.netsim.addresses import IPv4Addr, IPv4Prefix, ipv4
+from repro.netsim.packet import make_udp
 
 
 def route(prefix, oif=1, via=None, metric=0):
@@ -133,3 +137,91 @@ class TestFib:
             assert found.oif == 2
         else:
             assert found.oif == 1
+
+
+class TestKernelApi:
+    def test_route_replace_swaps_next_hop(self):
+        topo = LineTopology()
+        topo.install_prefixes(2)
+        gen = topo.dut.fib.gen
+        topo.dut.route_replace("10.100.0.0/16", via="10.0.1.2")
+        assert topo.dut.fib.gen > gen
+        assert topo.dut.fib.lookup("10.100.0.1").gateway == ipv4("10.0.1.2")
+
+    def test_route_replace_creates_when_absent(self):
+        topo = LineTopology()
+        topo.dut.route_replace("10.200.0.0/16", via="10.0.2.2")
+        assert topo.dut.fib.lookup("10.200.0.1") is not None
+
+    def test_route_add_still_rejects_duplicates(self):
+        topo = LineTopology()
+        topo.install_prefixes(1)
+        with pytest.raises(RouteError):
+            topo.dut.route_add("10.100.0.0/16", via="10.0.1.2")
+
+
+class TestStaleRouteRegression:
+    """Replace and delete must invalidate cached forwarding state —
+    the next packet follows the *new* FIB, never a stale cached hop."""
+
+    def cached_router(self):
+        topo = LineTopology()
+        topo.install_prefixes(4)
+        controller = Controller(topo.dut, hook="xdp", flow_cache=True)
+        controller.start()
+        topo.prewarm_neighbors()
+        out = []
+        topo.sink_eth.nic.attach(lambda frame, q: out.append(frame))
+        return topo, out
+
+    def send(self, topo, flow=0):
+        frame = make_udp(
+            topo.src_eth.mac,
+            topo.dut_in.mac,
+            "10.0.1.2",
+            topo.flow_destination(flow, 4),
+            sport=1234,
+            dport=53,
+        ).to_bytes()
+        topo.dut_in.nic.receive_from_wire(frame)
+
+    def test_route_replace_invalidates_cached_flow(self):
+        topo, out = self.cached_router()
+        cache = topo.dut.flow_cache
+        self.send(topo)
+        self.send(topo)
+        assert cache.stats.hits["xdp"] == 1
+        delivered = len(out)
+        # replace the covering prefix to point back at the source side: the
+        # cached "forward to sink" decision is now wrong
+        topo.dut.route_replace("10.100.0.0/16", via="10.0.1.2")
+        self.send(topo)
+        assert len(out) == delivered  # NOT delivered to the sink anymore
+        assert any(r.startswith("gen:fib") for r in cache.stats.invalidations)
+
+    def test_route_del_invalidates_to_no_route(self):
+        topo, out = self.cached_router()
+        self.send(topo)
+        self.send(topo)
+        delivered = len(out)
+        drops_before = topo.dut.stack.drops.get("no_route", 0)
+        topo.dut.route_del("10.100.0.0/16")
+        self.send(topo)
+        assert len(out) == delivered
+        assert topo.dut.stack.drops.get("no_route", 0) == drops_before + 1
+
+    def test_iproute2_replace_dev_route(self):
+        from repro.tools import ip
+
+        kernel = Kernel("r")
+        kernel.add_physical("eth0")
+        kernel.set_link("eth0", True)
+        kernel.add_address("eth0", "10.1.0.1/24")
+        ip(kernel, "route add 10.50.0.0/16 dev eth0")
+        route = kernel.fib.lookup("10.50.0.1")
+        assert route.gateway is None and route.scope == SCOPE_LINK
+        ip(kernel, "route replace 10.50.0.0/16 via 10.1.0.2")
+        route = kernel.fib.lookup("10.50.0.1")
+        assert route.gateway == ipv4("10.1.0.2") and route.scope == SCOPE_UNIVERSE
+        ip(kernel, "route del 10.50.0.0/16")
+        assert kernel.fib.lookup("10.50.0.1") is None
