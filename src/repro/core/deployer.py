@@ -144,8 +144,9 @@ class Deployer:
 
         ``status`` is ``"compiled"``, or ``"fallback"`` when the JIT
         declined the program and the interpreter serves, fail-closed;
-        ``inline_mem_ops`` counts the packet and stack accesses compiled to
-        direct slices. Withdrawn interfaces are omitted.
+        ``inline_mem_ops`` counts the packet and stack accesses compiled with
+        no checks, and ``stack_locals`` the 8-byte stack slots the compiled
+        code holds in Python locals. Withdrawn interfaces are omitted.
         """
         out: Dict[str, Dict[str, object]] = {}
         for ifname, entry in sorted(self.deployed.items()):
@@ -156,6 +157,7 @@ class Deployer:
                 "status": report.status,
                 "insns": len(entry.current.program),
                 "inline_mem_ops": report.inline_mem_ops,
+                "stack_locals": report.stack_locals,
             }
         return out
 

@@ -22,8 +22,9 @@ What is proven statically (the VM's fat pointers then only re-assert it):
 
 The walk also records per-instruction coverage and per-branch feasible
 outcomes, which :mod:`repro.ebpf.analysis.lint` turns into dead-code and
-redundant-check findings, and the operand facts the JIT's translator
-(:mod:`repro.ebpf.jit.compiler`) selects its typed forms by.
+redundant-check findings, and the operand, call and helper-buffer facts
+the JIT's translator (:mod:`repro.ebpf.jit.compiler`) selects its typed
+forms and its stack storage by.
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ def _operand(value: AbstractVal) -> Operand:
 
 
 def _join(a: Optional[Operand], b: Optional[Operand]) -> Optional[Operand]:
-    """Two paths' kinds of one operand: stack pointers that disagree on the
-    offset lose it, any other disagreement is :data:`MIXED`."""
+    """Two paths' kinds of one operand (None: uninitialised): stack pointers
+    that disagree on the offset lose it, any other disagreement is
+    :data:`MIXED`."""
     if a == b:
         return a
-    if a[0] == b[0] == PTR_TO_STACK:
+    if a is not None and b is not None and a[0] == b[0] == PTR_TO_STACK:
         return (PTR_TO_STACK, None)
     return MIXED_OPERAND
 
@@ -114,7 +116,8 @@ class Analysis:
     Coverage facts for lint, plus per-instruction facts for the JIT, each
     joined over every path that reaches the instruction. Every register an
     instruction reads is initialised on every such path (the walk rejects
-    the program otherwise), so no fact has an uninitialised case. The
+    the program otherwise), so only ``call_args``, which covers the helper
+    argument registers a call may not read, has an uninitialised case. The
     analysis holds no reference to the program it describes.
     """
 
@@ -137,6 +140,13 @@ class Analysis:
     #: Reached scalar stack stores at a constant offset that overlap a slot
     #: holding a spilled pointer on some path.
     spill_clobbers: Set[int] = field(default_factory=set)
+    #: For each reached helper call: the :data:`Operand` kinds of r1..r5,
+    #: None for a register uninitialised on every path (one uninitialised
+    #: on only some paths joins to :data:`MIXED`).
+    call_args: Dict[int, Tuple[Optional[Operand], ...]] = field(default_factory=dict)
+    #: For each reached helper call: the frame byte ranges ``[low, high_end)``
+    #: its stack pointer arguments let it read or write, over every path.
+    helper_stack: Dict[int, Set[Tuple[int, int]]] = field(default_factory=dict)
 
 
 class _State:
@@ -522,6 +532,11 @@ class _Interp:
         entry = helpers_mod.HELPERS.get(insn.imm)
         if entry is None:
             self.fail(pc, insn, "helper-unknown", f"unknown helper id {insn.imm}")
+        kinds = tuple(
+            None if st.regs[reg] is None else _operand(st.val(st.regs[reg])) for reg in range(1, 6)
+        )
+        old = self.analysis.call_args.get(pc, kinds)
+        self.analysis.call_args[pc] = tuple(map(_join, old, kinds))
         helper_name = entry[0]
         sig = helpers_mod.HELPER_SIGS.get(insn.imm)
         if sig is None:
@@ -636,6 +651,8 @@ class _Interp:
                 f"helper {helper_name} argument {index + 1} (r{reg}): access [{low}, {high_end}) "
                 f"not proven within {what}",
             )
+        if value.kind == PTR_TO_STACK:
+            self.analysis.helper_stack.setdefault(pc, set()).add((low, high_end))
         if spec.writes and value.kind == PTR_TO_STACK:
             if self._ptr_slot_in(st, low, high_end):
                 self.fail(

@@ -10,24 +10,27 @@ executor can drop the checks the proof made redundant.
 :func:`compile_program` translates verified bytecode into one Python
 function per program (a guarded-block ladder over the forward-only CFG).
 It runs no analysis of its own: it reads the program's one verifier
-analysis (reachability plus per-instruction operand kinds and spill
-facts) and emits, instruction by instruction, the typed form those facts
-select. The result
+analysis (reachability, per-instruction operand kinds, spill facts, and
+each helper call's argument kinds and stack buffers) and emits,
+instruction by instruction, the typed form those facts select. The result
 
-- inlines packet loads/stores as direct ``int.from_bytes`` slices with
-  no bounds or provenance checks;
-- uses the verifier's stack spill facts (minic spills everything,
-  including the packet pointer, through r10) so scalar slot traffic
-  bypasses the spill bookkeeping and pointer reloads become a dict
-  lookup;
+- keeps packet and stack pointers as plain integer offsets, and builds a
+  real :class:`~repro.ebpf.memory.Pointer` only for a helper argument or
+  a spill into the stack region;
+- inlines packet loads/stores as direct slices with no bounds or
+  provenance checks;
+- holds every 8-byte stack slot that is only ever accessed whole, and
+  that no helper buffer covers, in a Python local (minic spills
+  everything, including the packet pointer, through r10); the other
+  stack bytes stay in a region with the interpreter's spill bookkeeping;
 - folds the per-instruction cost charges into one batched charge per
   basic block, flushed before every helper call so helpers observe the
   exact same simulated clock as under the interpreter (cost parity is a
   tested invariant, not an approximation);
-- keeps runtime values bit-identical to the interpreter's (real
-  :class:`~repro.ebpf.memory.Pointer` objects, the real shared stack
-  region), so a tail call into a program the JIT cannot compile resumes
-  cleanly in the interpreter mid-chain.
+- runs every program of a tail-call chain on a fresh frame, as the
+  interpreter does, so a tail call into a program the JIT cannot compile
+  resumes in the interpreter mid-chain with nothing to hand over but the
+  entry arguments and the counters.
 
 Every XDP/TC hook runs its program through :class:`JitEngine`, which
 compiles each program once, on its first run. There is no switch: as on

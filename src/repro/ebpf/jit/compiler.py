@@ -9,26 +9,43 @@ its operand kinds select, each kind joined over every path that reaches
 it:
 
 ``scalar``   a 64-bit scalar (a plain masked Python int at runtime)
-``packet``   a packet pointer (a real :class:`Pointer` into the frame region)
-``stack``    a stack pointer, with its byte offset when every path agrees
-             on one constant (minic derives stack addresses from r10 with
+``packet``   a packet pointer (a plain int: its offset into the frame)
+``stack``    a stack pointer (a plain int: its offset into the 512-byte
+             frame), with its byte offset when every path agrees on one
+             constant (minic derives stack addresses from r10 with
              constant immediates, so in practice it always does)
 ``map``      a map object materialized by ``LD_MAP``
 ``mixed``    paths disagree: there is no typed form, so the translator
              raises :class:`JitError` and the interpreter serves the program
 
-minic spills everything through the stack — including the packet
-pointer parameter — so the verifier's spill facts are what make the
-output fast: a slot that holds a spilled pointer on every path reloads as
-a plain dict lookup, a slot that holds one on no path loads as an inline
-``int.from_bytes``, and a scalar store calls the spill bookkeeping's
-invalidation only where an overlapping slot may hold a spilled pointer.
+Pointers are integer offsets because the kind of every operand is known
+statically: r1 starts at 0 (the engine's ABI guard requires a base packet
+pointer), r10 is 512, and pointer arithmetic is integer arithmetic. A real
+:class:`Pointer` is built only where a helper reads one as an argument
+(the call's argument kinds are a verifier fact too), or where a pointer is
+spilled into a slot the frame's ``Region`` holds.
 
-Runtime values are kept bit-identical to the interpreter's (the same
-``Pointer`` objects, the same shared stack ``Region`` with its real
-``_spilled`` dict), which is what lets a tail call into a program the
-JIT cannot compile resume in the interpreter mid-chain with zero state
-translation.
+minic spills everything through the stack, including the packet pointer
+parameter, so the stack's storage is what makes the output fast. Each
+stack byte gets one of two storage classes, chosen from the same facts:
+
+- a **Python local** (``s504``, …) holds an 8-byte slot when every reached
+  access that overlaps it is an 8-byte access at exactly its constant
+  offset, and no helper's pointer argument covers any of its bytes. A
+  spill or fill of such a slot is a plain assignment, whatever the value's
+  kind. Locals start at 0, as the bytes of a fresh frame do;
+- every other byte stays in a zeroed ``Region``, with the interpreter's
+  spill bookkeeping: scalars as big-endian bytes, a spilled pointer in
+  ``_spilled``, and a scalar store calling the invalidation only where an
+  overlapping slot may hold a spilled pointer. The ``bpf_fib_lookup`` out
+  buffer at r10−128 is one such range. A program with no such byte
+  allocates no ``Region``.
+
+Every program in a tail-call chain runs on a fresh zeroed frame, as in the
+kernel and in the verifier's model of each program, so a tail call hands
+nothing over but the entry arguments and the counters: locals need no
+write-back, and a chain that continues in the interpreter (a tail target
+the JIT declined) starts that program on its own fresh frame too.
 
 Instruction counts and cost charges are batched into ``_n`` and
 flushed — ``charge_ns((_n - _c) * insn_cost)`` — before every helper
@@ -42,14 +59,14 @@ generated code syncs ``_n`` ahead of every statement that can raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Set, Tuple
 
 from repro.ebpf import helpers as helpers_mod
 from repro.ebpf.analysis.domain import PTR_TO_PACKET, PTR_TO_STACK
 from repro.ebpf.analysis.errors import VerifierError
-from repro.ebpf.analysis.interp import SCALAR_OPERAND, Analysis
+from repro.ebpf.analysis.interp import MIXED_OPERAND, SCALAR_OPERAND, Analysis
 from repro.ebpf.isa import ALU_IMM_OPS, ALU_REG_OPS, JMP_IMM_OPS, JMP_REG_OPS, MASK64, Insn, Op
-from repro.ebpf.memory import MemoryError_, Pointer
+from repro.ebpf.memory import MemoryError_, Pointer, Region
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import analyze
 from repro.ebpf.vm import STACK_SIZE, VMError
@@ -59,7 +76,8 @@ __all__ = ["CompiledUnit", "JitError", "JitReport", "compile_program"]
 _SIGN_BIT = 1 << 63
 _TWO64 = 1 << 64
 
-#: The generated code's region variable for each pointer kind.
+#: The generated code's region variable for each pointer kind, which a
+#: materialized :class:`Pointer` refers to.
 _REGION = {PTR_TO_PACKET: "_pkr", PTR_TO_STACK: "_stk"}
 
 _CMP_TOKENS = {
@@ -96,14 +114,16 @@ class JitReport:
     error: Optional[str] = None
     insns: int = 0
     blocks: int = 0
-    inline_mem_ops: int = 0  # packet/stack accesses emitted as direct slices
+    inline_mem_ops: int = 0  # packet/stack accesses emitted with no checks
+    stack_locals: int = 0  # 8-byte stack slots held in Python locals
 
 
 @dataclass
 class CompiledUnit:
     """One program's compiled executor.
 
-    ``fn(env, args5, stack, charge_ns, insn_cost)`` returns a 4-tuple
+    ``fn(env, args, charge_ns, insn_cost)`` runs the program on a fresh
+    frame for the hook ABI ``args`` and returns a 4-tuple
     ``(tag, value, executed, tail_msg)``: ``TAG_EXIT`` with the r0
     verdict, or ``TAG_TAIL`` with the prog-array slot to chain into
     (``tail_msg`` is the pre-baked limit-exceeded message for that call
@@ -126,6 +146,32 @@ def _signed(imm: int) -> int:
     return value - _TWO64 if value >= _SIGN_BIT else value
 
 
+def _plus(expr: str, delta: int) -> str:
+    """``expr + delta`` as generated source; an empty ``expr`` is 0."""
+    if not expr:
+        return str(delta)
+    if delta == 0:
+        return expr
+    return "%s %s %d" % (expr, "-" if delta < 0 else "+", abs(delta))
+
+
+def _load_expr(buf: str, base: str, off: int, size: int) -> str:
+    """A big-endian ``size``-byte read of ``buf`` at ``base + off`` (``base``
+    is a register, or empty for a constant offset)."""
+    if size == 1:
+        return "%s[%s]" % (buf, _plus(base, off))
+    return 'int.from_bytes(%s[%s:%s], "big")' % (buf, _plus(base, off), _plus(base, off + size))
+
+
+def _store_stmt(buf: str, base: str, off: int, size: int, value: str) -> str:
+    """A big-endian ``size``-byte write of the in-range int ``value``."""
+    if size == 1:
+        return "%s[%s] = %s" % (buf, _plus(base, off), value)
+    return '%s[%s:%s] = (%s).to_bytes(%d, "big")' % (
+        buf, _plus(base, off), _plus(base, off + size), value, size
+    )
+
+
 class _Compiler:
     def __init__(self, program: Program) -> None:
         self.program = program
@@ -137,6 +183,7 @@ class _Compiler:
         self.pend = 0  # insns executed since the last emitted _n update
         self._tmp = 0
         self.facts = Analysis()
+        self.locals: Set[int] = set()  # frame offsets of the slots held in locals
 
     # ------------------------------------------------------------- helpers
 
@@ -165,9 +212,9 @@ class _Compiler:
 
     def _untyped(self, pc: int, insn: Insn) -> NoReturn:
         """No typed form for these operands: decline the whole program."""
+        kinds = self.facts.operands.get(pc, self.facts.call_args.get(pc))
         raise JitError(
-            "%s@pc %d: no typed form for %r (operand kinds %s)"
-            % (self.program.name, pc, insn, self.facts.operands.get(pc))
+            "%s@pc %d: no typed form for %r (operand kinds %s)" % (self.program.name, pc, insn, kinds)
         )
 
     # ------------------------------------------------------------ pipeline
@@ -181,6 +228,8 @@ class _Compiler:
         except VerifierError as exc:
             raise JitError("verification failed: %s" % (exc,)) from exc
 
+        self.locals = self._stack_locals()
+        self.report.stack_locals = len(self.locals)
         leaders = self._leaders()
         self._translate(leaders)
         source = self._assemble()
@@ -188,6 +237,7 @@ class _Compiler:
         namespace = dict(self.ns)
         namespace.update(
             _Ptr=Pointer,
+            _Region=Region,
             _VMError=VMError,
             _Mem=MemoryError_,
             _HErr=helpers_mod.HelperError,
@@ -204,6 +254,29 @@ class _Compiler:
         # popped, so the function's globals do not reference the function
         return CompiledUnit(fn=namespace.pop("_fpm"), source=source), self.report
 
+    def _stack_locals(self) -> Set[int]:
+        """The 8-byte slots every reached access uses whole, at exactly
+        their constant offset, and no helper buffer covers."""
+        spans = set()
+        for pc in self.facts.visited:
+            insn = self.insns[pc]
+            if insn.op is Op.LDX:
+                (kind, base), size = self.facts.operands[pc][1], insn.imm
+            elif insn.op is Op.STX or insn.op is Op.ST_IMM:
+                (kind, base) = self.facts.operands[pc][0]
+                size = insn.imm if insn.op is Op.STX else insn.src
+            else:
+                continue
+            if kind == PTR_TO_STACK and base is not None:
+                spans.add((base + insn.off, base + insn.off + size))
+        helper = set().union(*self.facts.helper_stack.values())
+        return {
+            low for low, high in spans
+            if high - low == 8
+            and all(span == (low, high) or span[1] <= low or high <= span[0] for span in spans)
+            and all(end <= low or high <= start for start, end in helper)
+        }
+
     def _leaders(self) -> List[int]:
         leaders = {0}
         for pc, insn in enumerate(self.insns):
@@ -213,21 +286,28 @@ class _Compiler:
         return sorted(pc for pc in leaders if pc < len(self.insns))
 
     def _assemble(self) -> str:
+        used = self.used
         prologue = [
-            "def _fpm(env, _a, _stk, _chg, _ci):",
-            "    r1 = _a[0]; r2 = _a[1]; r3 = _a[2]; r4 = _a[3]; r5 = _a[4]",
-            "    r0 = r6 = r7 = r8 = r9 = None",
-            "    r10 = _Ptr(_stk, %d)" % STACK_SIZE,
+            "def _fpm(env, _a, _chg, _ci):",
+            "    r1 = 0; r2 = _a[1]; r3 = _a[2]",
+            "    r0 = r4 = r5 = r6 = r7 = r8 = r9 = None",
+            "    r10 = %d" % STACK_SIZE,
         ]
-        if self.used.get("_pkr") or self.used.get("_pkd"):
+        if self.locals:
+            names = " = ".join("s%d" % off for off in sorted(self.locals, reverse=True))
+            prologue.append("    %s = 0" % names)
+        if used.get("_pkr") or used.get("_pkd"):
             prologue.append("    _pkr = _a[0].region")
-        if self.used.get("_pkd"):
+        if used.get("_pkd"):
             prologue.append("    _pkd = _pkr.data")
-        if self.used.get("_skd"):
+        if any(used.get(name) for name in ("_stk", "_skd", "_spd", "_sinv")):
+            # the frame's Region, for the bytes no local holds
+            prologue.append('    _stk = _Region("stack", bytearray(%d), True)' % STACK_SIZE)
+        if used.get("_skd"):
             prologue.append("    _skd = _stk.data")
-        if self.used.get("_spd"):
+        if used.get("_spd"):
             prologue.append("    _spd = _stk._spilled")
-        if self.used.get("_sinv"):
+        if used.get("_sinv"):
             prologue.append("    _sinv = _stk._invalidate")
         prologue += [
             "    _n = 0",
@@ -306,24 +386,18 @@ class _Compiler:
         if lk == rk == SCALAR_OPERAND:
             self._scalar_alu(op_name, dst, rhs, imm_form, insn)
         elif lk[0] in _REGION and rk == SCALAR_OPERAND:
-            # pointer ± scalar (the verifier admits add and sub only)
-            regvar = _REGION[lk[0]]
-            self.use(regvar)
+            # pointer ± scalar, on the offset (the verifier admits add and sub only)
             if imm_form:
                 delta = _signed(insn.imm)
-                if op_name == "sub":
-                    delta = -delta
-                self.emit(1, "r%d = _Ptr(%s, r%d.offset + %d)" % (dst, regvar, dst, delta))
+                self.emit(1, "r%d = %s" % (dst, _plus("r%d" % dst, -delta if op_name == "sub" else delta)))
             else:
                 sx = "(r%d - %d if r%d >= %d else r%d)" % (src, _TWO64, src, _SIGN_BIT, src)
                 sign = "-" if op_name == "sub" else "+"
-                self.emit(1, "r%d = _Ptr(%s, r%d.offset %s %s)" % (dst, regvar, dst, sign, sx))
+                self.emit(1, "r%d = r%d %s %s" % (dst, dst, sign, sx))
         elif lk == SCALAR_OPERAND and rk[0] in _REGION:
             # scalar + pointer → pointer (the verifier admits add only)
-            regvar = _REGION[rk[0]]
-            self.use(regvar)
             sx = "(r%d - %d if r%d >= %d else r%d)" % (dst, _TWO64, dst, _SIGN_BIT, dst)
-            self.emit(1, "r%d = _Ptr(%s, r%d.offset + %s)" % (dst, regvar, src, sx))
+            self.emit(1, "r%d = r%d + %s" % (dst, src, sx))
         else:
             self._untyped(pc, insn)
 
@@ -380,63 +454,63 @@ class _Compiler:
         if kind == PTR_TO_PACKET:
             self.report.inline_mem_ops += 1
             self.use("_pkd")
-            t = self.tmp()
-            self.emit(1, "%s = r%d.offset + %d" % (t, insn.src, insn.off))
-            self.emit(1, 'r%d = int.from_bytes(_pkd[%s:%s + %d], "big")' % (dst, t, t, size))
+            self.emit(1, "r%d = %s" % (dst, _load_expr("_pkd", "r%d" % insn.src, insn.off, size)))
             return
         if kind != PTR_TO_STACK or base is None:
             self._untyped(pc, insn)
         off = base + insn.off
         # load_word never consults spills below 8 bytes
         fill = self.facts.fills[pc] if size == 8 else SCALAR_OPERAND
-        if fill == SCALAR_OPERAND:
-            self.report.inline_mem_ops += 1
-            self.use("_skd")
-            self.emit(1, 'r%d = int.from_bytes(_skd[%d:%d], "big")' % (dst, off, off + size))
-        elif fill[0] in _REGION:
-            # a spilled pointer on every path: a plain dict lookup
-            self.report.inline_mem_ops += 1
-            self.use("_spd")
-            self.emit(1, "r%d = _spd[%d]" % (dst, off))
-        else:
+        if fill != SCALAR_OPERAND and fill[0] not in _REGION:
             self._untyped(pc, insn)
+        self.report.inline_mem_ops += 1
+        if off in self.locals:
+            self.emit(1, "r%d = s%d" % (dst, off))
+        elif fill == SCALAR_OPERAND:
+            self.use("_skd")
+            self.emit(1, "r%d = %s" % (dst, _load_expr("_skd", "", off, size)))
+        else:
+            # a pointer spilled into the Region on every path
+            self.use("_spd")
+            self.emit(1, "r%d = _spd[%d].offset" % (dst, off))
 
     def _store(self, pc: int, insn: Insn) -> None:
         is_stx = insn.op is Op.STX
         size = insn.imm if is_stx else insn.src
         (kind, base), val_kind = self.facts.operands[pc]
-        val = "r%d" % insn.src
         mask = (1 << (8 * size)) - 1
         if is_stx:  # the scalar's bytes, when it is one
-            expr = val if size == 8 else "(%s & %d)" % (val, mask)
-            data = '(%s).to_bytes(%d, "big")' % (expr, size)
+            val = "r%d" % insn.src
+            data = val if size == 8 else "(%s & %d)" % (val, mask)
         else:
             val_kind = SCALAR_OPERAND
-            data = repr((insn.imm & mask).to_bytes(size, "big"))
+            val = data = str(insn.imm & mask)
 
         if kind == PTR_TO_PACKET and val_kind == SCALAR_OPERAND:
             self.report.inline_mem_ops += 1
             self.use("_pkd")
-            t = self.tmp()
-            self.emit(1, "%s = r%d.offset + %d" % (t, insn.dst, insn.off))
-            self.emit(1, "_pkd[%s:%s + %d] = %s" % (t, t, size, data))
+            self.emit(1, _store_stmt("_pkd", "r%d" % insn.dst, insn.off, size, data))
             return
         if kind != PTR_TO_STACK or base is None:
             self._untyped(pc, insn)
+        if val_kind != SCALAR_OPERAND and val_kind[0] not in _REGION:
+            self._untyped(pc, insn)
         off = base + insn.off
-        if val_kind == SCALAR_OPERAND:
-            self.report.inline_mem_ops += 1
+        self.report.inline_mem_ops += 1
+        if off in self.locals:
+            # any kind: a pointer's local holds its offset
+            self.emit(1, "s%d = %s" % (off, val))
+        elif val_kind == SCALAR_OPERAND:
             self.use("_skd")
             if pc in self.facts.spill_clobbers:
                 self.use("_sinv")
                 self.emit(1, "_sinv(%d, %d)" % (off, size))
-            self.emit(1, "_skd[%d:%d] = %s" % (off, off + size, data))
-        elif val_kind[0] in _REGION:
-            # a real 8-byte spill: registers in the shared stack's spill dict
-            self.report.inline_mem_ops += 1
-            self.emit(1, "_stk.store_word(%d, 8, %s)" % (off, val))
+            self.emit(1, _store_stmt("_skd", "", off, size, data))
         else:
-            self._untyped(pc, insn)
+            # a real 8-byte spill into the Region's spill bookkeeping
+            regvar = _REGION[val_kind[0]]
+            self.use(regvar)
+            self.emit(1, "_stk.store_word(%d, 8, _Ptr(%s, %s))" % (off, regvar, val))
 
     # -------------------------------------------------------------- jumps
 
@@ -461,12 +535,25 @@ class _Compiler:
 
     def _call(self, pc: int, insn: Insn) -> None:
         helper_id = insn.imm
+        # Each argument the signature declares goes over as the interpreter
+        # passes it, a pointer as a real Pointer; the helper reads no other.
+        sig = helpers_mod.HELPER_SIGS[helper_id]
+        args = []
+        for index, kind in enumerate(self.facts.call_args[pc]):
+            reg = "r%d" % (index + 1)
+            if index < len(sig.args):
+                if kind == MIXED_OPERAND:
+                    self._untyped(pc, insn)
+                if kind is not None and kind[0] in _REGION:
+                    self.use(_REGION[kind[0]])
+                    reg = "_Ptr(%s, %s)" % (_REGION[kind[0]], reg)
+            args.append(reg)
         # the clock the helper observes must match the interpreter's exactly
         self._flush()
         hname = "_h%d" % helper_id
         self.ns[hname] = helpers_mod.HELPERS[helper_id][1]
         self.emit(1, "try:")
-        self.emit(2, "r0 = %s(env, [r1, r2, r3, r4, r5])" % hname)
+        self.emit(2, "r0 = %s(env, [%s])" % (hname, ", ".join(args)))
         self.emit(1, "except (_HErr, _Mem) as _e:")
         self.emit(2, 'raise _VMError("%s@%d: " + str(_e)) from _e' % (self.program.name, pc))
         # helper calls clobber the caller-saved argument registers

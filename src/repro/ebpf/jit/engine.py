@@ -6,9 +6,10 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
   program itself (``Program.jit``), so a retired program takes its unit
   with it;
 - runs the loop that chains compiled units across tail calls, resuming in
-  the interpreter mid-chain when a tail target failed to compile (state
-  hands over losslessly because compiled code operates on the same
-  ``Region``/``Pointer`` values the interpreter uses).
+  the interpreter mid-chain when a tail target failed to compile. Every
+  program in a chain starts on a fresh zeroed stack frame, compiled or
+  interpreted, so only the entry arguments and the instruction and
+  tail-call counters hand over.
 
 The engine is fail-closed at every decision point: compilation failure,
 an unexpected entry ABI, or an uncompilable tail target all land back on
@@ -20,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.ebpf.jit.compiler import CompiledUnit, JitReport, _JitHalt, compile_program
-from repro.ebpf.memory import Pointer, Region
-from repro.ebpf.vm import STACK_SIZE, TAIL_CALL_LIMIT, VM, VMError
+from repro.ebpf.memory import Pointer
+from repro.ebpf.vm import TAIL_CALL_LIMIT, VM, VMError
 
 __all__ = ["JitEngine"]
 
@@ -102,14 +103,12 @@ class JitEngine:
         else:
             charge = _noop_charge
             insn_cost = 0.0
-        stack = Region("stack", bytearray(STACK_SIZE), allow_pointers=True)
-        args5 = list(args) + [None] * (5 - len(args))
         executed = 0
         tail_calls = 0
         current = unit
         while True:
             try:
-                tag, value, n, tail_msg = current.fn(env, args5, stack, charge, insn_cost)
+                tag, value, n, tail_msg = current.fn(env, args, charge, insn_cost)
             except _JitHalt as halt:
                 raise halt.error
             executed += n
@@ -126,15 +125,14 @@ class JitEngine:
             if nxt is not None:
                 current = nxt
                 continue
-            # uncompilable target: the interpreter resumes the chain on the
-            # same stack region with the accumulated counters
+            # uncompilable target: the interpreter resumes the chain with
+            # the accumulated counters, on a fresh frame like any target
             self.stats["interp_runs"] += 1
             vm = VM(kernel, charge_costs=charge_costs)
             verdict = vm.run(
                 target,
                 args,
                 env,
-                _stack=stack,
                 _executed=executed,
                 _tail_calls=tail_calls,
                 _entry_charged=True,

@@ -25,7 +25,9 @@ class Region:
     Stack regions (``allow_pointers=True``) additionally support *pointer
     spilling*: storing a fat pointer into an 8-byte slot and loading it back,
     mirroring how the real eBPF verifier tracks spilled pointers. Scalar
-    writes overlapping a spilled pointer invalidate it.
+    writes overlapping a spilled pointer invalidate it. That bookkeeping
+    serves the interpreter, and the JIT's Region-resident slots: compiled
+    code keeps every other stack slot in a Python local.
     """
 
     def __init__(self, kind: str, data: bytearray, allow_pointers: bool = False) -> None:

@@ -48,6 +48,17 @@ def _signed64(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
+def _entry_regs(entry_args: List[Word]) -> List[Optional[Word]]:
+    """A program's registers at entry: the arguments in R1.., and R10 at
+    the top of a fresh zeroed frame (a tail-called program cannot read its
+    caller's stack)."""
+    regs: List[Optional[Word]] = [None] * NUM_REGS
+    for i, arg in enumerate(entry_args):
+        regs[R1 + i] = arg
+    regs[R10] = Pointer(Region("stack", bytearray(STACK_SIZE), allow_pointers=True), STACK_SIZE)
+    return regs
+
+
 class Env:
     """Per-invocation environment shared with helpers.
 
@@ -98,18 +109,25 @@ class VM:
         program: Program,
         args: List[Word],
         env: Env,
-        _stack: Optional[Region] = None,
         _executed: int = 0,
         _tail_calls: int = 0,
         _entry_charged: bool = False,
     ) -> int:
         """Execute ``program`` with entry arguments in R1..R5; returns R0.
 
+        Each program, the entry one and every tail-call target, runs on a
+        fresh zeroed 512-byte stack :class:`Region`, as in the kernel: a
+        tail-called program cannot read its caller's stack. The Region's
+        spill bookkeeping serves this interpreter and, in compiled code,
+        only the Region-resident slots (the bytes a helper can reach or
+        that are accessed piecewise); the JIT holds every other slot in a
+        Python local.
+
         The underscore-prefixed keywords are the JIT engine's resume
         protocol: when a compiled tail-call chain reaches a program the
-        JIT could not compile, the interpreter picks up mid-chain on the
-        same stack region with the accumulated instruction and tail-call
-        counters (entry cost already charged).
+        JIT could not compile, the interpreter picks up mid-chain with the
+        accumulated instruction and tail-call counters (entry cost already
+        charged).
         """
         if len(args) > 5:
             raise VMError("at most 5 entry arguments")
@@ -120,13 +138,7 @@ class VM:
         if self.charge_costs and not _entry_charged:
             kernel.charge_ns(costs.ebpf_prog_entry)
 
-        stack = _stack if _stack is not None else Region(
-            "stack", bytearray(STACK_SIZE), allow_pointers=True
-        )
-        regs: List[Optional[Word]] = [None] * NUM_REGS
-        for i, arg in enumerate(entry_args):
-            regs[R1 + i] = arg
-        regs[R10] = Pointer(stack, STACK_SIZE)
+        regs = _entry_regs(entry_args)
 
         insns = program.insns
         maps = program.maps
@@ -261,10 +273,7 @@ class VM:
                     program = target_prog
                     insns = program.insns
                     maps = program.maps
-                    regs = [None] * NUM_REGS
-                    for i, arg in enumerate(entry_args):
-                        regs[R1 + i] = arg
-                    regs[R10] = Pointer(stack, STACK_SIZE)
+                    regs = _entry_regs(entry_args)
                     pc = 0
                     continue
                 elif op is Op.EXIT:

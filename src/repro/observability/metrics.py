@@ -291,6 +291,9 @@ class MetricsRegistry:
                 family("linuxfp_jit_inline_mem_ops", "gauge", "Packet/stack accesses the JIT emitted with no bounds or provenance checks.")
                 for ifname, info in sorted(jit.items()):
                     sample("linuxfp_jit_inline_mem_ops", info["inline_mem_ops"], interface=ifname)
+                family("linuxfp_jit_stack_locals", "gauge", "8-byte stack slots the JIT holds in Python locals instead of the stack region.")
+                for ifname, info in sorted(jit.items()):
+                    sample("linuxfp_jit_stack_locals", info["stack_locals"], interface=ifname)
 
         return "\n".join(lines) + "\n"
 

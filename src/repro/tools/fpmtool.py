@@ -171,7 +171,7 @@ def cmd_prog(args) -> int:
             insns = str(len(current.program))
             report = topo.dut.jit.report_for(current.program)
             if report.status == "compiled":
-                jit = f"compiled({report.inline_mem_ops} inline)"
+                jit = f"compiled({report.inline_mem_ops} inline, {report.stack_locals} locals)"
             else:
                 jit = report.status  # fallback
         else:

@@ -2,15 +2,18 @@
 
 Covers the compiler's reports and fail-closed fallback (including the
 decline of an operand whose kind differs across paths), the per-program
-unit record, the entry-ABI guard, interpreter resume mid-tail-chain,
-tail-call-limit parity, and the burst hook entry point; then the deployed
-system: every template family runs compiled with no silent fallback, set-up
+unit record, the entry-ABI guard, interpreter resume mid-tail-chain, the
+fresh stack frame of every tail-call target, tail-call-limit parity, and
+the burst hook entry point; then the deployed system: every template family
+runs compiled with no silent fallback and keeps stack slots in Python
+locals, a router burst spills nothing through the stack region, set-up
 compiles nothing, each program compiles once and is analyzed once, and a
 retired program is freed by reference counting alone.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.core import Controller
 from repro.core.fpm.library import render_dispatcher, render_fast_path
 from repro.ebpf.analysis import interp
 from repro.ebpf.hooks import XdpAttachment
-from repro.ebpf.isa import Insn, Op, exit_, mov_imm, mov_reg
+from repro.ebpf.isa import Insn, Op, exit_, ldx, mov_imm, mov_reg
 from repro.ebpf.jit import JitEngine, JitReport, compile_program
 from repro.ebpf.jit import compiler as jit_compiler
 from repro.ebpf.maps import ProgArray
@@ -80,6 +83,7 @@ class TestCompiler:
                 assert report.insns == len(program)
                 assert report.blocks > 0
                 assert report.inline_mem_ops > 0
+                assert report.stack_locals > 0
 
     def test_dispatcher_compiles(self):
         program = compile_src(
@@ -232,6 +236,33 @@ class TestTailChain:
         assert engine.stats["jit_runs"] == 1
         assert engine.stats["interp_runs"] == 1
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_tail_target_cannot_read_its_callers_stack(self, compiled):
+        # The dispatcher spills its packet pointer at r10-8; the callee
+        # reads that slot without ever writing it. Each program runs on a
+        # fresh zeroed frame, so the callee reads 0 on both executors.
+        jmp = ProgArray("jmp")
+        disp = compile_src(render_dispatcher("eth0", "xdp"), name="disp", maps={"jmp": jmp})
+        callee = Program(name="callee", insns=[
+            ldx(0, 10, -8, 8),
+            Insn(Op.ADD_IMM, dst=0, imm=2),
+            exit_(),
+        ], hook="xdp")
+        verify(callee)
+        jmp.set_prog(0, callee)
+        if not compiled:
+            callee.jit = (None, JitReport(status="fallback"))
+        k_jit, k_int = Kernel("jit-frame-a"), Kernel("jit-frame-b")
+        engine = JitEngine(k_jit)
+        _, args = frame_args(FRAME)
+        got = engine.execute(disp, args, Env(k_jit, 4))
+        _, args2 = frame_args(FRAME)
+        vm = VM(k_int)
+        expected = (vm.run(disp, args2, Env(k_int, 4)), vm.insns_executed)
+        assert got == expected == (2, 14)
+        assert k_jit.clock.now_ns == k_int.clock.now_ns
+        assert engine.stats["interp_runs"] == (0 if compiled else 1)
+
     def test_tail_call_limit_message_parity(self):
         jmp = ProgArray("jmp")
         disp = compile_src(render_dispatcher("eth0", "xdp"), name="disp", maps={"jmp": jmp})
@@ -355,6 +386,35 @@ class TestDeployedPrograms:
             stats = kernel.jit.stats
             assert stats["interp_runs"] == 0, (kernel.hostname, stats)
             assert stats["fallbacks"] == 0, (kernel.hostname, stats)
+
+    def test_router_burst_keeps_the_stack_in_locals(self, monkeypatch):
+        # Per forwarded frame: no spill goes through Region.store_word, and
+        # the only Pointers are the hook's argument and bpf_fib_lookup's
+        # out buffer.
+        topo = setup_router("linuxfp", hook="xdp")
+        _send_bursts(topo, bursts=1, size=64)  # resolves the next hop
+        counts = Counter()
+        real_store, real_init = Region.store_word, Pointer.__init__
+
+        def store_word(self, *args):
+            counts["store_word"] += 1
+            return real_store(self, *args)
+
+        def init(self, *args):
+            counts["Pointer"] += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(Region, "store_word", store_word)
+        monkeypatch.setattr(Pointer, "__init__", init)
+        sent = topo.sink_eth.nic.stats.rx_packets
+        runs = topo.dut.jit.stats["jit_runs"]
+        _send_bursts(topo, bursts=1, size=64)
+        assert topo.sink_eth.nic.stats.rx_packets - sent == 64
+        assert topo.dut.jit.stats["jit_runs"] - runs == 64
+        assert counts["store_word"] == 0
+        assert counts["Pointer"] <= 2 * 64
+        summary = topo.controller.deployer.jit_summary()
+        assert summary["eth0"]["stack_locals"] > 0
 
     def test_setup_compiles_nothing_and_each_program_compiles_once(self, monkeypatch):
         compiled = []

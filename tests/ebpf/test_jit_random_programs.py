@@ -7,18 +7,30 @@ trust on programs no template emits. :class:`_Writer` writes programs that
 verify by construction — a packet-length guard, then scalar ALU on
 initialised registers (every ALU op, in both the immediate and the register
 form), in-bounds packet and stack loads and stores, 8-byte pointer spills
-and fills, pointer arithmetic, forward branches (some infeasible, some over
-dead code), the odd pointer null check, and an exit through ``mov r0`` or
-``bpf_redirect``. Its own kind model joins branch paths conservatively, so
-a register that may hold a pointer on one path and a scalar on another is
-only moved, spilled or offset, which the verifier accepts on every path.
-Such mixed operands are what the JIT declines; the interpreter then serves
-the program.
+and fills, pointer arithmetic, ``bpf_map_update`` and ``bpf_map_read``
+calls whose key, value and out buffers sit at any offset on the stack
+(each read followed by partial reads of the bytes the helper wrote),
+forward branches (some infeasible, some over dead code), the odd pointer
+null check, and an exit through ``mov r0``, ``bpf_redirect`` or a tail
+call through a prog array into a second random program, which runs on a
+fresh frame and may read slots it never wrote. Before it exits, a program
+folds every slot that holds scalar bytes into its verdict or redirect
+target, so the final stack is observed. Its own kind model joins
+branch paths conservatively, so a register that may hold a pointer on one
+path and a scalar on another is only moved, spilled or offset, which the
+verifier accepts on every path. Such mixed operands are what the JIT
+declines; the interpreter then serves the program, or the rest of the
+chain when the declined program is a tail-call target.
+
+The mix puts stack slots in both of the JIT's storage classes: Python
+locals for slots only ever accessed whole, and the frame's ``Region`` for
+the bytes a helper can reach or that are accessed piecewise.
 
 Each program runs through :class:`JitEngine` and the interpreter on twin
 kernels: the verdict, the packet bytes, the redirect target, the executed
-instruction count and the charged simulated nanoseconds must agree, for
-programs the JIT compiles and for programs it declines alike.
+instruction count, the charged simulated nanoseconds and the map contents
+must agree, for programs the JIT compiles and for programs it declines
+alike.
 """
 
 import random
@@ -31,6 +43,7 @@ from repro.ebpf.isa import (
     ALU_IMM_OPS, ALU_REG_OPS, MEM_SIZES, Insn, Op, call, exit_, ldx, mov_imm, mov_reg, stx,
 )
 from repro.ebpf.jit import JitEngine, compile_program
+from repro.ebpf.maps import HashMap, ProgArray
 from repro.ebpf.memory import Pointer, Region
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import verify
@@ -70,11 +83,15 @@ class _Writer:
     The state is ``regs`` (register → kind) and ``slots`` (slot base →
     kind of the 8 bytes there; absent means scalar bytes). A kind is
     ``SCALAR``, ``MIXED``, ``("pkt", offset)`` or ``("stack", offset)``.
+    The program's maps are ``hmap`` (``LD_MAP`` 0) and, when it may
+    tail-call, ``jmp`` (``LD_MAP`` 1).
     """
 
-    def __init__(self, rnd) -> None:
+    def __init__(self, rnd, hmap, jmp=None) -> None:
         self.rnd = rnd
         self.insns = []
+        self.hmap = hmap
+        self.jmp = jmp
 
     def build(self) -> Program:
         rnd = self.rnd
@@ -88,18 +105,40 @@ class _Writer:
             if rnd.random() < 0.8:
                 self.insns.append(mov_imm(reg, rnd.choice(IMMS)))
                 regs[reg] = SCALAR
-        live = self.block(regs, {}, rnd.randint(4, 16), depth=0)
+        slots = {}
+        live = self.block(regs, slots, rnd.randint(4, 16), depth=0)
         if live:
-            if rnd.random() < 0.3:
+            end = rnd.random()
+            if self.jmp is not None and end < 0.3:
+                # slot 0 holds the callee, slot 1 is empty: fall through
+                self.observe(slots, 0)
                 self.insns += [
-                    mov_imm(1, rnd.randint(1, 8)),
-                    mov_imm(2, 0),
-                    call(HELPER_IDS["redirect"]),
+                    Insn(Op.LD_MAP, dst=2, imm=1),
+                    mov_imm(3, rnd.choice((0, 0, 0, 1))),
+                    Insn(Op.TAIL_CALL),
                     exit_(),
                 ]
+            elif end < 0.5:
+                self.observe(slots, 1)
+                self.insns += [mov_imm(2, 0), call(HELPER_IDS["redirect"]), exit_()]
             else:
-                self.insns += [mov_imm(0, rnd.randint(0, 4)), exit_()]
-        return Program("random", self.insns, hook="xdp")
+                self.observe(slots, 0)
+                self.insns.append(exit_())
+        maps = (self.hmap,) if self.jmp is None else (self.hmap, self.jmp)
+        return Program("random", self.insns, hook="xdp", maps=maps)
+
+    def observe(self, slots, reg) -> None:
+        """Fold every slot holding scalar bytes on every path into ``reg``
+        with 8-byte loads, so the final stack shows in the verdict or the
+        redirect target."""
+        self.insns.append(mov_imm(reg, 0))
+        for base in SLOT_BASES:
+            if slots.get(base, SCALAR) == SCALAR:
+                self.insns += [
+                    ldx(4, 10, base - STACK_SIZE, 8),
+                    Insn(Op.MUL_IMM, dst=reg, imm=31),
+                    Insn(Op.ADD_REG, dst=reg, src=4),
+                ]
 
     # ---------------------------------------------------------- structure
 
@@ -109,6 +148,7 @@ class _Writer:
             self.alu_imm, self.alu_reg, self.neg, self.mov, self.mov,
             self.packet_load, self.packet_store, self.stack_store,
             self.stack_load, self.spill, self.pointer_add, self.mixed_add,
+            self.map_call,
         ]
         if depth < 3:
             actions += [self.branch, self.branch, self.dead_code]
@@ -243,6 +283,8 @@ class _Writer:
         return [(r, k[1]) for r, k in regs.items() if k and k[0] == kind]
 
     def packet_load(self, regs, slots, depth) -> bool:
+        if not self._based(regs, "pkt"):
+            return False  # a helper call clobbered the last packet pointer
         base, offset = self.rnd.choice(self._based(regs, "pkt"))
         size = self.rnd.choice(MEM_SIZES)
         at = self.rnd.randint(0, MIN_LEN - size)
@@ -252,6 +294,8 @@ class _Writer:
         return True
 
     def packet_store(self, regs, slots, depth) -> bool:
+        if not self._based(regs, "pkt"):
+            return False
         base, offset = self.rnd.choice(self._based(regs, "pkt"))
         size = self.rnd.choice(MEM_SIZES)
         at = self.rnd.randint(0, MIN_LEN - size)
@@ -276,7 +320,7 @@ class _Writer:
         return base, offset, slot, slot + self.rnd.randint(0, 8 - size)
 
     def stack_store(self, regs, slots, depth) -> bool:
-        size = self.rnd.choice(MEM_SIZES)
+        size = 8 if self.rnd.random() < 0.5 else self.rnd.choice(MEM_SIZES)
         base, offset, slot, at = self._stack_at(regs, size, slots)
         scalars = self.regs_of(regs, SCALAR)
         if scalars and self.rnd.random() < 0.6:
@@ -307,12 +351,56 @@ class _Writer:
         slots[slot] = regs[src]
         return True
 
+    # ----------------------------------------------------------- helpers
+
+    def map_call(self, regs, slots, depth) -> bool:
+        """``bpf_map_update`` or ``bpf_map_read`` on ``hmap``, with the key
+        and the value or out buffer anywhere in the used part of the frame;
+        a read is followed by partial loads of the bytes it may write."""
+        rnd = self.rnd
+        key_size, value_size = self.hmap.key_size, self.hmap.value_size
+        key_at = rnd.randint(SLOT_BASES[-1], STACK_SIZE - key_size)
+        value_at = rnd.randint(SLOT_BASES[-1], STACK_SIZE - value_size)
+        written = [b for b in SLOT_BASES if b < value_at + value_size and value_at < b + 8]
+        read = rnd.random() < 0.5
+        if read and any(slots.get(b, SCALAR) != SCALAR for b in written):
+            return False  # the verifier refuses a helper write over a spilled pointer
+        self.insns += [
+            Insn(Op.LD_MAP, dst=1, imm=0),
+            mov_reg(2, 10),
+            Insn(Op.ADD_IMM, dst=2, imm=key_at - STACK_SIZE),
+            mov_reg(3, 10),
+            Insn(Op.ADD_IMM, dst=3, imm=value_at - STACK_SIZE),
+            call(HELPER_IDS["map_read" if read else "map_update"]),
+        ]
+        for reg in (1, 2, 3, 4, 5):
+            regs[reg] = None  # clobbered by the call
+        regs[0] = SCALAR
+        if read:
+            for base in written:
+                slots.pop(base, None)  # scalar bytes now
+            for __ in range(rnd.randint(1, 3)):
+                size = rnd.choice((1, 2, 4))
+                dst = rnd.choice(WRITABLE)
+                at = rnd.randint(value_at, value_at + value_size - size)
+                self.insns.append(ldx(dst, 10, at - STACK_SIZE, size))
+                regs[dst] = SCALAR
+        return True
+
 
 def build_program(rnd) -> Program:
-    return _Writer(rnd).build()
+    """A random program whose prog array's slot 0 holds a second one; both
+    share one hash map with random key and value sizes."""
+    hmap = HashMap("hmap", rnd.choice((4, 8, 12)), rnd.choice((8, 12, 16)))
+    jmp = ProgArray("jmp")
+    jmp.set_prog(0, _Writer(rnd, hmap).build())
+    return _Writer(rnd, hmap, jmp).build()
 
 
 def _run(program, frame, interpreter):
+    hmap = program.maps[0]
+    hmap._data.clear()
+    hmap.update(bytes(hmap.key_size), bytes(range(1, hmap.value_size + 1)))
     kernel = Kernel("jit-random")
     region = Region("pkt", bytearray(frame))
     args = [Pointer(region, 0), len(frame), 4]
@@ -322,7 +410,8 @@ def _run(program, frame, interpreter):
         verdict, executed = vm.run(program, args, env), vm.insns_executed
     else:
         verdict, executed = JitEngine(kernel).execute(program, args, env, charge_costs=True)
-    return verdict, bytes(region.data), env.redirect_ifindex, executed, kernel.clock.now_ns
+    contents = sorted(hmap._data.items())
+    return verdict, bytes(region.data), env.redirect_ifindex, executed, kernel.clock.now_ns, contents
 
 
 frames = st.one_of(
@@ -337,20 +426,42 @@ class TestRandomVerifiedPrograms:
     def test_engine_matches_interpreter(self, rnd, frame):
         program = build_program(rnd)
         verify(program)
+        verify(program.maps[1].get_prog(0))
         assert _run(program, frame, interpreter=False) == _run(program, frame, interpreter=True)
+
+    def test_seeded_programs_match_on_a_full_frame(self):
+        # A fixed sweep beside the Hypothesis search: every one of these
+        # programs gets past its length guard.
+        frame = bytes(range(MIN_LEN + 16))
+        for seed in range(300):
+            program = build_program(random.Random(seed))
+            assert _run(program, frame, interpreter=False) == _run(program, frame, interpreter=True), seed
 
     def test_most_programs_compile_and_the_rest_decline(self):
         # The writer's mixed operands (and pointer null checks) are what
-        # the JIT declines; everything else must get a typed form.
+        # the JIT declines; everything else must get a typed form. Tail
+        # targets are random programs too, so chains continue both
+        # compiled and in the interpreter.
         compiled = declined = 0
+        targets = {True: 0, False: 0}
+        storage = {"locals": 0, "region": 0}
         for seed in range(300):
             program = build_program(random.Random(seed))
-            verify(program)
-            unit, report = compile_program(program)
-            if unit is not None:
-                compiled += 1
-            else:
-                assert "no typed form" in report.error, report.error
-                declined += 1
+            for prog in (program, program.maps[1].get_prog(0)):
+                verify(prog)
+                unit, report = compile_program(prog)
+                if prog is not program:
+                    targets[unit is not None] += 1
+                elif unit is not None:
+                    compiled += 1
+                else:
+                    declined += 1
+                if unit is None:
+                    assert "no typed form" in report.error, report.error
+                else:
+                    storage["locals"] += report.stack_locals > 0
+                    storage["region"] += "_stk = _Region(" in unit.source
         assert compiled >= 0.8 * 300
         assert declined >= 0.05 * 300
+        assert targets[True] >= 0.8 * 300 and targets[False] > 0
+        assert storage["locals"] > 0 and storage["region"] > 0

@@ -2,6 +2,7 @@
 the fpmlint / fpmtool CLIs."""
 
 import json
+import re
 
 import pytest
 
@@ -306,4 +307,4 @@ class TestFpmtoolProgList:
         assert rc == 0
         assert out.splitlines()[0].split()[-1] == "jit"
         lines = [l for l in out.splitlines() if l.startswith("eth")]
-        assert lines and all(l.rstrip().endswith("inline)") for l in lines)
+        assert lines and all(re.search(r"compiled\(\d+ inline, [1-9]\d* locals\)$", l.rstrip()) for l in lines)
