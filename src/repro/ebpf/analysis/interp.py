@@ -537,14 +537,7 @@ class _Interp:
         )
         old = self.analysis.call_args.get(pc, kinds)
         self.analysis.call_args[pc] = tuple(map(_join, old, kinds))
-        helper_name = entry[0]
-        sig = helpers_mod.HELPER_SIGS.get(insn.imm)
-        if sig is None:
-            # no declared signature (test-registered helper): be conservative
-            # about the result, permissive about the arguments
-            result = AbstractVal(SCALAR, Range.unknown())
-        else:
-            result = self._check_call(pc, insn, st, helper_name, sig)
+        result = self._check_call(pc, insn, st, entry[0], helpers_mod.HELPER_SIGS[insn.imm])
         for reg in range(1, 6):
             st.regs[reg] = None  # helper calls clobber the argument registers
         st.regs[0] = self.new_vid(st, result)

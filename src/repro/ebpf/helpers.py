@@ -24,7 +24,7 @@ from repro.ebpf.memory import MemoryError_, Pointer
 from repro.kernel.interfaces import BridgeDevice, DeviceError
 from repro.kernel.netfilter import ACCEPT, DROP, FORWARD, HELPER, INPUT, OUTPUT
 from repro.netsim.addresses import IPv4Addr, MacAddr
-from repro.netsim.packet import Packet, PacketError
+from repro.netsim.packet import Packet, PacketError, ipv4_fields
 from repro.netsim.skbuff import SKBuff
 from repro.testing import faults
 
@@ -270,6 +270,11 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
     scan (:meth:`~repro.kernel.netfilter.Netfilter.scan`), ipset-aggregated
     rules included. The fast path inherits iptables' linear scaling (Fig 8):
     the scan is charged per rule visited.
+
+    The scan reads src, dst and protocol straight from the frame's header
+    (:func:`~repro.netsim.packet.ipv4_fields`). The frame is parsed in full
+    only when that reader declines it or when a candidate rule matches more
+    than those three fields; ``Netfilter.helper_parses`` counts such lookups.
     """
     kernel = env.kernel
     kernel.costs_charge("helper_ipt_base")
@@ -281,11 +286,27 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
     pkt_ptr = _as_ptr(args[1], "ipt pkt")
     pkt_len = _as_int(args[2], "ipt len")
     try:
-        pkt = Packet.from_bytes(pkt_ptr.region.read_bytes(pkt_ptr.offset, pkt_len))
-    except (PacketError, MemoryError_):
+        frame = pkt_ptr.region.read_bytes(pkt_ptr.offset, pkt_len)
+    except MemoryError_:
         return IPT_UNSUPPORTED
-    if pkt.ip is None:
-        return IPT_ACCEPT
+    netfilter = kernel.netfilter
+    pkt = None
+    fields = ipv4_fields(frame)
+    if fields is None:
+        netfilter.helper_parses[chain_name] += 1
+        try:
+            pkt = Packet.from_bytes(frame)
+        except PacketError:
+            return IPT_UNSUPPORTED
+        if pkt.ip is None:
+            return IPT_ACCEPT
+        fields = (pkt.ip.src.value, pkt.ip.dst.value, pkt.ip.proto)
+
+    def skb_of() -> SKBuff:
+        if pkt is not None:
+            return SKBuff(pkt=pkt)
+        netfilter.helper_parses[chain_name] += 1
+        return SKBuff(pkt=Packet.from_bytes(frame))
 
     def name_of(ifindex: int):
         if ifindex == 0:
@@ -297,10 +318,7 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
 
     in_name = name_of(_as_int(args[3], "ipt in"))
     out_name = name_of(_as_int(args[4], "ipt out"))
-    netfilter = kernel.netfilter
-    rule, scanned, ipset_scanned = netfilter.scan(
-        chain_name, HELPER, pkt.ip, SKBuff(pkt=pkt), in_name, out_name
-    )
+    rule, scanned, ipset_scanned = netfilter.scan(chain_name, HELPER, fields, skb_of, in_name, out_name)
     if scanned:
         costs = kernel.costs
         kernel.charge_ns(scanned * costs.helper_ipt_per_rule + ipset_scanned * costs.helper_ipset_lookup)

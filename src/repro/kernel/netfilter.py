@@ -1,24 +1,27 @@
-"""Netfilter: iptables-style tables, chains, and linearly-scanned rules.
+"""Netfilter: iptables-style tables, chains, and first-match rules.
 
 Only the ``filter`` table semantics the paper exercises are modelled:
 built-in chains INPUT / FORWARD / OUTPUT with a default policy, rules with
 the classic 5-tuple-ish matches (src/dst prefix, protocol, ports, in/out
-interface) plus ipset matches. Rule evaluation is intentionally a linear
-scan — the paper's Fig 8 measures exactly this cost, and LinuxFP's
-``bpf_ipt_lookup`` helper inherits it (while ipset aggregation avoids it).
+interface) plus ipset matches. The simulated cost of rule evaluation stays
+linear, charged per rule up to the first match: the paper's Fig 8 measures
+exactly this cost, and LinuxFP's ``bpf_ipt_lookup`` helper inherits it
+(while ipset aggregation avoids it).
 
 One first-match scan, :meth:`Netfilter.scan`, serves both the helper and
-the slow path's :meth:`Netfilter.evaluate`. It walks a compiled form of
-the chain, and its caller charges the per-rule cost in one step from the
-counts it returns, so the simulated clock stays linear in rule count
-while the host pays the per-rule work only once.
+the slow path's :meth:`Netfilter.evaluate`. The host does not walk the
+rules: the chain's :class:`~repro.kernel.firstmatch.FirstMatchIndex`
+yields the candidates whose src, dst and protocol match, and the scan
+visits only those. It returns how many rules a linear walk would have
+visited, and its caller charges that in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.kernel.firstmatch import FirstMatchIndex, set_bits
 from repro.netsim.addresses import IPv4Prefix
 from repro.netsim.packet import IPv4, TCP, UDP
 from repro.netsim.skbuff import SKBuff
@@ -132,55 +135,46 @@ class CompiledChain:
     """A chain's rules as :meth:`Netfilter.scan` reads them, valid for one
     ``Netfilter.gen``.
 
-    Each entry is ``(src_mask, src_net, dst_mask, dst_net, proto, full,
-    rule)``: the prefixes as integer mask and network (0/0 for a wildcard)
-    and the protocol (None for any) are tested inline, and ``full`` marks a
-    rule that also matches ports, interfaces, an ipset or conntrack state,
-    which :meth:`Rule.matches` decides. Ipset membership is read live, so
-    ``ipset add``/``del`` need no recompile.
+    ``index`` holds the rules' src and dst prefixes and protocol. Bit i of
+    ``full`` marks rule i as one that also matches ports, interfaces, an
+    ipset or conntrack state, which :meth:`Rule.matches` decides. Ipset
+    membership is read live, so ``ipset add``/``del`` need no recompile.
     """
 
     gen: int
-    entries: Tuple[tuple, ...]
-    # the entries before the first ct_state rule: the helper's scan range
-    stateless: Tuple[tuple, ...]
+    rules: Tuple[Rule, ...]
+    index: FirstMatchIndex
+    full: int
+    # how many rules precede the first ct_state rule: the helper's scan range
+    stateless: int
     # ipsets_before[k]: how many of the first k rules match an ipset
     ipsets_before: Tuple[int, ...]
 
     @property
     def stateful(self) -> bool:
         """True when some rule matches conntrack state."""
-        return len(self.stateless) < len(self.entries)
+        return self.stateless < len(self.rules)
 
     @classmethod
     def build(cls, gen: int, rules: List[Rule]) -> "CompiledChain":
-        entries = []
+        full = 0
         ipsets_before = [0]
-        stateless_len = None
+        stateless = len(rules)
         for i, rule in enumerate(rules):
-            src, dst = rule.src, rule.dst
-            full = (
+            if (
                 rule.sport is not None
                 or rule.dport is not None
                 or rule.in_iface is not None
                 or rule.out_iface is not None
                 or rule.match_set is not None
                 or rule.ct_state is not None
-            )
-            entries.append((
-                0 if src is None else src.mask_value(),
-                0 if src is None else src.address.value,
-                0 if dst is None else dst.mask_value(),
-                0 if dst is None else dst.address.value,
-                rule.proto,
-                full,
-                rule,
-            ))
+            ):
+                full |= 1 << i
             ipsets_before.append(ipsets_before[-1] + (rule.match_set is not None))
-            if stateless_len is None and rule.ct_state is not None:
-                stateless_len = i
-        entries = tuple(entries)
-        return cls(gen, entries, entries[:stateless_len], tuple(ipsets_before))
+            if stateless == len(rules) and rule.ct_state is not None:
+                stateless = i
+        index = FirstMatchIndex((rule.src, rule.dst, rule.proto) for rule in rules)
+        return cls(gen, tuple(rules), index, full, stateless, tuple(ipsets_before))
 
 
 class Netfilter:
@@ -203,11 +197,15 @@ class Netfilter:
         from collections import Counter
 
         self.verdicts: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
-        # Scan counters (observability): compiles per chain; scans and rules
-        # scanned per chain and caller path (HELPER or SLOW).
+        # Scan counters (observability): compiles per chain; scans, rules
+        # scanned and rules the index passed to a match decision (tested),
+        # per chain and caller path (HELPER or SLOW); and per chain, the
+        # helper lookups that parsed their frame in full.
         self.compiles: Counter = Counter()
         self.scans: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
         self.rules_scanned: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
+        self.rules_tested: Dict[str, Counter] = {name: Counter() for name in BUILTIN_CHAINS}
+        self.helper_parses: Counter = Counter()
         self._compiled: Dict[str, CompiledChain] = {}
 
     def chain(self, name: str) -> Chain:
@@ -275,47 +273,59 @@ class Netfilter:
         self,
         chain_name: str,
         path: str,
-        ip: IPv4,
-        skb: SKBuff,
+        fields: Tuple[int, int, int],
+        skb_of: Callable[[], SKBuff],
         in_name: Optional[str],
         out_name: Optional[str],
     ) -> Tuple[Optional[Rule], int, int]:
         """The first-match scan; returns ``(rule, scanned, ipset_scanned)``.
 
+        ``fields`` is the packet's ``(src, dst, proto)`` as integers, and
+        ``skb_of()`` returns its :class:`SKBuff`: the scan calls it at most
+        once, and only for a candidate that :meth:`Rule.matches` decides.
+
         ``rule`` is the first matching rule (its packet counter is bumped),
         or None when no rule matches. On the ``HELPER`` path the scan stops
         at the first ``ct_state`` rule, whose conntrack context the helper
         does not carry, and returns that rule unmatched: it counts as
-        scanned, its ipset does not. ``scanned`` counts the rules visited
-        and ``ipset_scanned`` those of them matching an ipset; the caller
-        charges both in one step. That equals the per-rule charges bit for
-        bit while every cost is a whole number of ns and the clock and busy
-        accumulators already hold at least the coalesced sum (see
-        docs/fastpath.md).
+        scanned, its ipset does not. ``scanned`` counts the rules a linear
+        walk visits, the match included, and ``ipset_scanned`` those of
+        them matching an ipset; the caller charges both in one step. That
+        equals the per-rule charges bit for bit while every cost is a whole
+        number of ns and the clock and busy accumulators already hold at
+        least the coalesced sum (see docs/fastpath.md).
         """
         compiled = self._compiled_chain(chain_name)
-        entries = compiled.stateless if path == HELPER else compiled.entries
-        src, dst, proto = ip.src.value, ip.dst.value, ip.proto
+        src, dst, proto = fields
+        candidates = compiled.index.candidates(src, dst, proto)
+        if path == HELPER:
+            scanned = compiled.stateless
+            candidates &= (1 << scanned) - 1
+        else:
+            scanned = len(compiled.rules)
         ipsets = self._kernel.ipsets
         rule = None
-        scanned = len(entries)
-        for i, (src_mask, src_net, dst_mask, dst_net, rule_proto, full, candidate) in enumerate(entries):
-            if (
-                src & src_mask == src_net
-                and dst & dst_mask == dst_net
-                and (rule_proto is None or rule_proto == proto)
-                and (not full or candidate.matches(ip, skb, in_name, out_name, ipsets))
-            ):
-                rule = candidate
-                rule.packets += 1
-                scanned = i + 1
-                break
+        skb = None
+        tested = 0
+        for i in set_bits(candidates):
+            tested += 1
+            candidate = compiled.rules[i]
+            if compiled.full >> i & 1:
+                if skb is None:
+                    skb = skb_of()
+                if not candidate.matches(skb.pkt.ip, skb, in_name, out_name, ipsets):
+                    continue
+            rule = candidate
+            rule.packets += 1
+            scanned = i + 1
+            break
         ipset_scanned = compiled.ipsets_before[scanned]
-        if rule is None and scanned < len(compiled.entries):
-            rule = compiled.entries[scanned][-1]  # the helper's stop
+        if rule is None and scanned < len(compiled.rules):
+            rule = compiled.rules[scanned]  # the helper's stop
             scanned += 1
         self.scans[chain_name][path] += 1
         self.rules_scanned[chain_name][path] += scanned
+        self.rules_tested[chain_name][path] += tested
         return rule, scanned, ipset_scanned
 
     def evaluate(
@@ -339,7 +349,9 @@ class Netfilter:
         if ip is None:
             self.verdicts[chain_name][ACCEPT] += 1
             return ACCEPT, 0
-        rule, scanned, ipset_scanned = self.scan(chain_name, SLOW, ip, skb, in_name, out_name)
+        rule, scanned, ipset_scanned = self.scan(
+            chain_name, SLOW, (ip.src.value, ip.dst.value, ip.proto), lambda: skb, in_name, out_name
+        )
         if scanned:
             costs = kernel.costs
             kernel.charge_ns(scanned * costs.nf_rule_cost + ipset_scanned * costs.ipset_lookup)

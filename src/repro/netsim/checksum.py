@@ -7,14 +7,17 @@ def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement internet checksum of ``data``.
 
     Accepts any bytes-like object (zero-copy parsing hands memoryviews in).
+    The data, zero-padded to even length, is one big-endian integer ``n``.
+    Since 2**16 == 1 (mod 0xFFFF), ``n % 0xFFFF`` is the end-around-carry
+    sum of its 16-bit words modulo 0xFFFF, and that sum is 0 only when
+    every word is 0: otherwise a remainder of 0 stands for 0xFFFF.
     """
     if len(data) % 2:
         data = bytes(data) + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    n = int.from_bytes(data, "big")
+    total = n % 0xFFFF
+    if total == 0 and n:
+        total = 0xFFFF
     return ~total & 0xFFFF
 
 

@@ -432,6 +432,42 @@ class Packet:
         return Packet.from_bytes(self.to_bytes())
 
 
+# the L4 header length Packet.from_bytes requires, by protocol
+_L4_MIN = {IPPROTO_UDP: UDP.HDR_LEN, IPPROTO_ICMP: ICMP.HDR_LEN, IPPROTO_TCP: TCP.HDR_LEN}
+# ethertype, version/IHL, total length, flags/fragment offset, protocol,
+# src, dst of an untagged frame's first 34 bytes
+_IPV4_FIELDS = struct.Struct("!12xHBxHxxHxB2xII")
+
+
+def ipv4_fields(frame: bytes) -> Optional[Tuple[int, int, int]]:
+    """``(src, dst, proto)`` of a plain IPv4 frame, read without parsing it.
+
+    Accepts only an untagged IPv4 frame with a 20-byte header that
+    :meth:`Packet.from_bytes` parses without error: a valid header
+    checksum, a total length of at least 20 that fits in the frame, and,
+    unless the frame is a later fragment, the UDP, ICMP or TCP header
+    present (a TCP data offset included). Returns None for every other
+    frame, which only :meth:`Packet.from_bytes` may judge.
+    """
+    if len(frame) < 34:
+        return None
+    ethertype, ver_ihl, total, flags_frag, proto, src, dst = _IPV4_FIELDS.unpack_from(frame)
+    if (
+        ethertype != ETH_P_IP
+        or ver_ihl != 0x45
+        or not IPv4.HDR_LEN <= total <= len(frame) - 14
+        or internet_checksum(frame[14:34])
+    ):
+        return None
+    if not flags_frag & 0x1FFF:  # not a later fragment: the L4 header follows
+        body = total - IPv4.HDR_LEN
+        if body < _L4_MIN.get(proto, 0):
+            return None
+        if proto == IPPROTO_TCP and not TCP.HDR_LEN <= (frame[46] >> 4) * 4 <= body:
+            return None
+    return src, dst, proto
+
+
 def make_udp(
     src_mac: Union[str, MacAddr],
     dst_mac: Union[str, MacAddr],

@@ -97,6 +97,8 @@ class MetricsRegistry:
                     "compiles": kernel.netfilter.compiles[chain],
                     "scans": dict(scans),
                     "rules_scanned": dict(kernel.netfilter.rules_scanned[chain]),
+                    "rules_tested": dict(kernel.netfilter.rules_tested[chain]),
+                    "helper_parses": kernel.netfilter.helper_parses[chain],
                 }
                 for chain, scans in sorted(kernel.netfilter.scans.items())
                 if scans
@@ -219,6 +221,14 @@ class MetricsRegistry:
         for chain, counts in sorted(netfilter.rules_scanned.items()):
             for path, count in sorted(counts.items()):
                 sample("linuxfp_netfilter_rules_scanned_total", count, chain=chain, path=path)
+        family("linuxfp_netfilter_rules_tested_total", "counter", "Candidate rules the first-match index passed to a match decision, by caller; every other rule scanned was skipped on the host.")
+        for chain, counts in sorted(netfilter.rules_tested.items()):
+            for path, count in sorted(counts.items()):
+                sample("linuxfp_netfilter_rules_tested_total", count, chain=chain, path=path)
+        family("linuxfp_netfilter_helper_parses_total", "counter", "bpf_ipt_lookup calls that parsed their frame in full: the header reader declined it, or a candidate rule matches ports, interfaces, an ipset or conntrack state.")
+        for chain, scans in sorted(netfilter.scans.items()):
+            if scans:
+                sample("linuxfp_netfilter_helper_parses_total", netfilter.helper_parses[chain], chain=chain)
 
         family("linuxfp_conntrack_entries", "gauge", "Conntrack table occupancy by state.")
         for state, count in sorted(Counter(e.state for e in kernel.conntrack.entries()).items()):

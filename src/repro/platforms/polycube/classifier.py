@@ -1,22 +1,28 @@
-"""Bitvector packet classifier (Lakshman–Stiliadis style).
+"""Polycube's bitvector packet classifier (Lakshman–Stiliadis style).
 
 Polycube's iptables replacement compiles the ruleset into per-dimension
 match tables whose results are intersected as bitvectors, making
-classification cost nearly independent of rule count — the flat Polycube
-curve in the paper's Fig 8. We implement the same scheme with Python ints
-as bitsets.
+classification cost nearly independent of rule count: the flat Polycube
+curve in the paper's Fig 8. The tables are the tree's one
+:class:`~repro.kernel.firstmatch.FirstMatchIndex` over src, dst and
+protocol, which netfilter's chains use too; dport is checked on the
+candidates in rule order. The simulated cost is the platform's own:
+``pcn_classify`` charges a flat base plus a small per-rule share, and VPP
+charges its ACL per rule.
 
 The compiled classifier lives in a :class:`ClassifierMap` (a custom BpfMap
 subclass) owned by Polycube's control plane — precisely the duplicated
-state LinuxFP's helper-based design avoids.
+state LinuxFP's helper-based design avoids. VPP's ACL uses the same
+classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ebpf.maps import BpfMap
+from repro.kernel.firstmatch import FirstMatchIndex, set_bits
 from repro.netsim.addresses import IPv4Prefix
 from repro.netsim.packet import Packet, PacketError
 
@@ -34,69 +40,22 @@ class ClassifierRule:
 
 
 class BitvectorClassifier:
-    """Compiled ruleset: per-dimension tables → bitvector intersection."""
+    """Compiled ruleset: the first-match index, then dport in rule order."""
 
     def __init__(self, rules: List[ClassifierRule], default_action: int = ACCEPT) -> None:
         self.rules = list(rules)
         self.default_action = default_action
-        n = len(rules)
-        self._all = (1 << n) - 1
-        # dimension tables: for prefixes, one bucket dict per distinct length
-        self._src_tables: Dict[int, Dict[int, int]] = {}
-        self._src_wild = 0
-        self._dst_tables: Dict[int, Dict[int, int]] = {}
-        self._dst_wild = 0
-        self._proto: Dict[int, int] = {}
-        self._proto_wild = 0
-        self._dport: Dict[int, int] = {}
-        self._dport_wild = 0
-        for i, rule in enumerate(rules):
-            bit = 1 << i
-            if rule.src is None:
-                self._src_wild |= bit
-            else:
-                bucket = self._src_tables.setdefault(rule.src.length, {})
-                bucket[rule.src.address.value] = bucket.get(rule.src.address.value, 0) | bit
-            if rule.dst is None:
-                self._dst_wild |= bit
-            else:
-                bucket = self._dst_tables.setdefault(rule.dst.length, {})
-                bucket[rule.dst.address.value] = bucket.get(rule.dst.address.value, 0) | bit
-            if rule.proto is None:
-                self._proto_wild |= bit
-            else:
-                self._proto[rule.proto] = self._proto.get(rule.proto, 0) | bit
-            if rule.dport is None:
-                self._dport_wild |= bit
-            else:
-                self._dport[rule.dport] = self._dport.get(rule.dport, 0) | bit
-
-    @staticmethod
-    def _mask(length: int) -> int:
-        return 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-
-    def _prefix_vector(self, tables: Dict[int, Dict[int, int]], wild: int, addr: int) -> int:
-        vector = wild
-        for length, bucket in tables.items():
-            vector |= bucket.get(addr & self._mask(length), 0)
-        return vector
+        self._index = FirstMatchIndex((rule.src, rule.dst, rule.proto) for rule in self.rules)
 
     def classify_fields(
         self, src: int, dst: int, proto: int, dport: Optional[int]
     ) -> Tuple[int, Optional[int]]:
         """Returns (action, matched_rule_index)."""
-        if not self.rules:
-            return self.default_action, None
-        vector = (
-            self._prefix_vector(self._src_tables, self._src_wild, src)
-            & self._prefix_vector(self._dst_tables, self._dst_wild, dst)
-            & (self._proto.get(proto, 0) | self._proto_wild)
-            & ((self._dport.get(dport, 0) if dport is not None else 0) | self._dport_wild)
-        )
-        if vector == 0:
-            return self.default_action, None
-        first = (vector & -vector).bit_length() - 1  # lowest set bit: first rule
-        return self.rules[first].action, first
+        for i in set_bits(self._index.candidates(src, dst, proto)):
+            rule = self.rules[i]
+            if rule.dport is None or rule.dport == dport:
+                return rule.action, i
+        return self.default_action, None
 
     def classify_frame(self, frame: bytes) -> int:
         try:

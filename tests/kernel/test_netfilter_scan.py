@@ -11,6 +11,7 @@ scan's charge-call count and the counters that show it is used.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.kernel.netfilter import ACCEPT, BUILTIN_CHAINS, DROP, HELPER, RETURN,
 from repro.measure.k8s_bench import container_cost_model
 from repro.measure.scenarios import blacklist_address, setup_gateway
 from repro.netsim.addresses import IPv4Addr, IPv4Prefix, MacAddr
+from repro.netsim.checksum import internet_checksum
 from repro.netsim.cost import CostModel
 from repro.netsim.packet import (
     ETH_P_IP,
@@ -34,6 +36,8 @@ from repro.netsim.packet import (
     Ethernet,
     Packet,
     PacketError,
+    ipv4_fields,
+    make_arp_request,
     make_tcp,
     make_udp,
 )
@@ -260,10 +264,11 @@ def shared_ipt_lookup(env, args):
     return bpf_ipt_lookup(env, args), counter[HELPER] - before
 
 
-def lookup_helper(kernel, chain_id, spec, frame, lookup):
+def lookup_helper(kernel, chain_id, spec, frame, lookup, length=None):
     env = Env(kernel, redirect_verdict=4)
     ptr = Pointer(Region("pkt", bytearray(frame)), 0)
-    args = [chain_id, ptr, len(frame), spec["in_ifindex"], spec["out_ifindex"]]
+    length = len(frame) if length is None else length
+    args = [chain_id, ptr, length, spec["in_ifindex"], spec["out_ifindex"]]
     result, clock, busy = observe(kernel, lambda: lookup(env, args))
     return result, clock, busy, [r.handle for r in env.matched_rules], env.deps
 
@@ -352,9 +357,15 @@ class TestScanCounters:
         assert scan["compiles"] == 1
         assert scan["scans"] == {"helper": 64}
         assert scan["rules_scanned"] == {"helper": expected}
+        # the index hands each blacklisted frame its one rule, and no other
+        # frame any; the header reader serves every frame
+        assert scan["rules_tested"] == {"helper": 32}
+        assert scan["helper_parses"] == 0
         prom = MetricsRegistry(dut).to_prometheus()
         assert 'linuxfp_netfilter_compiles_total{chain="FORWARD"} 1' in prom
         assert f'linuxfp_netfilter_rules_scanned_total{{chain="FORWARD",path="helper"}} {expected}' in prom
+        assert 'linuxfp_netfilter_rules_tested_total{chain="FORWARD",path="helper"} 32' in prom
+        assert 'linuxfp_netfilter_helper_parses_total{chain="FORWARD"} 0' in prom
 
         iptables(dut, "-A FORWARD -s 192.0.2.1/32 -j DROP")
         assert dut.netfilter.compiles["FORWARD"] == 1  # the mutator compiles nothing
@@ -363,3 +374,89 @@ class TestScanCounters:
         )
         assert dut.netfilter.compiles["FORWARD"] == 2
         assert dut.netfilter.rules_scanned["FORWARD"]["helper"] == expected + 101
+
+
+# ------------------------------------------------------------- odd frames
+
+def patched(frame, offset, data, ihl=20):
+    """``frame`` with ``data`` written at ``offset`` and the IPv4 header
+    checksum recomputed over ``ihl`` bytes."""
+    raw = bytearray(frame)
+    raw[offset:offset + len(data)] = data
+    raw[24:26] = b"\x00\x00"
+    raw[24:26] = internet_checksum(raw[14:14 + ihl]).to_bytes(2, "big")
+    return bytes(raw)
+
+
+def ip_options_frame():
+    """IHL 6: a 4-byte options word (end of list) after the fixed header.
+    Zero options leave the fixed header's own checksum valid too."""
+    udp = make_udp(MAC1, MAC2, "10.0.0.1", "10.0.9.9", dport=53, payload=b"q" * 8).to_bytes()
+    total = len(udp) - 14 + 4
+    raw = udp[:14] + bytes([0x46]) + udp[15:16] + total.to_bytes(2, "big") + udp[18:34] + bytes(4) + udp[34:]
+    return patched(raw, 14, b"\x46", ihl=24)
+
+
+def cut_l4(proto, flags_frag=b"\x00\x00"):
+    """A frame whose UDP or ICMP header is cut to 7 bytes."""
+    raw = make_udp(MAC1, MAC2, "10.0.0.1", "10.0.9.9", dport=53).to_bytes()[:14 + 20 + 7]
+    raw = patched(raw, 16, (20 + 7).to_bytes(2, "big"))
+    raw = patched(raw, 20, flags_frag)
+    return patched(raw, 23, bytes([proto]))
+
+
+UDP53 = make_udp(MAC1, MAC2, "10.0.0.1", "10.0.9.9", dport=53, payload=b"q" * 8).to_bytes()
+TCP80 = make_tcp(MAC1, MAC2, "10.0.0.1", "10.0.9.9", dport=80).to_bytes()
+
+# name -> (frame, pkt_len the program passes, whether ipv4_fields reads it)
+ODD_FRAMES = {
+    "vlan-tagged": (make_udp(MAC1, MAC2, "10.0.0.1", "10.0.9.9", dport=53, vlan=7).to_bytes(), None, False),
+    "ihl-6-options": (ip_options_frame(), None, False),
+    "bad-checksum": (UDP53[:24] + bytes([UDP53[24] ^ 0xFF]) + UDP53[25:], None, False),
+    "all-zero-header": (UDP53[:14] + bytes(20) + UDP53[34:], None, False),
+    "total-below-20": (patched(UDP53, 16, (12).to_bytes(2, "big")), None, False),
+    "total-past-frame": (patched(UDP53, 16, (len(UDP53)).to_bytes(2, "big")), None, False),
+    "ethernet-padding": (UDP53 + bytes(18), None, True),
+    "mf-only-fragment": (patched(UDP53, 20, b"\x20\x00"), None, True),
+    "mf-only-fragment-udp-cut-to-7": (cut_l4(IPPROTO_UDP, b"\x20\x00"), None, False),
+    "later-fragment": (patched(UDP53, 20, b"\x00\x02"), None, True),
+    "later-fragment-total-below-20": (patched(patched(UDP53, 20, b"\x00\x02"), 16, b"\x00\x0c"), None, False),
+    "udp-cut-to-7": (cut_l4(IPPROTO_UDP), None, False),
+    "icmp-cut-to-7": (cut_l4(IPPROTO_ICMP), None, False),
+    "tcp-offset-4": (patched(TCP80, 14 + 20 + 12, b"\x40"), None, False),
+    "tcp-offset-past-frame": (patched(TCP80, 14 + 20 + 12, b"\x60"), None, False),
+    "arp": (make_arp_request(MAC1, "10.0.0.1", "10.0.9.9").to_bytes(), None, False),
+    "non-ip-ethertype": (UDP53[:12] + b"\x86\xdd" + UDP53[14:], None, False),
+    "len-past-region": (UDP53, len(UDP53) + 1, True),
+}
+
+
+class TestOddFrames:
+    """Frames ``ipv4_fields`` must decline, and plain ones beside them.
+
+    Each goes through ``bpf_ipt_lookup`` and the reference, which parses
+    every frame with ``Packet.from_bytes``, against one ruleset that
+    includes a port rule; every observable must agree.
+    """
+
+    RULES = [
+        {"target": DROP, "src": IPv4Prefix.parse("192.0.2.1/32")},
+        {"target": ACCEPT, "proto": IPPROTO_UDP, "dport": 53},
+        {"target": DROP, "src": IPv4Prefix.parse("10.0.0.0/8"), "proto": IPPROTO_TCP},
+        {"target": DROP, "dst": IPv4Prefix.parse("10.0.9.0/24")},
+    ]
+    SPEC = {"in_ifindex": 2, "out_ifindex": 3, "idle_ns": 0.0}
+
+    @pytest.mark.parametrize("name", sorted(ODD_FRAMES))
+    def test_agrees_with_reference(self, name):
+        frame, length, read = ODD_FRAMES[name]
+        assert (ipv4_fields(frame) is not None) == read
+        new, ref = make_kernel(CostModel()), make_kernel(CostModel())
+        for kernel in (new, ref):
+            for spec in self.RULES:
+                kernel.netfilter.append_rule("FORWARD", Rule(**spec))
+            idle(kernel, self.SPEC)
+        assert lookup_helper(new, 1, self.SPEC, frame, shared_ipt_lookup, length) == lookup_helper(
+            ref, 1, self.SPEC, frame, reference_ipt_lookup, length
+        )
+        assert state(new) == state(ref)

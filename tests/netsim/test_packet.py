@@ -1,7 +1,7 @@
 """Tests for byte-accurate packet encode/parse."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.addresses import IPv4Addr, MacAddr
@@ -15,6 +15,7 @@ from repro.netsim.packet import (
     ETH_P_IP,
     ICMP,
     ICMP_ECHO_REQUEST,
+    IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
     IPv4,
@@ -24,6 +25,7 @@ from repro.netsim.packet import (
     TCP,
     UDP,
     VlanTag,
+    ipv4_fields,
     make_arp_reply,
     make_arp_request,
     make_tcp,
@@ -48,6 +50,35 @@ class TestChecksum:
 
     def test_odd_length_padded(self):
         assert internet_checksum(b"\xff") == internet_checksum(b"\xff\x00")
+
+    @staticmethod
+    def reference(data) -> int:
+        """RFC 1071's word loop with end-around carry."""
+        if len(data) % 2:
+            data = bytes(data) + b"\x00"
+        total = 0
+        for i in range(0, len(data), 2):
+            total += (data[i] << 8) | data[i + 1]
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        return ~total & 0xFFFF
+
+    # the carry edge cases: all-zero data, runs of 0xFFFF words, a sum that
+    # is a nonzero multiple of 0xFFFF, odd lengths
+    @example(b"")
+    @example(b"\x00")
+    @example(b"\x00" * 20)
+    @example(b"\xff")
+    @example(b"\xff\xff")
+    @example(b"\xff" * 41)
+    @example(b"\xff\xff" * 300)
+    @example(b"\x80\x00\x7f\xff")
+    @example(b"\x00\x01\xff\xfe")
+    @example(b"\xff\xff\x00\x00\x00")
+    @given(st.binary(max_size=1600))
+    def test_matches_word_loop(self, data):
+        assert internet_checksum(data) == self.reference(data)
+        assert internet_checksum(memoryview(data)) == self.reference(data)
 
 
 class TestEthernet:
@@ -207,3 +238,53 @@ class TestPacketContainer:
         assert reparsed.ip.dst == IPv4Addr(dst)
         assert (reparsed.l4.sport, reparsed.l4.dport) == (sport, dport)
         assert reparsed.payload == payload
+
+
+class TestIpv4Fields:
+    """``ipv4_fields`` accepts only frames ``Packet.from_bytes`` parses as
+    untagged IPv4, and reads the same src, dst and protocol."""
+
+    BASES = [
+        make_udp(SRC_MAC, DST_MAC, "10.0.0.1", "10.0.9.9", dport=53, payload=b"q" * 12).to_bytes(),
+        make_tcp(SRC_MAC, DST_MAC, "172.16.0.5", "10.0.9.9", dport=80).to_bytes(),
+        Packet(
+            eth=Ethernet(dst=DST_MAC, src=SRC_MAC, ethertype=ETH_P_IP),
+            ip=IPv4(src=IPv4Addr.parse("192.168.1.1"), dst=IPv4Addr.parse("10.0.0.2"), proto=IPPROTO_ICMP),
+            l4=ICMP(ICMP_ECHO_REQUEST),
+            payload=b"p" * 16,
+        ).to_bytes(),
+    ]
+
+    def test_reads_plain_frames(self):
+        for frame in self.BASES:
+            pkt = Packet.from_bytes(frame)
+            assert ipv4_fields(frame) == (pkt.ip.src.value, pkt.ip.dst.value, pkt.ip.proto)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(BASES),
+        # the ethertype, version/IHL, total length, flags/fragment offset,
+        # protocol and TCP data offset bytes, or any other
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from([12, 13, 14, 16, 17, 20, 21, 23, 46]) | st.integers(12, 50),
+                st.sampled_from([0x00, 0x01, 0x06, 0x08, 0x11, 0x14, 0x20, 0x44, 0x46, 0x50, 0x81]) | st.integers(0, 255),
+            ),
+            max_size=3,
+        ),
+        fix_checksum=st.booleans(),
+        tail=st.integers(-30, 20),
+    )
+    def test_accepts_only_what_from_bytes_parses(self, base, edits, fix_checksum, tail):
+        frame = bytearray(base)
+        for offset, value in edits:
+            frame[offset] = value
+        if fix_checksum:
+            frame[24:26] = b"\x00\x00"
+            frame[24:26] = internet_checksum(frame[14:34]).to_bytes(2, "big")
+        frame = bytes(frame[:tail] if tail < 0 else frame + b"\x00" * tail)
+        fields = ipv4_fields(frame)
+        if fields is not None:
+            pkt = Packet.from_bytes(frame)  # must not raise
+            assert pkt.vlan is None
+            assert fields == (pkt.ip.src.value, pkt.ip.dst.value, pkt.ip.proto)

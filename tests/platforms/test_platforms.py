@@ -1,6 +1,8 @@
 """Tests for the Polycube and VPP baseline platforms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.measure import LineTopology, Pktgen
 from repro.measure.scenarios import setup_gateway, setup_router, measure_throughput
@@ -14,7 +16,7 @@ from repro.platforms.polycube.classifier import (
 )
 from repro.platforms.polycube.platform import PcnError
 from repro.platforms.vpp.platform import VppError
-from repro.netsim.addresses import IPv4Prefix
+from repro.netsim.addresses import IPv4Addr, IPv4Prefix
 
 
 class TestBitvectorClassifier:
@@ -90,6 +92,48 @@ class TestBitvectorClassifier:
                 expected = rule.action
                 break
             assert classifier.classify_fields(src, 0, proto, dport)[0] == expected
+
+
+def first_match(rules, src, dst, proto, dport):
+    """The per-rule loop ``classify_fields`` must equal."""
+    for i, rule in enumerate(rules):
+        if rule.src is not None and not rule.src.contains(IPv4Addr(src)):
+            continue
+        if rule.dst is not None and not rule.dst.contains(IPv4Addr(dst)):
+            continue
+        if rule.proto is not None and rule.proto != proto:
+            continue
+        if rule.dport is not None and rule.dport != dport:
+            continue
+        return rule.action, i
+    return ACCEPT, None
+
+
+# a small address pool makes prefix matches common
+addresses = st.sampled_from([0x0A000001, 0x0A000102, 0xAC100005, 0xC0A80101, 0]) | st.integers(0, 0xFFFFFFFF)
+prefixes = st.none() | st.builds(lambda a, n: IPv4Prefix(IPv4Addr(a), n), addresses, st.integers(0, 32))
+protos = st.sampled_from([1, 6, 17])
+dports = st.sampled_from([53, 80, 443])
+classifier_rules = st.builds(
+    ClassifierRule,
+    action=st.sampled_from([ACCEPT, DROP]),
+    src=prefixes,
+    dst=prefixes,
+    proto=st.none() | protos,
+    dport=st.none() | dports,
+)
+
+
+class TestBitvectorProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rules=st.lists(classifier_rules, max_size=12),
+        packets=st.lists(st.tuples(addresses, addresses, protos, st.none() | dports), min_size=1, max_size=8),
+    )
+    def test_equals_per_rule_first_match(self, rules, packets):
+        classifier = BitvectorClassifier(rules)
+        for src, dst, proto, dport in packets:
+            assert classifier.classify_fields(src, dst, proto, dport) == first_match(rules, src, dst, proto, dport)
 
 
 class TestPolycube:
