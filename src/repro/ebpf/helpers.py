@@ -189,9 +189,8 @@ def bpf_fib_lookup(env: "Env", args: List[object]) -> int:
     out = _as_ptr(args[1], "fib out")
     # Locally-addressed packets are not forwarded (mainline returns
     # BPF_FIB_LKUP_RET_NOT_FWDED for local/host routes).
-    for dev in kernel.devices.all():
-        if dev.has_address(dst):
-            return FIB_LKUP_RET_NOT_FWDED
+    if kernel.devices.is_local(dst):
+        return FIB_LKUP_RET_NOT_FWDED
     route = kernel.fib.lookup(dst)
     if route is None:
         return FIB_LKUP_RET_NOT_FWDED

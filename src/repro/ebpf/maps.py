@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.netsim.addresses import IPv4Addr
+from repro.netsim.addresses import IPv4Addr, PrefixTable
 from repro.testing import faults
 
 
@@ -129,8 +129,7 @@ class LpmTrieMap(BpfMap):
 
     def __init__(self, name: str, value_size: int, max_entries: int = 1024) -> None:
         super().__init__(name, 8, value_size, max_entries)
-        self._by_len: Dict[int, Dict[int, bytes]] = {}
-        self._count = 0
+        self._table: PrefixTable[bytes] = PrefixTable()
 
     @staticmethod
     def make_key(prefix_len: int, addr: IPv4Addr) -> bytes:
@@ -144,37 +143,21 @@ class LpmTrieMap(BpfMap):
         addr = int.from_bytes(key[4:8], "big")
         return prefix_len, addr
 
-    @staticmethod
-    def _mask(length: int) -> int:
-        return 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-
     def update(self, key: bytes, value: bytes) -> None:
         faults.fire("map_update", self.name)
         self._check_value(value)
         length, addr = self._parse_key(key)
-        bucket = self._by_len.setdefault(length, {})
-        masked = addr & self._mask(length)
-        if masked not in bucket:
-            if self._count >= self.max_entries:
-                raise MapError(f"{self.name}: map full")
-            self._count += 1
-        bucket[masked] = value
+        if self._table.get(length, addr) is None and len(self._table) >= self.max_entries:
+            raise MapError(f"{self.name}: map full")
+        self._table.set(length, addr, value)
 
     def lookup(self, key: bytes) -> Optional[bytes]:
         """Lookup uses the address portion; returns the longest match."""
         __, addr = self._parse_key(key)
-        for length in sorted(self._by_len, reverse=True):
-            masked = addr & self._mask(length)
-            value = self._by_len[length].get(masked)
-            if value is not None:
-                return value
-        return None
+        return self._table.longest(addr)
 
     def delete(self, key: bytes) -> None:
-        length, addr = self._parse_key(key)
-        bucket = self._by_len.get(length)
-        if bucket is not None and bucket.pop(addr & self._mask(length), None) is not None:
-            self._count -= 1
+        self._table.pop(*self._parse_key(key))
 
 
 class ProgArray(BpfMap):

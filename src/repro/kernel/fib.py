@@ -1,16 +1,17 @@
 """The forwarding information base: longest-prefix-match routing.
 
-Routes live in a binary trie keyed by prefix bits (the same structure Linux's
-``fib_trie`` approximates). A lookup walks from the most-specific candidate
-outward, honoring route metrics when several routes share a prefix.
+Routes live in a :class:`~repro.netsim.addresses.PrefixTable`, one
+metric-sorted route list per prefix. A lookup probes the prefix lengths
+present, longest first, and the first prefix that holds the address gives
+its lowest-metric route: the answer Linux's ``fib_trie`` gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, ipv4
+from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, PrefixTable, ipv4
 
 # Route scopes (mirroring rtnetlink values)
 SCOPE_UNIVERSE = 0  # via a gateway
@@ -46,17 +47,14 @@ class Route:
         return self.gateway
 
 
-@dataclass
-class _TrieNode:
-    routes: List[Route] = field(default_factory=list)
-    children: Dict[int, "_TrieNode"] = field(default_factory=dict)
-
-
 class Fib:
     """A routing table with longest-prefix-match lookup."""
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
+        #: each prefix's routes, lowest metric first; a prefix whose last
+        #: route goes leaves the table, so ``longest`` never stops at an
+        #: empty list
+        self._table: PrefixTable[List[Route]] = PrefixTable()
         self._count = 0
         # Bumped on every semantic mutation; the flow cache keys entry
         # validity off this (generation-tag invalidation).
@@ -67,32 +65,36 @@ class Fib:
 
     def add(self, route: Route, replace: bool = True) -> None:
         """Insert a route; same-prefix same-metric routes are replaced."""
-        node = self._node_for(route.prefix, create=True)
-        for i, existing in enumerate(node.routes):
+        prefix = route.prefix
+        routes = self._table.get(prefix.length, prefix.address.value) or []
+        for i, existing in enumerate(routes):
             if existing.metric == route.metric:
                 if not replace:
                     raise RouteError(f"route {route.prefix} metric {route.metric} exists")
-                node.routes[i] = route
+                routes[i] = route
                 self.gen += 1
                 return
-        node.routes.append(route)
-        node.routes.sort(key=lambda r: r.metric)
+        routes.append(route)
+        routes.sort(key=lambda r: r.metric)
+        self._table.set(prefix.length, prefix.address.value, routes)
         self._count += 1
         self.gen += 1
 
     def remove(self, prefix: IPv4Prefix, metric: Optional[int] = None) -> Route:
-        node = self._node_for(prefix, create=False)
-        if node is None or not node.routes:
+        routes = self._table.get(prefix.length, prefix.address.value)
+        if routes is None:
             raise RouteError(f"no route for {prefix}")
         if metric is None:
-            removed = node.routes.pop(0)
+            removed = routes.pop(0)
         else:
-            for i, existing in enumerate(node.routes):
+            for i, existing in enumerate(routes):
                 if existing.metric == metric:
-                    removed = node.routes.pop(i)
+                    removed = routes.pop(i)
                     break
             else:
                 raise RouteError(f"no route for {prefix} with metric {metric}")
+        if not routes:
+            self._table.pop(prefix.length, prefix.address.value)
         self._count -= 1
         self.gen += 1
         return removed
@@ -106,44 +108,11 @@ class Fib:
 
     def lookup(self, dst: AddrLike) -> Optional[Route]:
         """Longest-prefix match; returns the best (lowest-metric) route."""
-        addr = ipv4(dst).value
-        best: Optional[Route] = None
-        node = self._root
-        depth = 0
-        while node is not None:
-            if node.routes:
-                best = node.routes[0]
-            if depth == 32:
-                break
-            bit = (addr >> (31 - depth)) & 1
-            node = node.children.get(bit)
-            depth += 1
-        return best
+        routes = self._table.longest(ipv4(dst).value)
+        return None if routes is None else routes[0]
 
     def routes(self) -> List[Route]:
         """All routes, most-specific first (stable order for dumps)."""
-        out: List[Route] = []
-
-        def walk(node: _TrieNode) -> None:
-            out.extend(node.routes)
-            for bit in (0, 1):
-                child = node.children.get(bit)
-                if child is not None:
-                    walk(child)
-
-        walk(self._root)
+        out = [route for __, __, routes in self._table.items() for route in routes]
         out.sort(key=lambda r: (-r.prefix.length, r.prefix.address.value, r.metric))
         return out
-
-    def _node_for(self, prefix: IPv4Prefix, create: bool) -> Optional[_TrieNode]:
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.address.value >> (31 - depth)) & 1
-            child = node.children.get(bit)
-            if child is None:
-                if not create:
-                    return None
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        return node

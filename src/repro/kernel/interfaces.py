@@ -7,7 +7,7 @@ state the LinuxFP controller introspects.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from repro.netsim.addresses import IfAddr, IPv4Addr, MacAddr
 from repro.netsim.nic import NIC
@@ -246,6 +246,9 @@ class DeviceTable:
         # Generation tag for the flow cache: bumped on device add/remove,
         # address changes, link state, and enslavement changes.
         self.gen = 0
+        # every device's addresses (as ints), valid while gen == _local_gen
+        self._local: FrozenSet[int] = frozenset()
+        self._local_gen = -1
 
     def allocate_mac(self) -> MacAddr:
         mac = MacAddr.from_index(self._next_mac, oui=(0x02 << 16) | (self._kernel.host_id & 0xFFFF))
@@ -287,6 +290,17 @@ class DeviceTable:
 
     def all(self) -> List[NetDevice]:
         return [self._by_index[i] for i in sorted(self._by_index)]
+
+    def is_local(self, addr: IPv4Addr) -> bool:
+        """Whether a device holds ``addr`` (Linux's ``local`` table), from a
+        set rebuilt when :attr:`gen` moves, as every address change and
+        device (un)registration makes it."""
+        if self._local_gen != self.gen:
+            self._local = frozenset(
+                a.address.value for dev in self._by_index.values() for a in dev.addresses
+            )
+            self._local_gen = self.gen
+        return addr.value in self._local
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

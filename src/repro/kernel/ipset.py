@@ -3,15 +3,16 @@
 The paper's virtual-gateway experiment aggregates a 100-address blacklist
 into one ipset-backed rule, turning iptables' linear scan into a single hash
 lookup (Fig 8, Table IV). We support the two types that experiment needs:
-``hash:ip`` (exact addresses) and ``hash:net`` (prefixes, matched per stored
-prefix length).
+``hash:ip`` (exact addresses) and ``hash:net`` (prefixes; an address matches
+when a stored prefix holds it). Both keep their members in a
+:class:`~repro.netsim.addresses.PrefixTable`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, ipv4
+from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, PrefixTable, ipv4
 
 SET_TYPES = ("hash:ip", "hash:net")
 
@@ -29,66 +30,34 @@ class IpSet:
         self.name = name
         self.set_type = set_type
         self._registry = registry
-        self._ips: Set[int] = set()
-        # hash:net - one hash set per prefix length present
-        self._nets: Dict[int, Set[int]] = {}
+        # the members of either type; a hash:ip set holds only /32s
+        self._members: PrefixTable[bool] = PrefixTable()
 
     def _bump(self) -> None:
         if self._registry is not None:
             self._registry.gen += 1
 
     def add(self, entry: AddrLike, prefixlen: int = 32) -> None:
-        if self.set_type == "hash:ip":
-            if prefixlen != 32:
-                raise IpsetError("hash:ip sets hold /32 addresses only")
-            value = ipv4(entry).value
-            if value not in self._ips:
-                self._ips.add(value)
-                self._bump()
-        else:
-            prefix = IPv4Prefix(ipv4(entry), prefixlen)
-            bucket = self._nets.setdefault(prefixlen, set())
-            if prefix.address.value not in bucket:
-                bucket.add(prefix.address.value)
-                self._bump()
+        if self.set_type == "hash:ip" and prefixlen != 32:
+            raise IpsetError("hash:ip sets hold /32 addresses only")
+        prefix = IPv4Prefix(ipv4(entry), prefixlen)
+        if self._members.get(prefixlen, prefix.address.value) is None:
+            self._members.set(prefixlen, prefix.address.value, True)
+            self._bump()
 
     def remove(self, entry: AddrLike, prefixlen: int = 32) -> None:
-        if self.set_type == "hash:ip":
-            value = ipv4(entry).value
-            if value in self._ips:
-                self._ips.discard(value)
-                self._bump()
-        else:
-            prefix = IPv4Prefix(ipv4(entry), prefixlen)
-            bucket = self._nets.get(prefixlen)
-            if bucket is not None and prefix.address.value in bucket:
-                bucket.discard(prefix.address.value)
-                if not bucket:
-                    del self._nets[prefixlen]
-                self._bump()
+        prefix = IPv4Prefix(ipv4(entry), prefixlen)
+        if self._members.pop(prefixlen, prefix.address.value) is not None:
+            self._bump()
 
     def test(self, addr: AddrLike) -> bool:
-        value = ipv4(addr).value
-        if self.set_type == "hash:ip":
-            return value in self._ips
-        for length, bucket in self._nets.items():
-            mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-            if (value & mask) in bucket:
-                return True
-        return False
+        return self._members.longest(ipv4(addr).value) is not None
 
     def entries(self) -> List[Tuple[IPv4Addr, int]]:
-        if self.set_type == "hash:ip":
-            return [(IPv4Addr(v), 32) for v in sorted(self._ips)]
-        out = []
-        for length in sorted(self._nets):
-            out.extend((IPv4Addr(v), length) for v in sorted(self._nets[length]))
-        return out
+        return [(IPv4Addr(network), length) for length, network, __ in sorted(self._members.items())]
 
     def __len__(self) -> int:
-        if self.set_type == "hash:ip":
-            return len(self._ips)
-        return sum(len(b) for b in self._nets.values())
+        return len(self._members)
 
 
 class IpsetRegistry:

@@ -146,9 +146,9 @@ class SoftirqSet:
         rx_cpu = self.rx_queue_cpu(queue)
         target = self.steer(frame, rx_cpu)
         with cpus.on(rx_cpu):
-            # The IRQ-owning CPU runs the hash + rps_map lookup; a cross-CPU
-            # steer additionally pays the backlog enqueue + IPI.
-            kernel.costs_charge("rss_hash")
+            # The IRQ-owning CPU runs the rps_map lookup (the NIC computed
+            # the Toeplitz hash); a cross-CPU steer additionally pays the
+            # backlog enqueue + IPI.
             kernel.costs_charge("rps_steer")
             if target != rx_cpu:
                 kernel.costs_charge("rps_ipi")

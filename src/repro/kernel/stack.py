@@ -399,12 +399,12 @@ class Stack:
             ip.proto == IPPROTO_UDP
             and isinstance(skb.pkt.l4, UDP)
             and self._vxlan_for(skb) is not None
-            and self._is_local(ip.dst)
+            and kernel.devices.is_local(ip.dst)
         ):
             self.vxlan_rcv(skb, dev)
             return
 
-        if self._is_local(ip.dst) or ip.dst.is_broadcast or self._is_local_broadcast(dev, ip.dst):
+        if kernel.devices.is_local(ip.dst) or ip.dst.is_broadcast or self._is_local_broadcast(dev, ip.dst):
             # inbound fragments reassemble before local processing
             if ip.is_fragment:
                 with kernel.profiler.frame("ip_defrag"):
@@ -597,7 +597,7 @@ class Stack:
         if verdict != "ACCEPT":
             self.drop("nf_output", skb=skb)
             return
-        if self._is_local(ip.dst):
+        if kernel.devices.is_local(ip.dst):
             # loopback delivery
             self.local_deliver(skb)
             return
@@ -733,12 +733,6 @@ class Stack:
         return True
 
     # ------------------------------------------------------------- helpers
-
-    def _is_local(self, addr: IPv4Addr) -> bool:
-        for dev in self.kernel.devices.all():
-            if dev.has_address(addr):
-                return True
-        return False
 
     def _is_local_broadcast(self, dev: NetDevice, addr: IPv4Addr) -> bool:
         return any(a.broadcast == addr for a in dev.addresses)

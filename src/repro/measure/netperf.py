@@ -54,7 +54,6 @@ class Netperf:
         base_rtt_ns: float,
         sessions: int = 128,
         seed: int = 1,
-        jitter_shape: float = JITTER_SHAPE,
     ) -> None:
         if sessions < 1:
             raise ValueError("need at least one session")
@@ -64,11 +63,10 @@ class Netperf:
         self.base_rtt_ns = base_rtt_ns
         self.sessions = sessions
         self.seed = seed
-        self.jitter_shape = jitter_shape
 
     def run(self, transactions: int = 4000) -> LatencyResult:
         rng = random.Random(self.seed)
-        shape = self.jitter_shape
+        shape = JITTER_SHAPE
         scale = 1.0 / shape
         # Each transaction crosses the DUT twice (request + response).
         per_transaction_service = 2.0 * self.dut_service_ns

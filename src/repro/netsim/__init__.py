@@ -4,7 +4,8 @@ This package provides the low-level building blocks shared by the simulated
 Linux kernel (:mod:`repro.kernel`), the eBPF runtime (:mod:`repro.ebpf`) and
 the measurement harness (:mod:`repro.measure`):
 
-- :mod:`repro.netsim.addresses` — MAC/IPv4 address and prefix types.
+- :mod:`repro.netsim.addresses` — MAC/IPv4 address and prefix types, and
+  the one longest-prefix-match table.
 - :mod:`repro.netsim.packet` — byte-accurate Ethernet/VLAN/ARP/IPv4/TCP/UDP/
   ICMP headers with pack/parse round-tripping.
 - :mod:`repro.netsim.skbuff` — the ``sk_buff``-like packet descriptor.

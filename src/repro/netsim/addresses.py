@@ -2,13 +2,17 @@
 
 Addresses are small immutable value objects wrapping an integer. They are
 hashable (usable as FIB/FDB keys), render in the conventional textual forms,
-and convert to/from wire bytes.
+and convert to/from wire bytes. :class:`PrefixTable` is the one
+longest-prefix-match table: the FIB, the LPM-trie map and ipset store their
+prefixes in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar, Union
+
+V = TypeVar("V")
 
 
 class AddressError(ValueError):
@@ -229,6 +233,72 @@ def prefix(value: Union[str, IPv4Prefix]) -> IPv4Prefix:
     if isinstance(value, IPv4Prefix):
         return value
     return IPv4Prefix.parse(value)
+
+
+#: the netmask of each prefix length 0–32
+_MASKS = tuple((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(33))
+
+
+class PrefixTable(Generic[V]):
+    """Longest-prefix match over IPv4 prefixes, as the kernel FIB,
+    ``BPF_MAP_TYPE_LPM_TRIE`` and ipset ``hash:net`` answer it.
+
+    One dict per prefix length (0–32) maps each network, masked to that
+    length, to its value; None means "no entry". :meth:`longest` probes the
+    lengths present, longest first, in an order rebuilt only when a length
+    first appears or empties.
+    """
+
+    __slots__ = ("_by_len", "_probe")
+
+    def __init__(self) -> None:
+        self._by_len: Dict[int, Dict[int, V]] = {}
+        #: ``(mask, networks)`` of each length present, longest first
+        self._probe: Tuple[Tuple[int, Dict[int, V]], ...] = ()
+
+    def longest(self, addr: int) -> Optional[V]:
+        """The value of the longest stored prefix that holds ``addr``."""
+        for mask, networks in self._probe:
+            value = networks.get(addr & mask)
+            if value is not None:
+                return value
+        return None
+
+    def get(self, length: int, network: int) -> Optional[V]:
+        networks = self._by_len.get(length)
+        return None if networks is None else networks.get(network & _MASKS[length])
+
+    def set(self, length: int, network: int, value: V) -> None:
+        networks = self._by_len.get(length)
+        if networks is None:
+            networks = self._by_len[length] = {}
+            self._reprobe()
+        networks[network & _MASKS[length]] = value
+
+    def pop(self, length: int, network: int) -> Optional[V]:
+        """Remove one prefix; returns its value, or None when absent."""
+        networks = self._by_len.get(length)
+        if networks is None:
+            return None
+        value = networks.pop(network & _MASKS[length], None)
+        if not networks:
+            del self._by_len[length]
+            self._reprobe()
+        return value
+
+    def items(self) -> Iterator[Tuple[int, int, V]]:
+        """``(length, network, value)`` of every stored prefix."""
+        for length, networks in self._by_len.items():
+            for network, value in networks.items():
+                yield length, network, value
+
+    def __len__(self) -> int:
+        return sum(len(networks) for networks in self._by_len.values())
+
+    def _reprobe(self) -> None:
+        self._probe = tuple(
+            (_MASKS[length], self._by_len[length]) for length in sorted(self._by_len, reverse=True)
+        )
 
 
 @dataclass(frozen=True, order=True)

@@ -89,7 +89,6 @@ class CostModel:
     # why there is deliberately no "batched driver_rx discount" here.
 
     # --- multi-core data plane (Documentation/networking/scaling.rst) ---
-    rss_hash: float = 0.0             # Toeplitz is computed by NIC hardware
     rps_steer: float = 30.0           # get_rps_cpu: flow hash + table lookup
     rps_ipi: float = 120.0            # cross-CPU backlog enqueue + IPI wakeup
     cross_cpu_lock: float = 90.0      # contended cacheline bounce on a shared

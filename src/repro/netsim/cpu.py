@@ -9,20 +9,16 @@ orders timeouts and expiry globally — but per-CPU busy time is what scales
 with parallelism.
 
 The simulation is single-threaded, so "which CPU is executing right now" is
-a simple context stack. The stack is simulation-global (module level): a
-frame processed on DUT CPU 2 may synchronously cross a wire into the sink
-kernel, whose own softirq context then pushes (sink, 0) on top — each
-kernel's charges land on that kernel's innermost active CPU.
+a simple context stack, one per kernel's CpuSet: a frame processed on DUT
+CPU 2 may synchronously cross a wire into the sink kernel, whose own softirq
+context then pushes CPU 0 on the sink's stack while the DUT's still ends in
+CPU 2 — each kernel's charges land on that kernel's innermost active CPU.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
-
-#: The active (cpuset, cpu) contexts, innermost last. Single-threaded
-#: simulation ⇒ a plain module-level stack is exact.
-_ACTIVE: List[Tuple["CpuSet", int]] = []
+from typing import List, Optional
 
 
 class CpuSet:
@@ -44,6 +40,8 @@ class CpuSet:
         # new — ``on()`` refuses it, so stray steering to a dead CPU is a
         # loud bug rather than silent misaccounting.
         self._online: List[bool] = [True] * num_cpus
+        #: this set's active CPU contexts, innermost last
+        self._active: List[int] = []
 
     # ------------------------------------------------------------- hotplug
 
@@ -75,7 +73,7 @@ class CpuSet:
             return
         if self.num_online <= 1:
             raise ValueError("cannot offline the last online CPU")
-        if any(owner is self and active == cpu for owner, active in _ACTIVE):
+        if cpu in self._active:
             raise ValueError(f"CPU {cpu} is currently executing")
         self._online[cpu] = False
 
@@ -93,20 +91,18 @@ class CpuSet:
             raise ValueError(f"no CPU {cpu} in a {self.num_cpus}-CPU set")
         if not self._online[cpu]:
             raise ValueError(f"CPU {cpu} is offline")
-        _ACTIVE.append((self, cpu))
+        self._active.append(cpu)
         try:
             yield cpu
         finally:
-            _ACTIVE.pop()
+            self._active.pop()
 
     @property
     def current_cpu(self) -> Optional[int]:
-        """The innermost active CPU owned by *this* set (None when this
-        kernel is running in host/control context)."""
-        for owner, cpu in reversed(_ACTIVE):
-            if owner is self:
-                return cpu
-        return None
+        """The innermost active CPU of this set (None when this kernel is
+        running in host/control context)."""
+        active = self._active
+        return active[-1] if active else None
 
     def charge(self, ns: float) -> None:
         """Account ``ns`` of work to this set's innermost active CPU.

@@ -189,6 +189,8 @@ class IPv4:
         ) = struct.unpack("!BBHHHBBH4s4s", data[0:20])
         if internet_checksum(data[:ihl]) != 0:
             raise PacketError("bad IPv4 checksum")
+        if total < ihl:  # ip_rcv drops these
+            raise PacketError("IPv4 total length below the header length")
         hdr = cls(
             src=IPv4Addr.from_bytes(src),
             dst=IPv4Addr.from_bytes(dst),
@@ -200,7 +202,8 @@ class IPv4:
             frag_offset=flags_frag & 0x1FFF,
             total_length=total,
         )
-        return hdr, data[ihl:]
+        # the body ends at the total length: anything after is Ethernet padding
+        return hdr, data[ihl:total]
 
     @property
     def more_fragments(self) -> bool:
@@ -405,9 +408,6 @@ class Packet:
             return pkt
 
         pkt.ip, rest = IPv4.parse(rest)
-        # Trim any Ethernet padding beyond the IP total length.
-        body_len = pkt.ip.total_length - IPv4.HDR_LEN
-        rest = rest[:body_len]
         if pkt.ip.is_fragment and pkt.ip.frag_offset != 0:
             pkt.payload = bytes(rest)
             return pkt

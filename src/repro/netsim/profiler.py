@@ -1,7 +1,10 @@
 """Call-frame profiler for flame graphs (paper Fig 1).
 
 The simulated kernel pipeline wraps each processing stage in
-``profiler.frame(name)``. When enabled, the profiler records one *sample* per
+``profiler.frame(name)``, a slotted context object. Every frame reports its
+stage to a recording packet tracer and its elapsed simulated time to the
+stage observer, which the kernel always wires to its per-stage latency
+histograms. When enabled, the profiler also records one *sample* per
 completed packet: the multiset of stacks that were active while the packet
 was processed, weighted by the simulated nanoseconds spent in each frame.
 ``collapsed()`` emits Brendan-Gregg-style collapsed stack lines suitable for
@@ -11,31 +14,46 @@ flame graph rendering.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.clock import Clock
 
 
-class _NullFrame:
-    """A reusable no-op context manager: the profiler's fast path.
+class _Frame:
+    """One stage's frame: a slotted context manager, because a
+    generator-based one costs a generator per stage on the per-packet
+    path."""
 
-    Entering a generator-based ``@contextmanager`` costs a generator frame
-    per call; on the batched fast path every packet crosses several
-    profiler frames, so the disabled case returns this shared singleton
-    instead.
-    """
+    __slots__ = ("_profiler", "_name", "_start")
 
-    __slots__ = ()
+    def __init__(self, profiler: "Profiler", name: str) -> None:
+        self._profiler = profiler
+        self._name = name
 
     def __enter__(self) -> None:
-        return None
+        profiler = self._profiler
+        tracer = profiler.tracer
+        if tracer is not None and tracer.recording:
+            tracer.event("stage", self._name)
+        if profiler.enabled:
+            profiler._stack.append(self._name)
+        self._start = profiler.clock.now_ns
 
     def __exit__(self, *exc) -> bool:
+        profiler = self._profiler
+        name = self._name
+        stack = profiler._stack
+        own_top = profiler.enabled and stack and stack[-1] == name
+        elapsed = profiler.clock.now_ns - self._start
+        if elapsed > 0:
+            if own_top:
+                profiler._samples[tuple(stack)] += elapsed
+            observer = profiler.stage_observer
+            if observer is not None:
+                observer(name, elapsed)
+        if own_top:
+            stack.pop()
         return False
-
-
-_NULL_FRAME = _NullFrame()
 
 
 class Profiler:
@@ -53,45 +71,11 @@ class Profiler:
         self.tracer = None
         self.stage_observer: Optional[Callable[[str, int], None]] = None
 
-    def frame(self, name: str):
-        """Push ``name`` for the duration of the block, charging elapsed ns.
-
-        When sampling is off, no stage observer is wired, and no trace is
-        recording, this is a shared no-op context — zero bookkeeping on the
-        fast path.
-        """
-        tracer = self.tracer
-        if (
-            not self.enabled
-            and self.stage_observer is None
-            and (tracer is None or not tracer.recording)
-        ):
-            return _NULL_FRAME
-        return self._frame(name)
-
-    @contextmanager
-    def _frame(self, name: str) -> Iterator[None]:
-        tracer = self.tracer
-        if tracer is not None and tracer.recording:
-            tracer.event("stage", name)
-        observer = self.stage_observer
-        if not self.enabled and observer is None:
-            yield
-            return
-        if self.enabled:
-            self._stack.append(name)
-        start = self.clock.now_ns
-        try:
-            yield
-        finally:
-            elapsed = self.clock.now_ns - start
-            if elapsed > 0:
-                if self.enabled and self._stack and self._stack[-1] == name:
-                    self._samples[tuple(self._stack)] += elapsed
-                if observer is not None:
-                    observer(name, elapsed)
-            if self.enabled and self._stack and self._stack[-1] == name:
-                self._stack.pop()
+    def frame(self, name: str) -> _Frame:
+        """Push ``name`` for the duration of the block, charging elapsed ns:
+        a stage event to a recording tracer, a flame-graph sample when
+        enabled, and the elapsed time to the stage observer."""
+        return _Frame(self, name)
 
     def reset(self) -> None:
         """Drop recorded samples. Safe mid-packet: the live frame chain is

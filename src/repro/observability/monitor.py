@@ -62,12 +62,9 @@ class Observability:
         self.tracer = PacketTracer(kernel.clock)
         self.stage_latency = HistogramSet()
         self.fpm_latency = HistogramSet()
-        self.hist_enabled = True
 
     def record_stage(self, name: str, elapsed_ns: int) -> None:
-        if self.hist_enabled:
-            self.stage_latency.record(name, elapsed_ns)
+        self.stage_latency.record(name, elapsed_ns)
 
     def record_fpm(self, name: str, elapsed_ns: int) -> None:
-        if self.hist_enabled:
-            self.fpm_latency.record(name, elapsed_ns)
+        self.fpm_latency.record(name, elapsed_ns)

@@ -40,11 +40,11 @@ class ClassifierRule:
 
 
 class BitvectorClassifier:
-    """Compiled ruleset: the first-match index, then dport in rule order."""
+    """Compiled ruleset: the first-match index, then dport in rule order.
+    A frame that no rule matches is accepted."""
 
-    def __init__(self, rules: List[ClassifierRule], default_action: int = ACCEPT) -> None:
+    def __init__(self, rules: List[ClassifierRule]) -> None:
         self.rules = list(rules)
-        self.default_action = default_action
         self._index = FirstMatchIndex((rule.src, rule.dst, rule.proto) for rule in self.rules)
 
     def classify_fields(
@@ -55,13 +55,13 @@ class BitvectorClassifier:
             rule = self.rules[i]
             if rule.dport is None or rule.dport == dport:
                 return rule.action, i
-        return self.default_action, None
+        return ACCEPT, None
 
     def classify_frame(self, frame: bytes) -> int:
         try:
             pkt = Packet.from_bytes(frame)
         except PacketError:
-            return self.default_action
+            return ACCEPT
         if pkt.ip is None:
             return ACCEPT
         dport = getattr(pkt.l4, "dport", None)
@@ -87,8 +87,8 @@ class ClassifierMap(BpfMap):
         super().__init__(name, key_size=4, value_size=4, max_entries=1)
         self.classifier = BitvectorClassifier([])
 
-    def recompile(self, rules: List[ClassifierRule], default_action: int = ACCEPT) -> None:
-        self.classifier = BitvectorClassifier(rules, default_action)
+    def recompile(self, rules: List[ClassifierRule]) -> None:
+        self.classifier = BitvectorClassifier(rules)
 
     def lookup(self, key: bytes) -> Optional[bytes]:
         raise NotImplementedError("classifier maps are consulted via pcn_classify")

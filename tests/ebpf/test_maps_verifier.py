@@ -142,6 +142,43 @@ class TestLpmTrie:
         with pytest.raises(MapError):
             m.update(LpmTrieMap.make_key(33, IPv4Addr.parse("10.0.0.0")), b"aaaa")
 
+    # a few shared bases make nested and equal networks common at every length
+    BASES = [0x0A000000, 0x0A010203, 0x0A0102FF, 0xC0A80101, 0x80000000, 0]
+    addresses = st.sampled_from(BASES) | st.integers(0, 0xFFFFFFFF)
+    keys = st.tuples(st.sampled_from([0, 8, 16, 24, 32]) | st.integers(0, 32), addresses)
+
+    @given(st.data(), st.lists(addresses, max_size=6))
+    def test_longest_stored_prefix_wins(self, data, probes):
+        """Against brute force over a dict of the stored prefixes, with a
+        ``max_entries`` small enough to fill. Operations draw from a few
+        keys, so that most of them meet a stored prefix."""
+        pool = st.sampled_from(data.draw(st.lists(self.keys, min_size=1, max_size=8)))
+        ops = data.draw(st.lists(st.tuples(st.booleans(), pool, st.binary(min_size=4, max_size=4)), max_size=40))
+        m = LpmTrieMap("lpm", value_size=4, max_entries=3)
+        stored = {}  # (length, network) -> value
+
+        def mask(length):
+            return (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+
+        for is_update, (length, addr), value in ops:
+            entry = (length, addr & mask(length))
+            key = LpmTrieMap.make_key(length, IPv4Addr(addr))
+            if not is_update:
+                m.delete(key)
+                stored.pop(entry, None)
+            elif entry in stored or len(stored) < m.max_entries:
+                m.update(key, value)
+                stored[entry] = value
+            else:
+                with pytest.raises(MapError, match="map full"):
+                    m.update(key, value)
+            points = list(probes) + [network for __, network in stored]
+            points += [network | (~mask(length) & 0xFFFFFFFF) for length, network in stored]
+            for point in points:
+                holding = [(n, v) for (n, network), v in stored.items() if point & mask(n) == network]
+                expected = max(holding)[1] if holding else None
+                assert m.lookup(LpmTrieMap.make_key(32, IPv4Addr(point))) == expected
+
 
 class TestProgArrayDevMap:
     def test_prog_array_slots(self):

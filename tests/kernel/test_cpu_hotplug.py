@@ -67,6 +67,25 @@ class TestCpuSet:
             cpus.charge(5)
         assert cpus.busy_ns[1] == 5
 
+    def test_nested_sets_report_their_own_innermost_cpu(self):
+        """A frame on DUT CPU 2 crossing into the sink's softirq on CPU 0:
+        each kernel's charges land on its own innermost CPU."""
+        dut, sink = CpuSet(4), CpuSet(1)
+        with dut.on(2):
+            with sink.on(0):
+                assert (dut.current_cpu, sink.current_cpu) == (2, 0)
+                dut.charge(3)
+                sink.charge(7)
+                with dut.on(3):  # a nested softirq on another DUT CPU
+                    assert (dut.current_cpu, sink.current_cpu) == (3, 0)
+                    dut.charge(1)
+                with pytest.raises(ValueError, match="executing"):
+                    dut.offline(2)
+                dut.offline(0)  # the sink's CPU 0 executes, not the DUT's
+            assert (dut.current_cpu, sink.current_cpu) == (2, None)
+        assert dut.current_cpu is None
+        assert dut.busy_ns == [0, 0, 3, 1] and sink.busy_ns == [7]
+
 
 class TestSteeringAfterHotplug:
     def test_no_packet_lands_on_an_offline_cpu(self):

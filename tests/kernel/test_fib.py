@@ -1,5 +1,8 @@
 """Tests for the FIB (LPM routing table)."""
 
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,144 @@ from repro.netsim.packet import make_udp
 def route(prefix, oif=1, via=None, metric=0):
     gateway = IPv4Addr.parse(via) if via else None
     return Route(prefix=IPv4Prefix.parse(prefix), oif=oif, gateway=gateway, metric=metric)
+
+
+# ------------------------------------------------------------ the reference
+
+@dataclass
+class _TrieNode:
+    routes: List[Route] = field(default_factory=list)
+    children: Dict[int, "_TrieNode"] = field(default_factory=dict)
+
+
+class TrieFib:
+    """The FIB as a binary trie walked one prefix bit at a time, which
+    :class:`Fib` was before it kept its routes in a ``PrefixTable``."""
+
+    def __init__(self) -> None:
+        self._root = _TrieNode()
+        self._count = 0
+        self.gen = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, route: Route, replace: bool = True) -> None:
+        node = self._node_for(route.prefix, create=True)
+        for i, existing in enumerate(node.routes):
+            if existing.metric == route.metric:
+                if not replace:
+                    raise RouteError(f"route {route.prefix} metric {route.metric} exists")
+                node.routes[i] = route
+                self.gen += 1
+                return
+        node.routes.append(route)
+        node.routes.sort(key=lambda r: r.metric)
+        self._count += 1
+        self.gen += 1
+
+    def remove(self, prefix: IPv4Prefix, metric: Optional[int] = None) -> Route:
+        node = self._node_for(prefix, create=False)
+        if node is None or not node.routes:
+            raise RouteError(f"no route for {prefix}")
+        if metric is None:
+            removed = node.routes.pop(0)
+        else:
+            for i, existing in enumerate(node.routes):
+                if existing.metric == metric:
+                    removed = node.routes.pop(i)
+                    break
+            else:
+                raise RouteError(f"no route for {prefix} with metric {metric}")
+        self._count -= 1
+        self.gen += 1
+        return removed
+
+    def remove_for_oif(self, ifindex: int) -> List[Route]:
+        removed = [r for r in self.routes() if r.oif == ifindex]
+        for route in removed:
+            self.remove(route.prefix, route.metric)
+        return removed
+
+    def lookup(self, dst) -> Optional[Route]:
+        addr = ipv4(dst).value
+        best: Optional[Route] = None
+        node = self._root
+        depth = 0
+        while node is not None:
+            if node.routes:
+                best = node.routes[0]
+            if depth == 32:
+                break
+            bit = (addr >> (31 - depth)) & 1
+            node = node.children.get(bit)
+            depth += 1
+        return best
+
+    def routes(self) -> List[Route]:
+        out: List[Route] = []
+
+        def walk(node: _TrieNode) -> None:
+            out.extend(node.routes)
+            for bit in (0, 1):
+                child = node.children.get(bit)
+                if child is not None:
+                    walk(child)
+
+        walk(self._root)
+        out.sort(key=lambda r: (-r.prefix.length, r.prefix.address.value, r.metric))
+        return out
+
+    def _node_for(self, prefix: IPv4Prefix, create: bool) -> Optional[_TrieNode]:
+        node = self._root
+        for depth in range(prefix.length):
+            bit = (prefix.address.value >> (31 - depth)) & 1
+            child = node.children.get(bit)
+            if child is None:
+                if not create:
+                    return None
+                child = _TrieNode()
+                node.children[bit] = child
+            node = child
+        return node
+
+
+# a few shared bases make nested and equal networks common at every length
+BASES = [0x0A000000, 0x0A010203, 0x0A0102FF, 0x0AFF0000, 0xC0A80101, 0x80000000, 0]
+addresses = st.sampled_from(BASES) | st.integers(0, 0xFFFFFFFF)
+prefixes = st.builds(
+    lambda base, length: IPv4Prefix(IPv4Addr(base), length),
+    addresses,
+    st.sampled_from([0, 8, 16, 24, 32]) | st.integers(0, 32),
+)
+metrics = st.integers(0, 3)
+oifs = st.integers(1, 3)
+
+
+@st.composite
+def operations(draw):
+    """Route operations over a few prefixes, so that most operations meet
+    a route an earlier one added."""
+    pool = st.sampled_from(draw(st.lists(prefixes, min_size=1, max_size=6)))
+    op = st.one_of(
+        st.tuples(st.just("add"), pool, oifs, metrics, st.booleans()),
+        st.tuples(st.just("remove"), pool, st.none() | metrics),
+        st.tuples(st.just("remove_for_oif"), oifs),
+    )
+    return draw(st.lists(op, max_size=40))
+
+
+def apply(fib, op):
+    """Run one operation; returns its result or the exception type it raised."""
+    try:
+        if op[0] == "add":
+            __, pfx, oif, metric, replace = op
+            return fib.add(Route(prefix=pfx, oif=oif, metric=metric), replace=replace)
+        if op[0] == "remove":
+            return fib.remove(op[1], op[2])
+        return fib.remove_for_oif(op[1])
+    except RouteError:
+        return RouteError
 
 
 class TestFib:
@@ -137,6 +278,25 @@ class TestFib:
             assert found.oif == 2
         else:
             assert found.oif == 1
+
+
+class TestAgainstTrie:
+    """``Fib`` against the bit-by-bit trie walk it replaced."""
+
+    @given(operations(), st.lists(addresses, max_size=6))
+    def test_same_answers_after_every_operation(self, ops, probes):
+        fib, trie = Fib(), TrieFib()
+        for op in ops:
+            assert apply(fib, op) == apply(trie, op)
+            routes = fib.routes()
+            assert routes == trie.routes()
+            assert len(fib) == len(trie) == len(routes)
+            assert fib.gen == trie.gen
+            points = list(probes)
+            for r in routes:
+                points += [r.prefix.address.value, r.prefix.broadcast.value]
+            for addr in points:
+                assert fib.lookup(addr) == trie.lookup(addr)
 
 
 class TestKernelApi:

@@ -98,6 +98,32 @@ class TestAddresses:
         with pytest.raises(DeviceError):
             dev.remove_address(IPv4Addr.parse("9.9.9.9"))
 
+    def test_is_local_follows_every_address_change(self, kernel):
+        """``is_local`` against a loop over every device's addresses."""
+        probes = [IPv4Addr.parse(a) for a in ("127.0.0.1", "10.0.0.1", "10.0.0.2", "10.9.0.1", "10.0.0.255")]
+
+        def check():
+            for addr in probes:
+                looped = any(dev.has_address(addr) for dev in kernel.devices.all())
+                assert kernel.devices.is_local(addr) == looped
+
+        check()
+        kernel.add_physical("eth0")
+        kernel.add_physical("eth1")
+        kernel.add_address("eth0", "10.0.0.1/24")
+        check()
+        kernel.add_address("eth1", "10.0.0.1/32")  # one address on two devices
+        kernel.add_address("eth1", "10.9.0.1/16")
+        check()
+        kernel.del_address("eth0", "10.0.0.1")
+        assert kernel.devices.is_local(IPv4Addr.parse("10.0.0.1"))  # eth1 still holds it
+        check()
+        kernel.del_device("eth1")
+        assert not kernel.devices.is_local(IPv4Addr.parse("10.9.0.1"))
+        check()
+        kernel.add_address("eth0", "10.0.0.2/24")
+        check()
+
 
 class TestVeth:
     def test_pair_transmit(self, kernel):

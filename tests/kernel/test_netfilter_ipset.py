@@ -1,11 +1,13 @@
 """Tests for netfilter (iptables) and ipset."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kernel import Kernel
 from repro.kernel.ipset import IpSet, IpsetError, IpsetRegistry
 from repro.kernel.netfilter import ACCEPT, DROP, FORWARD, NetfilterError, RETURN, Rule
-from repro.netsim.addresses import IPv4Prefix, MacAddr
+from repro.netsim.addresses import IPv4Addr, IPv4Prefix, MacAddr
 from repro.netsim.packet import IPPROTO_TCP, IPPROTO_UDP, make_tcp, make_udp
 from repro.netsim.skbuff import SKBuff
 
@@ -207,6 +209,49 @@ class TestIpset:
     def test_unsupported_type_rejected(self):
         with pytest.raises(IpsetError):
             IpSet("x", "list:set")
+
+    # a few shared bases make nested and equal networks common at every length
+    BASES = [0x0A000000, 0x0A010203, 0x0A0102FF, 0xC0A80101, 0x80000000, 0]
+    addresses = st.sampled_from(BASES) | st.integers(0, 0xFFFFFFFF)
+    lengths = st.sampled_from([0, 8, 16, 24, 32]) | st.integers(0, 32)
+
+    @given(st.sampled_from(["hash:ip", "hash:net"]), st.data(), st.lists(addresses, max_size=6))
+    def test_matches_the_stored_prefixes(self, set_type, data, probes):
+        """Against brute force over a set of the stored prefixes: ``test``,
+        ``entries``, ``len``, and a registry gen that moves only when the
+        membership does. Operations draw from a few entries, so that most
+        of them meet a stored one."""
+        # a hash:ip set refuses every length but 32, so draw that one often
+        lengths = self.lengths if set_type == "hash:net" else st.just(32) | self.lengths
+        pool = st.sampled_from(data.draw(st.lists(st.tuples(self.addresses, lengths), min_size=1, max_size=6)))
+        ops = data.draw(st.lists(st.tuples(st.booleans(), pool), max_size=40))
+        registry = IpsetRegistry()
+        s = registry.create("s", set_type)
+        stored = set()  # (length, network)
+        for is_add, (addr, length) in ops:
+            if set_type == "hash:ip" and not is_add:
+                length = 32
+            entry = (length, IPv4Prefix(IPv4Addr(addr), length).address.value)
+            gen = registry.gen
+            if not is_add:
+                s.remove(addr, length)
+                changed = entry in stored
+                stored.discard(entry)
+            elif set_type == "hash:ip" and length != 32:
+                with pytest.raises(IpsetError):
+                    s.add(addr, length)
+                changed = False
+            else:
+                s.add(addr, length)
+                changed = entry not in stored
+                stored.add(entry)
+            assert registry.gen == gen + changed
+            assert s.entries() == [(IPv4Addr(network), n) for n, network in sorted(stored)]
+            assert len(s) == len(stored)
+            points = list(probes) + [network for __, network in stored]
+            for point in points:
+                expected = any(IPv4Prefix(IPv4Addr(point), n).address.value == network for n, network in stored)
+                assert s.test(point) == expected
 
     def test_paper_blacklist_aggregation(self, kernel):
         """The gateway experiment: 100 blacklisted IPs in one ipset rule."""

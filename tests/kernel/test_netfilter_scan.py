@@ -20,9 +20,10 @@ from repro.ebpf.memory import MemoryError_, Pointer, Region
 from repro.ebpf.vm import Env
 from repro.kernel import Kernel
 from repro.kernel.interfaces import DeviceError
-from repro.kernel.netfilter import ACCEPT, BUILTIN_CHAINS, DROP, HELPER, RETURN, Rule
+from repro.kernel.netfilter import ACCEPT, BUILTIN_CHAINS, DROP, FORWARD, HELPER, RETURN, Rule
 from repro.measure.k8s_bench import container_cost_model
 from repro.measure.scenarios import blacklist_address, setup_gateway
+from repro.measure.topology import LineTopology
 from repro.netsim.addresses import IPv4Addr, IPv4Prefix, MacAddr
 from repro.netsim.checksum import internet_checksum
 from repro.netsim.cost import CostModel
@@ -460,3 +461,40 @@ class TestOddFrames:
             ref, 1, self.SPEC, frame, reference_ipt_lookup, length
         )
         assert state(new) == state(ref)
+
+
+class TestTotalLength:
+    """Linux's ``ip_rcv`` drops a frame whose IPv4 total length is below its
+    header length, and trims the body to the total length."""
+
+    BELOW_HEADER = ODD_FRAMES["total-below-20"][0]
+
+    def test_total_below_the_header_does_not_parse(self):
+        with pytest.raises(PacketError, match="total length"):
+            Packet.from_bytes(self.BELOW_HEADER)
+
+    def test_helper_leaves_it_to_the_slow_path(self):
+        kernel = make_kernel(CostModel())
+        for spec in TestOddFrames.RULES:
+            kernel.netfilter.append_rule("FORWARD", Rule(**spec))
+        ptr = Pointer(Region("pkt", bytearray(self.BELOW_HEADER)), 0)
+        args = [1, ptr, len(self.BELOW_HEADER), 2, 3]
+        assert bpf_ipt_lookup(Env(kernel, redirect_verdict=4), args) == IPT_UNSUPPORTED
+
+    def test_slow_path_drops_it_as_malformed(self):
+        topo = LineTopology()
+        topo.prewarm_neighbors()
+        delivered = []
+        topo.sink_eth.nic.attach(lambda frame, queue: delivered.append(frame))
+        topo.dut.ipt_policy(FORWARD, DROP)
+        topo.dut.ipt_append(FORWARD, Rule(target=ACCEPT, proto=IPPROTO_UDP, dport=53))
+        udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", "10.0.2.2", dport=53, payload=b"q" * 8)
+        topo.dut_in.nic.receive_from_wire(udp.to_bytes())
+        assert len(delivered) == 1  # the port rule accepts a well-formed frame
+        topo.dut_in.nic.receive_from_wire(patched(udp.to_bytes(), 16, (12).to_bytes(2, "big")))
+        assert len(delivered) == 1
+        assert topo.dut.stack.drops["malformed"] == 1
+
+    def test_options_and_padding_leave_the_exact_payload(self):
+        frame = ip_options_frame() + b"PADDING" + bytes(11)
+        assert Packet.from_bytes(frame).payload == b"q" * 8

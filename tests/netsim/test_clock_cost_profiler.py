@@ -86,6 +86,21 @@ class TestProfiler:
             clock.advance(100)
         assert prof.samples == {}
 
+    def test_frame_exits_on_an_exception(self):
+        clock = Clock()
+        prof = Profiler(clock, enabled=True)
+        observed = []
+        prof.stage_observer = lambda name, ns: observed.append((name, ns))
+        with pytest.raises(ValueError):
+            with prof.frame("rx"):
+                clock.advance(10)
+                raise ValueError("malformed")
+        assert observed == [("rx", 10)]
+        assert prof.samples == {("rx",): 10}
+        with prof.frame("next"):
+            clock.advance(1)
+        assert prof.samples[("next",)] == 1
+
     def test_nested_frames(self):
         clock = Clock()
         prof = Profiler(clock, enabled=True)
