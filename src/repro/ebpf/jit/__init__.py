@@ -1,8 +1,8 @@
 """Verified-bytecode → Python JIT: the executor of every FPM program.
 
-The interpreter (:mod:`repro.ebpf.vm`) pays per-instruction dispatch,
-dynamic pointer-provenance checks, and a ``charge_ns`` call per executed
-instruction. All of that is static for a *verified* program: the
+The interpreter (:mod:`repro.ebpf.vm`) pays per-instruction dispatch and
+dynamic pointer-provenance checks. All of that is static for a *verified*
+program: the
 range-tracking verifier already proved every packet/stack access in
 bounds and every register initialized on live paths, so a specialized
 executor can drop the checks the proof made redundant.
@@ -23,10 +23,10 @@ instruction by instruction, the typed form those facts select. The result
   that no helper buffer covers, in a Python local (minic spills
   everything, including the packet pointer, through r10); the other
   stack bytes stay in a region with the interpreter's spill bookkeeping;
-- folds the per-instruction cost charges into one batched charge per
-  basic block, flushed before every helper call so helpers observe the
-  exact same simulated clock as under the interpreter (cost parity is a
-  tested invariant, not an approximation);
+- folds the per-instruction cost charges into one charge per run of
+  instructions, flushed before every helper call because helpers read the
+  clock; the clock sums exact integers, so the JIT charges what the
+  interpreter charges in any grouping;
 - runs every program of a tail-call chain on a fresh frame, as the
   interpreter does, so a tail call into a program the JIT cannot compile
   resumes in the interpreter mid-chain with nothing to hand over but the

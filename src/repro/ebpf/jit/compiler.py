@@ -47,13 +47,13 @@ nothing over but the entry arguments and the counters: locals need no
 write-back, and a chain that continues in the interpreter (a tail target
 the JIT declined) starts that program on its own fresh frame too.
 
-Instruction counts and cost charges are batched into ``_n`` and
-flushed — ``charge_ns((_n - _c) * insn_cost)`` — before every helper
-call, tail call, exit, and abort, so helpers that read the clock
-(``ktime_get_ns``, conntrack expiry) observe exactly the interpreter's
-timeline and aborted runs charge exactly what the interpreter charged.
-The interpreter counts an instruction *before* executing it, so the
-generated code syncs ``_n`` ahead of every statement that can raise.
+Instruction counts are batched into ``_n`` and their cost is charged,
+``charge_ns((_n - _c) * insn_cost)``, before every helper call, because
+helpers read the clock (neighbor reachability, conntrack expiry), and
+when the unit returns at a tail call, exit or abort. The interpreter
+counts an instruction *before* executing it, so the generated code syncs
+``_n`` ahead of every statement that can raise, and an aborted run
+charges what the interpreter charged.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class _Compiler:
 
     def _flush(self) -> None:
         """Sync the counter and charge everything accrued since the last
-        flush — the clock a helper observes must match the interpreter's."""
+        flush."""
         self._sync()
         self.emit(1, "_chg((_n - _c) * _ci)")
         self.emit(1, "_c = _n")
@@ -548,7 +548,7 @@ class _Compiler:
                     self.use(_REGION[kind[0]])
                     reg = "_Ptr(%s, %s)" % (_REGION[kind[0]], reg)
             args.append(reg)
-        # the clock the helper observes must match the interpreter's exactly
+        # helpers read the clock
         self._flush()
         hname = "_h%d" % helper_id
         self.ns[hname] = helpers_mod.HELPERS[helper_id][1]

@@ -27,10 +27,6 @@ from repro.ebpf.vm import TAIL_CALL_LIMIT, VM, VMError
 __all__ = ["JitEngine"]
 
 
-def _noop_charge(ns: float) -> None:
-    return None
-
-
 class JitEngine:
     """Compiles and runs FPM programs; one instance per kernel."""
 
@@ -78,7 +74,7 @@ class JitEngine:
             and args[1] == len(args[0].region.data)
         )
 
-    def execute(self, program, args, env, charge_costs: bool = True) -> Tuple[int, int]:
+    def execute(self, program, args, env) -> Tuple[int, int]:
         """Run ``program`` like ``VM.run`` would; returns (verdict, executed).
 
         Falls back to a fresh interpreter when the program did not compile
@@ -90,36 +86,29 @@ class JitEngine:
         unit = self.unit_for(program)
         if unit is None or not self._abi_ok(args):
             self.stats["interp_runs"] += 1
-            vm = VM(kernel, charge_costs=charge_costs)
+            vm = VM(kernel)
             verdict = vm.run(program, args, env)
             return verdict, vm.insns_executed
 
         self.stats["jit_runs"] += 1
         costs = kernel.costs
-        if charge_costs:
-            kernel.charge_ns(costs.ebpf_prog_entry)
-            charge = kernel.charge_ns
-            insn_cost = costs.ebpf_insn
-        else:
-            charge = _noop_charge
-            insn_cost = 0.0
+        kernel.charge_ns(costs.ebpf_prog_entry)
         executed = 0
         tail_calls = 0
         current = unit
         while True:
             try:
-                tag, value, n, tail_msg = current.fn(env, args, charge, insn_cost)
+                tag, value, n, tail_msg = current.fn(env, args, kernel.charge_ns, costs.ebpf_insn)
             except _JitHalt as halt:
                 raise halt.error
             executed += n
             if tag == CompiledUnit.TAG_EXIT:
                 return value, executed
-            # tail call: replicate the interpreter's depth/charge sequence
+            # tail call: the interpreter's depth limit and tail-call charge
             tail_calls += 1
             if tail_calls > TAIL_CALL_LIMIT:
                 raise VMError(tail_msg)
-            if charge_costs:
-                kernel.charge_ns(costs.ebpf_tail_call)
+            kernel.charge_ns(costs.ebpf_tail_call)
             target = value.program if hasattr(value, "program") else value
             nxt = self.unit_for(target)
             if nxt is not None:
@@ -128,7 +117,7 @@ class JitEngine:
             # uncompilable target: the interpreter resumes the chain with
             # the accumulated counters, on a fresh frame like any target
             self.stats["interp_runs"] += 1
-            vm = VM(kernel, charge_costs=charge_costs)
+            vm = VM(kernel)
             verdict = vm.run(
                 target,
                 args,

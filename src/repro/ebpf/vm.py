@@ -98,10 +98,9 @@ class Env:
 class VM:
     """Interprets programs; one instance is reusable across invocations."""
 
-    def __init__(self, kernel, insn_limit: int = DEFAULT_INSN_LIMIT, charge_costs: bool = True) -> None:
+    def __init__(self, kernel, insn_limit: int = DEFAULT_INSN_LIMIT) -> None:
         self.kernel = kernel
         self.insn_limit = insn_limit
-        self.charge_costs = charge_costs
         self.insns_executed = 0
 
     def run(
@@ -135,7 +134,7 @@ class VM:
         costs = kernel.costs
         entry_args = list(args)
 
-        if self.charge_costs and not _entry_charged:
+        if not _entry_charged:
             kernel.charge_ns(costs.ebpf_prog_entry)
 
         regs = _entry_regs(entry_args)
@@ -145,15 +144,13 @@ class VM:
         pc = 0
         executed = _executed
         tail_calls = _tail_calls
-        insn_cost = costs.ebpf_insn if self.charge_costs else 0.0
+        insn_cost = costs.ebpf_insn
         budget = self.insn_limit
 
-        # Instruction costs accrue and flush in groups — one
-        # ``charge_ns(k * insn_cost)`` before every helper call, tail call,
-        # exit, and abort (the ``finally`` catches every abort path). The
-        # JIT batches its charges at exactly these boundaries, so
-        # partitioning identically here keeps the two float clock sums
-        # bit-identical (and saves a charge_ns call per insn).
+        # Instruction costs accrue and flush as one ``charge_ns(k *
+        # insn_cost)`` before every helper call, because helpers read the
+        # clock, and at exit and abort (the ``finally`` catches every abort
+        # path). A tail call carries the pending count along.
         charged = executed
 
         try:
@@ -239,7 +236,7 @@ class VM:
                         raise VMError(f"{program.name}@{pc}: unknown helper {insn.imm}")
                     __, fn = entry
                     call_args = [regs[R1 + i] for i in range(5)]
-                    if insn_cost and executed > charged:
+                    if executed > charged:
                         # flush before the helper runs: helpers read the clock
                         kernel.charge_ns((executed - charged) * insn_cost)
                         charged = executed
@@ -251,9 +248,6 @@ class VM:
                     for i in range(1, 6):
                         regs[i] = None
                 elif op is Op.TAIL_CALL:
-                    if insn_cost and executed > charged:
-                        kernel.charge_ns((executed - charged) * insn_cost)
-                        charged = executed
                     prog_array = regs[2]
                     index = self._read(regs, 3, insn, program)
                     if not isinstance(prog_array, ProgArray):
@@ -267,8 +261,7 @@ class VM:
                     tail_calls += 1
                     if tail_calls > TAIL_CALL_LIMIT:
                         raise VMError(f"{program.name}@{pc}: tail call limit exceeded")
-                    if self.charge_costs:
-                        kernel.charge_ns(costs.ebpf_tail_call)
+                    kernel.charge_ns(costs.ebpf_tail_call)
                     target_prog = target.program if hasattr(target, "program") else target
                     program = target_prog
                     insns = program.insns
@@ -277,7 +270,7 @@ class VM:
                     pc = 0
                     continue
                 elif op is Op.EXIT:
-                    if insn_cost and executed > charged:
+                    if executed > charged:
                         kernel.charge_ns((executed - charged) * insn_cost)
                         charged = executed
                     result = regs[R0]
@@ -292,7 +285,7 @@ class VM:
                 pc += 1
         finally:
             # abort paths land here with accrued, unflushed instructions
-            if insn_cost and executed > charged:
+            if executed > charged:
                 kernel.charge_ns((executed - charged) * insn_cost)
 
     # ------------------------------------------------------------- internals

@@ -145,9 +145,9 @@ class Kernel:
         """Charge ``ns`` of work: the global clock always advances (it
         orders timeouts across the simulation); the busy time additionally
         lands on whichever of this kernel's CPUs is executing, which is what
-        multi-core throughput is measured from."""
-        self.clock.advance(ns)
-        self.cpus.charge(ns)
+        multi-core throughput is measured from. The clock converts ``ns``
+        to whole femtoseconds once, and the CPU is charged the same fs."""
+        self.cpus.charge_fs(self.clock.advance(ns))
 
     # ------------------------------------------------------------- devices
 

@@ -7,6 +7,7 @@ CPUs after a hotplug event), and every frame is then RPS-steered by a
 *symmetric* flow hash so all packets of a flow — in both directions — are
 processed on a single CPU. That invariant is what lets the conntrack table
 and flow cache shard per CPU without cross-CPU locking on the fast path.
+A one-CPU kernel has nowhere to steer to and does not steer.
 
 Overload semantics mirror ``enqueue_to_backlog``: each CPU has a bounded
 backlog queue governed by the ``net.core.netdev_max_backlog`` sysctl. A
@@ -143,16 +144,20 @@ class SoftirqSet:
             if faults.decide("cpu_offline", f"cpu{victim}") is not None:
                 kernel.cpu_offline(victim)
 
-        rx_cpu = self.rx_queue_cpu(queue)
-        target = self.steer(frame, rx_cpu)
-        with cpus.on(rx_cpu):
-            # The IRQ-owning CPU runs the rps_map lookup (the NIC computed
-            # the Toeplitz hash); a cross-CPU steer additionally pays the
-            # backlog enqueue + IPI.
-            kernel.costs_charge("rps_steer")
-            if target != rx_cpu:
-                kernel.costs_charge("rps_ipi")
-                self.rps_steered += 1
+        target = 0  # one CPU: no get_rps_cpu, as Linux without RPS (rps_needed)
+        if cpus.num_cpus > 1:
+            rx_cpu = self.rx_queue_cpu(queue)
+            target = self.steer(frame, rx_cpu)
+            with cpus.on(rx_cpu):
+                # The IRQ-owning CPU runs the rps_map lookup (the NIC computed
+                # the Toeplitz hash); a cross-CPU steer additionally pays the
+                # backlog enqueue + IPI, in the same charge.
+                if target == rx_cpu:
+                    kernel.costs_charge("rps_steer")
+                else:
+                    costs = kernel.costs
+                    kernel.charge_ns(costs.rps_steer + costs.rps_ipi)
+                    self.rps_steered += 1
 
         backlog = self.backlogs[target]
         overflow = len(backlog) >= self.max_backlog

@@ -551,8 +551,8 @@ class Stack:
     def local_deliver(self, skb: SKBuff) -> None:
         kernel = self.kernel
         with kernel.profiler.frame("ip_local_deliver"):
-            kernel.costs_charge("local_deliver")
-            kernel.costs_charge("conntrack_lookup")
+            costs = kernel.costs
+            kernel.charge_ns(costs.local_deliver + costs.conntrack_lookup)
             kernel.conntrack.track(skb)
             ip = skb.pkt.ip
             if ip.proto == IPPROTO_ICMP and isinstance(skb.pkt.l4, ICMP):
@@ -705,8 +705,8 @@ class Stack:
         kernel.costs_charge("conntrack_lookup")
         entry = kernel.conntrack.lookup(tup)
         if entry is None or entry.dnat_to is None:
-            kernel.costs_charge("ipvs_schedule")
-            kernel.costs_charge("conntrack_create")
+            costs = kernel.costs
+            kernel.charge_ns(costs.ipvs_schedule + costs.conntrack_create)
             try:
                 dnat = kernel.ipvs.connect(tup)
             except ConntrackFull:

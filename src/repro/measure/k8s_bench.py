@@ -35,7 +35,7 @@ TAIL_MULT = 2.2
 # every processing cost uniformly by this factor for the k8s experiments;
 # uniform scaling leaves every Linux-vs-LinuxFP ratio invariant while
 # matching the paper's absolute scale (Linux intra ≈ 9.7 ms).
-CONTAINER_PATH_SCALE = 1900.0
+CONTAINER_PATH_SCALE = 1900
 _UNSCALED_FIELDS = {
     "line_rate_gbps",
     "framing_overhead_bytes",
@@ -51,9 +51,8 @@ def container_cost_model():
 
     costs = CostModel()
     for field_name, value in vars(costs).items():
-        if field_name in _UNSCALED_FIELDS or not isinstance(value, float):
-            continue
-        setattr(costs, field_name, value * CONTAINER_PATH_SCALE)
+        if field_name not in _UNSCALED_FIELDS:
+            setattr(costs, field_name, value * CONTAINER_PATH_SCALE)
     return costs
 
 

@@ -11,7 +11,7 @@ the measurement harness (:mod:`repro.measure`):
 - :mod:`repro.netsim.skbuff` — the ``sk_buff``-like packet descriptor.
 - :mod:`repro.netsim.nic` — simulated NICs, queues, and wires between hosts.
 - :mod:`repro.netsim.clock` / :mod:`repro.netsim.cost` — the simulated
-  nanosecond clock and the calibrated per-operation cost model that all
+  femtosecond clock and the calibrated per-operation cost model that all
   throughput/latency results derive from.
 - :mod:`repro.netsim.profiler` — call-frame recording for flame graphs.
 """

@@ -1,46 +1,56 @@
-"""The simulated nanosecond clock.
+"""The simulated clock.
 
 All performance results in this reproduction derive from simulated time:
 every code path (the Linux slow path, the eBPF VM, the baseline platforms)
 charges nanoseconds to a :class:`Clock`. Wall-clock time is only used for the
 controller reaction-time experiment (Table VI), which measures our actual
 synthesis/compile/load pipeline.
+
+Time counts whole femtoseconds. Every cost is a whole number of fs, so the
+clock is an exact integer sum: the same charges give the same clock in any
+grouping.
 """
 
 from __future__ import annotations
 
+FS_PER_NS = 1_000_000
+
 
 class Clock:
-    """Monotonic simulated clock with nanosecond resolution."""
+    """Monotonic simulated clock, counted in whole femtoseconds."""
 
     def __init__(self) -> None:
-        self._now = 0.0  # float: sub-nanosecond charges must accumulate
+        self._fs = 0
 
     @property
     def now_ns(self) -> int:
-        return int(self._now)
+        return self._fs // FS_PER_NS
 
     @property
     def now_us(self) -> float:
-        return self._now / 1e3
+        return self._fs / 1_000_000_000
 
     @property
     def now_s(self) -> float:
-        return self._now / 1e9
+        return self._fs / 1_000_000_000_000_000
 
-    def advance(self, ns: float) -> None:
-        """Advance simulated time; fractional nanoseconds accumulate."""
+    def advance(self, ns: float) -> int:
+        """Advance simulated time by ``ns``; returns the whole fs added
+        (an int multiplies exactly, and only a fraction is rounded)."""
         if ns < 0:
             raise ValueError(f"cannot advance clock by negative time: {ns}")
-        self._now += ns
+        fs = ns * FS_PER_NS if ns.__class__ is int else round(ns * FS_PER_NS)
+        self._fs += fs
+        return fs
 
     def advance_to(self, ns: float) -> None:
         """Jump forward to an absolute timestamp (no-op if already past it)."""
-        if ns > self._now:
-            self._now = float(ns)
+        fs = round(ns * FS_PER_NS)
+        if fs > self._fs:
+            self._fs = fs
 
     def reset(self) -> None:
-        self._now = 0.0
+        self._fs = 0
 
     def __repr__(self) -> str:
-        return f"Clock(now={self._now:.1f}ns)"
+        return f"Clock(now={self._fs / FS_PER_NS:.1f}ns)"

@@ -6,7 +6,7 @@ that CPU's busy-time counter, and a multi-core run's throughput is the
 packet count divided by the *bottleneck* CPU's busy time. The shared
 :class:`~repro.netsim.clock.Clock` still advances for every charge — it
 orders timeouts and expiry globally — but per-CPU busy time is what scales
-with parallelism.
+with parallelism. Like the clock, busy time sums whole femtoseconds.
 
 The simulation is single-threaded, so "which CPU is executing right now" is
 a simple context stack, one per kernel's CpuSet: a frame processed on DUT
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import List, Optional
+
+from repro.netsim.clock import FS_PER_NS
 
 
 class CpuSet:
@@ -33,7 +35,7 @@ class CpuSet:
         if num_cpus < 1:
             raise ValueError("need at least one CPU")
         self.num_cpus = num_cpus
-        self.busy_ns: List[float] = [0.0] * num_cpus
+        self._busy_fs: List[int] = [0] * num_cpus
         self.packets: List[int] = [0] * num_cpus
         # Hotplug state: a possible CPU that is offline keeps its counters
         # (busy time already spent is history) but must not execute anything
@@ -104,29 +106,34 @@ class CpuSet:
         active = self._active
         return active[-1] if active else None
 
-    def charge(self, ns: float) -> None:
-        """Account ``ns`` of work to this set's innermost active CPU.
+    def charge_fs(self, fs: int) -> None:
+        """Account ``fs`` of work to this set's innermost active CPU.
 
         Charges outside any context are control-plane work and scale with
         none of the data-plane CPUs, so they are not accumulated here.
         """
-        cpu = self.current_cpu
-        if cpu is not None:
-            self.busy_ns[cpu] += ns
+        active = self._active
+        if active:
+            self._busy_fs[active[-1]] += fs
+
+    @property
+    def busy_ns(self) -> List[float]:
+        """Each CPU's busy time in nanoseconds."""
+        return [fs / FS_PER_NS for fs in self._busy_fs]
 
     def reset_busy(self) -> None:
         """Zero the busy/packet counters (benchmark measurement windows)."""
-        self.busy_ns = [0.0] * self.num_cpus
+        self._busy_fs = [0] * self.num_cpus
         self.packets = [0] * self.num_cpus
 
     @property
     def max_busy_ns(self) -> float:
         """The bottleneck CPU's busy time — the multi-core elapsed time."""
-        return max(self.busy_ns)
+        return max(self._busy_fs) / FS_PER_NS
 
     @property
     def total_busy_ns(self) -> float:
-        return sum(self.busy_ns)
+        return sum(self._busy_fs) / FS_PER_NS
 
     def imbalance(self) -> float:
         """max/mean busy ratio (1.0 = perfectly balanced); 0 when idle.
@@ -141,4 +148,4 @@ class CpuSet:
         return self.max_busy_ns / (total / max(1, self.num_online))
 
     def __repr__(self) -> str:
-        return f"CpuSet(n={self.num_cpus}, busy={[int(b) for b in self.busy_ns]})"
+        return f"CpuSet(n={self.num_cpus}, busy={[fs // FS_PER_NS for fs in self._busy_fs]})"

@@ -191,6 +191,8 @@ class IPv4:
             raise PacketError("bad IPv4 checksum")
         if total < ihl:  # ip_rcv drops these
             raise PacketError("IPv4 total length below the header length")
+        if total > len(data):  # and these, as truncated
+            raise PacketError("IPv4 total length past the end of the frame")
         hdr = cls(
             src=IPv4Addr.from_bytes(src),
             dst=IPv4Addr.from_bytes(dst),

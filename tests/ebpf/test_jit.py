@@ -168,9 +168,9 @@ class TestEngine:
         engine = JitEngine(k_jit)
         program = compile_src(READER_SRC)
         _, args = frame_args(FRAME)
-        engine.execute(program, args, Env(k_jit, 4), charge_costs=True)
+        engine.execute(program, args, Env(k_jit, 4))
         _, args2 = frame_args(FRAME)
-        VM(k_int, charge_costs=True).run(program, args2, Env(k_int, 4))
+        VM(k_int).run(program, args2, Env(k_int, 4))
         assert k_jit.clock.now_ns == k_int.clock.now_ns
 
     def test_abi_guard_falls_back_to_interpreter(self):

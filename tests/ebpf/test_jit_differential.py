@@ -7,8 +7,8 @@ Four layers of proof, from single programs up to the full pipeline:
    truncated, garbage frames) through the JIT engine and a twin interpreter;
    verdicts, output frames, redirect targets, executed-insn counts, and
    abort types/messages must agree sample for sample.
-2. **Cost parity** — with ``charge_costs=True`` the engine must advance the
-   simulated clock by *exactly* the interpreter's nanoseconds, per config.
+2. **Cost parity** — the engine must advance the simulated clock by
+   *exactly* the interpreter's nanoseconds, per config.
    The JIT amortizes host overhead, never simulated work.
 3. **Property-based** — Hypothesis drives arbitrary byte strings (and
    structured mutations) through both sides of the router fast path and the
@@ -112,10 +112,10 @@ def _all_configs():
     return out
 
 
-def _sample_interp(kernel, program, frame, charge):
+def _sample_interp(kernel, program, frame):
     region = Region("pkt", bytearray(frame))
     env = Env(kernel, redirect_verdict=4)
-    vm = VM(kernel, charge_costs=charge)
+    vm = VM(kernel)
     try:
         verdict = vm.run(program, [Pointer(region, 0), len(frame), 1], env)
     except VMError as exc:
@@ -123,13 +123,11 @@ def _sample_interp(kernel, program, frame, charge):
     return ("ok", int(verdict), bytes(region.data), env.redirect_ifindex, vm.insns_executed)
 
 
-def _sample_jit(kernel, engine, program, frame, charge):
+def _sample_jit(kernel, engine, program, frame):
     region = Region("pkt", bytearray(frame))
     env = Env(kernel, redirect_verdict=4)
     try:
-        verdict, executed = engine.execute(
-            program, [Pointer(region, 0), len(frame), 1], env, charge_costs=charge
-        )
+        verdict, executed = engine.execute(program, [Pointer(region, 0), len(frame), 1], env)
     except VMError as exc:
         # the engine does not expose the count on abort; compare message only
         return ("abort", str(exc), None)
@@ -149,8 +147,8 @@ def test_corpus_differential(name, program):
     k_int, k_jit = Kernel("diff-int"), Kernel("diff-jit")
     engine = JitEngine(k_jit)
     for i, frame in enumerate(CORPUS):
-        ref = _sample_interp(k_int, program, frame, charge=False)
-        got = _sample_jit(k_jit, engine, program, frame, charge=False)
+        ref = _sample_interp(k_int, program, frame)
+        got = _sample_jit(k_jit, engine, program, frame)
         assert _abort_tolerant_eq(got, ref), f"{name} packet {i}: {got!r} != {ref!r}"
     assert engine.stats["fallbacks"] == 0
 
@@ -163,10 +161,10 @@ def test_cost_parity(name, program):
     for i, frame in enumerate(CORPUS):
         before = (k_int.clock.now_ns, k_jit.clock.now_ns)
         try:
-            _sample_interp(k_int, program, frame, charge=True)
+            _sample_interp(k_int, program, frame)
         except faults.InjectedFault:  # pragma: no cover - no faults armed
             pass
-        _sample_jit(k_jit, engine, program, frame, charge=True)
+        _sample_jit(k_jit, engine, program, frame)
         charged_int = k_int.clock.now_ns - before[0]
         charged_jit = k_jit.clock.now_ns - before[1]
         assert charged_jit == charged_int, (
@@ -192,12 +190,12 @@ def test_differential_under_armed_fault_sites():
                     if use_jit:
                         engine = JitEngine(side_kernel)
                         try:
-                            out = _sample_jit(side_kernel, engine, program, frame, charge=True)
+                            out = _sample_jit(side_kernel, engine, program, frame)
                         except faults.InjectedFault as exc:
                             out = ("fault", str(exc))
                     else:
                         try:
-                            out = _sample_interp(side_kernel, program, frame, charge=True)
+                            out = _sample_interp(side_kernel, program, frame)
                         except faults.InjectedFault as exc:
                             out = ("fault", str(exc))
                 return out
@@ -223,8 +221,8 @@ DISPATCHER = [p for n, p in _all_configs() if n.startswith("dispatcher@xdp")][0]
 def test_property_arbitrary_bytes(frame):
     k_int, k_jit = Kernel("prop-int"), Kernel("prop-jit")
     engine = JitEngine(k_jit)
-    ref = _sample_interp(k_int, ROUTER, frame, charge=True)
-    got = _sample_jit(k_jit, engine, ROUTER, frame, charge=True)
+    ref = _sample_interp(k_int, ROUTER, frame)
+    got = _sample_jit(k_jit, engine, ROUTER, frame)
     assert _abort_tolerant_eq(got, ref)
     assert k_jit.clock.now_ns == k_int.clock.now_ns
 
@@ -244,8 +242,8 @@ def test_property_structured_udp(dst_low, ttl, cut):
     for program in (ROUTER, DISPATCHER):
         k_int, k_jit = Kernel("prop2-int"), Kernel("prop2-jit")
         engine = JitEngine(k_jit)
-        ref = _sample_interp(k_int, program, frame, charge=True)
-        got = _sample_jit(k_jit, engine, program, frame, charge=True)
+        ref = _sample_interp(k_int, program, frame)
+        got = _sample_jit(k_jit, engine, program, frame)
         assert _abort_tolerant_eq(got, ref)
         assert k_jit.clock.now_ns == k_int.clock.now_ns
 

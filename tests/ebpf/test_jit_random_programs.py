@@ -406,10 +406,10 @@ def _run(program, frame, interpreter):
     args = [Pointer(region, 0), len(frame), 4]
     env = Env(kernel, 4)
     if interpreter:
-        vm = VM(kernel, charge_costs=True)
+        vm = VM(kernel)
         verdict, executed = vm.run(program, args, env), vm.insns_executed
     else:
-        verdict, executed = JitEngine(kernel).execute(program, args, env, charge_costs=True)
+        verdict, executed = JitEngine(kernel).execute(program, args, env)
     contents = sorted(hmap._data.items())
     return verdict, bytes(region.data), env.redirect_ifindex, executed, kernel.clock.now_ns, contents
 

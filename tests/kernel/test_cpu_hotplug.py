@@ -15,7 +15,7 @@ from repro.core import Controller
 from repro.kernel.conntrack import Conntrack, ConnTuple
 from repro.measure.topology import LineTopology
 from repro.netsim.addresses import IPv4Addr
-from repro.netsim.clock import Clock
+from repro.netsim.clock import FS_PER_NS, Clock
 from repro.netsim.cpu import CpuSet
 from repro.netsim.packet import IPPROTO_UDP, make_udp
 
@@ -64,7 +64,7 @@ class TestCpuSet:
                 pass  # pragma: no cover - must not execute
         cpus.online(1)
         with cpus.on(1):
-            cpus.charge(5)
+            cpus.charge_fs(5 * FS_PER_NS)
         assert cpus.busy_ns[1] == 5
 
     def test_nested_sets_report_their_own_innermost_cpu(self):
@@ -74,11 +74,11 @@ class TestCpuSet:
         with dut.on(2):
             with sink.on(0):
                 assert (dut.current_cpu, sink.current_cpu) == (2, 0)
-                dut.charge(3)
-                sink.charge(7)
+                dut.charge_fs(3 * FS_PER_NS)
+                sink.charge_fs(7 * FS_PER_NS)
                 with dut.on(3):  # a nested softirq on another DUT CPU
                     assert (dut.current_cpu, sink.current_cpu) == (3, 0)
-                    dut.charge(1)
+                    dut.charge_fs(1 * FS_PER_NS)
                 with pytest.raises(ValueError, match="executing"):
                     dut.offline(2)
                 dut.offline(0)  # the sink's CPU 0 executes, not the DUT's

@@ -238,23 +238,19 @@ def build_packet(spec):
 
 
 def idle(kernel, spec):
-    """Advance the clock and CPU 0's busy time by at least 1 µs plus the
-    largest charge the next scans can coalesce: the precondition under
-    which one charge equals the per-rule charges bit for bit."""
-    costs = kernel.costs
-    per_rule = max(costs.helper_ipt_per_rule + costs.helper_ipset_lookup, costs.nf_rule_cost + costs.ipset_lookup)
-    longest = max(len(chain.rules) for chain in kernel.netfilter.chains.values())
+    """Advance the clock and CPU 0's busy time by a random amount, so the
+    oracle starts from arbitrary clock states."""
     with kernel.cpus.on(0):
-        kernel.charge_ns(1000 + longest * per_rule + spec["idle_ns"])
+        kernel.charge_ns(spec["idle_ns"])
 
 
 def observe(kernel, run):
-    """Run one lookup on CPU 0; returns its result with the exact clock and
+    """Run one lookup on CPU 0; returns its result with the clock and
     busy-time deltas."""
-    clock, busy = kernel.clock._now, kernel.cpus.busy_ns[0]
+    clock, busy = kernel.clock.now_ns, kernel.cpus.busy_ns[0]
     with kernel.cpus.on(0):
         result = run()
-    return result, kernel.clock._now - clock, kernel.cpus.busy_ns[0] - busy
+    return result, kernel.clock.now_ns - clock, kernel.cpus.busy_ns[0] - busy
 
 
 def shared_ipt_lookup(env, args):
@@ -287,7 +283,7 @@ def state(kernel):
     return (
         {name: [(r.handle, r.packets) for r in chain.rules] for name, chain in netfilter.chains.items()},
         {name: dict(verdicts) for name, verdicts in netfilter.verdicts.items()},
-        kernel.clock._now,
+        kernel.clock.now_ns,
         list(kernel.cpus.busy_ns),
     )
 
@@ -465,21 +461,28 @@ class TestOddFrames:
 
 class TestTotalLength:
     """Linux's ``ip_rcv`` drops a frame whose IPv4 total length is below its
-    header length, and trims the body to the total length."""
+    header length or past the end of the frame, and trims the body to the
+    total length."""
 
     BELOW_HEADER = ODD_FRAMES["total-below-20"][0]
+    PAST_FRAME = ODD_FRAMES["total-past-frame"][0]
 
     def test_total_below_the_header_does_not_parse(self):
         with pytest.raises(PacketError, match="total length"):
             Packet.from_bytes(self.BELOW_HEADER)
 
+    def test_total_past_the_frame_does_not_parse(self):
+        with pytest.raises(PacketError, match="total length"):
+            Packet.from_bytes(self.PAST_FRAME)
+
     def test_helper_leaves_it_to_the_slow_path(self):
         kernel = make_kernel(CostModel())
         for spec in TestOddFrames.RULES:
             kernel.netfilter.append_rule("FORWARD", Rule(**spec))
-        ptr = Pointer(Region("pkt", bytearray(self.BELOW_HEADER)), 0)
-        args = [1, ptr, len(self.BELOW_HEADER), 2, 3]
-        assert bpf_ipt_lookup(Env(kernel, redirect_verdict=4), args) == IPT_UNSUPPORTED
+        for frame in (self.BELOW_HEADER, self.PAST_FRAME):
+            ptr = Pointer(Region("pkt", bytearray(frame)), 0)
+            args = [1, ptr, len(frame), 2, 3]
+            assert bpf_ipt_lookup(Env(kernel, redirect_verdict=4), args) == IPT_UNSUPPORTED
 
     def test_slow_path_drops_it_as_malformed(self):
         topo = LineTopology()
@@ -489,11 +492,13 @@ class TestTotalLength:
         topo.dut.ipt_policy(FORWARD, DROP)
         topo.dut.ipt_append(FORWARD, Rule(target=ACCEPT, proto=IPPROTO_UDP, dport=53))
         udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", "10.0.2.2", dport=53, payload=b"q" * 8)
-        topo.dut_in.nic.receive_from_wire(udp.to_bytes())
+        frame = udp.to_bytes()
+        topo.dut_in.nic.receive_from_wire(frame)
         assert len(delivered) == 1  # the port rule accepts a well-formed frame
-        topo.dut_in.nic.receive_from_wire(patched(udp.to_bytes(), 16, (12).to_bytes(2, "big")))
+        for total in (12, len(frame)):  # below the header, past the frame
+            topo.dut_in.nic.receive_from_wire(patched(frame, 16, total.to_bytes(2, "big")))
         assert len(delivered) == 1
-        assert topo.dut.stack.drops["malformed"] == 1
+        assert topo.dut.stack.drops["malformed"] == 2
 
     def test_options_and_padding_leave_the_exact_payload(self):
         frame = ip_options_frame() + b"PADDING" + bytes(11)

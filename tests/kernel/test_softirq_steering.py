@@ -9,6 +9,7 @@ order is preserved end to end.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.measure.scenarios import setup_router
 from repro.measure.topology import LineTopology
 from repro.netsim.packet import make_arp_request, make_udp
 
@@ -64,6 +65,27 @@ class TestSteering:
         assert [cpu for _, cpu in log] == [0] * 8
         assert topo.dut.softirq.rps_steered == 0
         assert len(delivered) == 8
+
+    def test_single_cpu_burst_charges_what_single_frames_charge(self):
+        """One CPU has nowhere to steer to, so a burst skips RPS as single
+        frames do: the same frames leave the same clock and busy time
+        either way."""
+
+        def deliver(burst):
+            topo = setup_router("linuxfp", hook="xdp")
+            topo.prewarm_neighbors()
+            frames = [forward_frame(topo, flow, seq) for seq in range(2) for flow in range(32)]
+            kernel = topo.dut
+            kernel.cpus.reset_busy()
+            start = topo.clock.now_ns
+            if burst:
+                topo.dut_in.nic.receive_burst(frames)
+            else:
+                for frame in frames:
+                    topo.dut_in.nic.receive_from_wire(frame)
+            return topo.clock.now_ns - start, kernel.cpus.busy_ns, kernel.cpus.packets
+
+        assert deliver(burst=True) == deliver(burst=False)
 
     def test_flows_spread_across_cpus(self):
         topo, _ = build(num_queues=4)

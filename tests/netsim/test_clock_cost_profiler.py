@@ -1,10 +1,37 @@
 """Tests for the simulated clock, cost model, and profiler."""
 
-import pytest
+import math
+from dataclasses import fields
+from fractions import Fraction
 
-from repro.netsim.clock import Clock
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.kernel import Kernel
+from repro.measure.k8s_bench import container_cost_model
+from repro.netsim.clock import FS_PER_NS, Clock
 from repro.netsim.cost import CostModel, DEFAULT_COSTS
 from repro.netsim.profiler import Profiler
+
+COST_MODELS = {"default": CostModel, "container": container_cost_model}
+NOT_NS = {"line_rate_gbps", "framing_overhead_bytes", "vpp_vector_size"}
+
+
+def charge_amounts(model):
+    """Each cost of ``model`` in ns, plus VPP's per-packet share of a vector."""
+    costs = COST_MODELS[model]()
+    amounts = {f.name: getattr(costs, f.name) for f in fields(costs) if f.name not in NOT_NS}
+    amounts["vpp_vector_share"] = costs.vpp_per_vector_overhead / costs.vpp_vector_size
+    return amounts
+
+
+AMOUNTS = {model: charge_amounts(model) for model in COST_MODELS}
+# the decimal each float stands for: no cost has more than 6 digits after the point
+EXACT = {
+    model: {name: Fraction(ns).limit_denominator(10**6) for name, ns in amounts.items()}
+    for model, amounts in AMOUNTS.items()
+}
 
 
 class TestClock:
@@ -40,6 +67,39 @@ class TestClock:
         c.advance(10)
         c.reset()
         assert c.now_ns == 0
+
+
+class TestExactSums:
+    def test_every_cost_is_whole_femtoseconds(self):
+        for model, exact in EXACT.items():
+            for name, ns in exact.items():
+                assert (ns * FS_PER_NS).denominator == 1, (model, name, ns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(COST_MODELS)),
+        picks=st.lists(st.tuples(st.sampled_from(sorted(AMOUNTS["default"])), st.integers(1, 16)),
+                       min_size=1, max_size=30),
+        cuts=st.sets(st.integers(1, 29)),
+    )
+    @example(model="default", picks=[("ebpf_insn", 1)] * 10, cuts=set())
+    @example(model="default", picks=[("ebpf_insn", 3)], cuts=set())
+    @example(model="default", picks=[("vpp_vector_share", 1)], cuts=set())
+    def test_any_grouping_charges_the_same(self, model, picks, cuts):
+        """The same charges, one by one and summed in random groups, leave
+        the same clock and busy time: the exact sum, floored to ns."""
+        charges = [count * AMOUNTS[model][name] for name, count in picks]
+        bounds = [0] + sorted(c for c in cuts if c < len(charges)) + [len(charges)]
+        groups = [math.fsum(charges[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        readings = []
+        for amounts in (charges, groups):
+            kernel = Kernel("exact-sums")
+            with kernel.cpus.on(0):
+                for ns in amounts:
+                    kernel.charge_ns(ns)
+            readings.append((kernel.clock.now_ns, kernel.cpus.busy_ns))
+        exact = sum(count * EXACT[model][name] for name, count in picks)
+        assert readings[0] == readings[1] == (math.floor(exact), [float(exact)])
 
 
 class TestCostModel:
