@@ -89,12 +89,10 @@ class Controller:
         interfaces: Optional[List[str]] = None,
         enable_ipvs: bool = False,
         capabilities: Optional[CapabilityManager] = None,
-        flow_cache: bool = False,
         watchdog_every: int = 0,
     ) -> None:
         self.kernel = kernel
         self.hook = hook
-        self.flow_cache_requested = flow_cache
         self.watchdog_every = watchdog_every
         self.watchdog: Optional[Watchdog] = None
         self.target_interfaces = interfaces
@@ -128,7 +126,6 @@ class Controller:
             self.watchdog = Watchdog(self, every=self.watchdog_every, hook=self.hook)
             self.kernel.watchdog = self.watchdog
         self._run_reaction("start", record=False)
-        self.kernel.flow_cache.enabled = self.flow_cache_requested
         return self.current_graph
 
     def stop(self) -> None:
@@ -137,8 +134,7 @@ class Controller:
         if self.kernel.watchdog is self.watchdog:
             self.kernel.watchdog = None
         self.watchdog = None
-        self.kernel.flow_cache.enabled = False
-        self.deployer.teardown()  # flushes this hook's cached verdicts
+        self.deployer.teardown()
         self.socket.close()
 
     # -------------------------------------------------------------- rebuild

@@ -135,7 +135,6 @@ class Deployer:
         entry.swaps += 1
         self.failures.pop(path.ifname, None)
         self.quarantined.pop(path.ifname, None)
-        self._flush_flow_cache(path.ifname)
         return True
 
     def jit_summary(self) -> Dict[str, Dict[str, object]]:
@@ -182,7 +181,6 @@ class Deployer:
         entry.prog_array.clear(0)  # clearing a slot cannot fail
         entry.current = None
         entry.swaps += 1
-        self._flush_flow_cache(ifname)
 
     def quarantine(self, ifname: str, reason: str, holdoff_ns: int) -> Optional[Quarantine]:
         """Watchdog verdict: withdraw and hold off resynthesis briefly."""
@@ -190,7 +188,6 @@ class Deployer:
         now = self._now_ns()
         record = Quarantine(ifname=ifname, reason=reason, at_ns=now, until_ns=now + holdoff_ns)
         self.quarantined[ifname] = record
-        self._flush_flow_cache(ifname)
         return record
 
     def in_holdoff(self, ifname: str) -> bool:
@@ -214,9 +211,3 @@ class Deployer:
             del self.deployed[ifname]
         self.failures.clear()
         self.quarantined.clear()
-        self.kernel.flow_cache.flush(hook=self.hook)
-
-    def _flush_flow_cache(self, ifname: str) -> None:
-        """Swapping a program invalidates that interface's cached verdicts."""
-        dev = self.kernel.devices.get(ifname)
-        self.kernel.flow_cache.flush(hook=self.hook, ifindex=None if dev is None else dev.ifindex)

@@ -7,16 +7,14 @@ plain kernel (authoritative — so sampling can never itself change
 behaviour), while the fast path runs only as a **shadow prediction**. The
 prediction's verdict and output frame are compared against what the kernel
 actually did, via the stack's transmit taps. The prediction goes through
-the hook's attachment like any other run, so with the flow cache enabled a
-cached verdict is what gets checked.
+the hook's attachment like any other run.
 
 A mismatch means the deployed FPM computes something the kernel would not —
 a synthesis bug, a stale view, a corrupted program. The response is
 containment, not diagnosis: the controller quarantines the interface
-(withdraw to the slow path, flush its flow-cache partition, bump the
-partition epoch) and schedules a resynthesis after a hold-off. An aborted
-prediction is a mismatch at either hook, whatever the kernel did with the
-packet.
+(withdraw to the slow path) and schedules a resynthesis after a hold-off.
+An aborted prediction is a mismatch at either hook, whatever the kernel did
+with the packet.
 """
 
 from __future__ import annotations

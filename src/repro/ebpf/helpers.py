@@ -94,7 +94,6 @@ def bpf_map_lookup_elem(env: "Env", args: List[object]) -> int:
     this predicate form is what synthesized code needs.
     """
     env.kernel.costs_charge("ebpf_map_lookup")
-    env.mark_uncacheable()  # map state can change per packet
     bpf_map = _as_map(args[0], "map_lookup")
     key = _as_ptr(args[1], "map_lookup key").region.read_bytes(args[1].offset, bpf_map.key_size)
     try:
@@ -105,7 +104,6 @@ def bpf_map_lookup_elem(env: "Env", args: List[object]) -> int:
 
 def bpf_map_read(env: "Env", args: List[object]) -> int:
     """(map, key_ptr, out_ptr) → 1 and copy value to out, or 0 on miss."""
-    env.mark_uncacheable()  # map state can change per packet
     bpf_map = _as_map(args[0], "map_read")
     env.kernel.costs_charge("ebpf_lpm_lookup" if bpf_map.map_type == "lpm_trie" else "ebpf_map_lookup")
     key_ptr = _as_ptr(args[1], "map_read key")
@@ -130,7 +128,6 @@ def bpf_map_update_elem(env: "Env", args: List[object]) -> int:
     must keep these failure modes total for verified programs.
     """
     env.kernel.costs_charge("ebpf_map_update")
-    env.mark_uncacheable()  # mutates map state
     bpf_map = _as_map(args[0], "map_update")
     _charge_shared_map_write(env, bpf_map)
     key_ptr = _as_ptr(args[1], "map_update key")
@@ -152,7 +149,6 @@ def bpf_map_update_elem(env: "Env", args: List[object]) -> int:
 def bpf_map_delete_elem(env: "Env", args: List[object]) -> int:
     """(map, key_ptr) → 0 on success, 1 on a rejected delete."""
     env.kernel.costs_charge("ebpf_map_update")
-    env.mark_uncacheable()  # mutates map state
     bpf_map = _as_map(args[0], "map_delete")
     _charge_shared_map_write(env, bpf_map)
     key_ptr = _as_ptr(args[1], "map_delete key")
@@ -166,7 +162,6 @@ def bpf_map_delete_elem(env: "Env", args: List[object]) -> int:
 
 def bpf_ktime_get_ns(env: "Env", args: List[object]) -> int:
     """() → simulated clock ns."""
-    env.mark_uncacheable()  # time-dependent result
     return env.kernel.clock.now_ns
 
 
@@ -181,10 +176,6 @@ def bpf_fib_lookup(env: "Env", args: List[object]) -> int:
     """
     kernel = env.kernel
     kernel.costs_charge("helper_fib_lookup")
-    # Result depends on the FIB, the neighbor table, and device addressing.
-    env.note_dep("fib")
-    env.note_dep("neighbor")
-    env.note_dep("devices")
     dst = IPv4Addr(_as_int(args[0], "fib dst") & 0xFFFFFFFF)
     out = _as_ptr(args[1], "fib out")
     # Locally-addressed packets are not forwarded (mainline returns
@@ -215,8 +206,6 @@ def bpf_fdb_lookup(env: "Env", args: List[object]) -> int:
     """
     kernel = env.kernel
     kernel.costs_charge("helper_fdb_lookup")
-    env.note_dep("bridge")
-    env.note_dep("devices")
     bridge_ifindex = _as_int(args[0], "fdb bridge")
     ingress_ifindex = _as_int(args[1], "fdb ingress")
     vlan = _as_int(args[2], "fdb vlan")
@@ -242,8 +231,6 @@ def bpf_fdb_lookup(env: "Env", args: List[object]) -> int:
     if not entry.is_local and not entry.is_static:
         if kernel.clock.now_ns - entry.updated_ns > bridge.ageing_time_ns:
             return 0  # aged: slow path re-learns
-        # a cached verdict built on this entry goes stale when it ages out
-        env.note_expiry(entry.updated_ns + bridge.ageing_time_ns)
 
     if is_src:
         # Fresh source entry on the right port: no learning work needed.
@@ -277,8 +264,6 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
     """
     kernel = env.kernel
     kernel.costs_charge("helper_ipt_base")
-    env.note_dep("netfilter")
-    env.note_dep("devices")
     chain_name = _IPT_CHAINS.get(_as_int(args[0], "ipt chain"))
     if chain_name is None:
         return IPT_UNSUPPORTED
@@ -321,8 +306,6 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
     if scanned:
         costs = kernel.costs
         kernel.charge_ns(scanned * costs.helper_ipt_per_rule + ipset_scanned * costs.helper_ipset_lookup)
-    if ipset_scanned:
-        env.note_dep("ipset")
     if rule is None:
         return IPT_ACCEPT if netfilter.chain(chain_name).policy == ACCEPT else IPT_DROP
     if rule.ct_state is not None:
@@ -330,7 +313,6 @@ def bpf_ipt_lookup(env: "Env", args: List[object]) -> int:
         # the helper does not carry (the paper's helper matches addresses
         # and protocol only), so the slow path tracks and evaluates it
         return IPT_UNSUPPORTED
-    env.matched_rules.append(rule)
     if rule.target == ACCEPT:
         return IPT_ACCEPT
     if rule.target == DROP:
@@ -346,7 +328,6 @@ def bpf_conntrack_lookup(env: "Env", args: List[object]) -> int:
     """
     kernel = env.kernel
     kernel.costs_charge("helper_conntrack")
-    env.note_dep("conntrack")
     from repro.kernel.conntrack import ConnTuple
 
     ports = _as_int(args[3], "ct ports")
@@ -364,8 +345,6 @@ def bpf_conntrack_lookup(env: "Env", args: List[object]) -> int:
     ip, port = entry.dnat_to
     out.region.write_bytes(out.offset, ip.to_bytes() + port.to_bytes(2, "big") + b"\x00\x00")
     entry.packets += 1
-    env.ct_entries.append(entry)
-    env.note_expiry(entry.updated_ns + entry.timeout_ns())
     return 1
 
 
@@ -377,7 +356,6 @@ def bpf_redirect(env: "Env", args: List[object]) -> int:
 
 def bpf_redirect_map(env: "Env", args: List[object]) -> int:
     """(devmap, slot, flags) → REDIRECT verdict, or flags on empty slot."""
-    env.mark_uncacheable()  # devmap slots can be repopulated per packet
     devmap = _as_map(args[0], "redirect_map")
     if not isinstance(devmap, DevMap):
         raise HelperError("redirect_map needs a devmap")
@@ -395,7 +373,6 @@ def pcn_classify(env: "Env", args: List[object]) -> int:
     in rule count (the platform's answer to iptables' linear scan, Fig 8).
     """
     kernel = env.kernel
-    env.mark_uncacheable()  # baseline-platform state outside the kernel tables
     classifier_map = _as_map(args[0], "pcn_classify")
     classifier = getattr(classifier_map, "classifier", None)
     if classifier is None:
@@ -410,7 +387,6 @@ def pcn_classify(env: "Env", args: List[object]) -> int:
 
 def bpf_trace_printk(env: "Env", args: List[object]) -> int:
     """(a, b, c) → 0; records a trace tuple for debugging/tests."""
-    env.mark_uncacheable()  # per-packet side effect (the trace itself)
     env.trace.append(tuple(_as_int(a, "trace") if isinstance(a, int) else repr(a) for a in args[:3]))
     return 0
 

@@ -12,13 +12,6 @@ Every invocation runs through the kernel's
 :class:`~repro.ebpf.jit.JitEngine` (``kernel.jit``): compiled programs run
 specialized, and a program the JIT declined runs in the interpreter with
 identical observable behavior.
-
-The attachments are also the one place each hook consults the kernel's
-flow cache (``kernel.flow_cache``, :mod:`repro.fastpath.flowcache`). A run
-made without an ``Env`` (a per-frame hook, a burst, the watchdog's shadow
-prediction) goes to the cache while it is enabled; the cache runs the
-program by passing its own ``Env``, which skips the consult. TC egress is
-never cached.
 """
 
 from __future__ import annotations
@@ -56,38 +49,31 @@ class XdpAttachment:
         self.invocations = 0
         self.aborts = 0
 
-    def run_xdp(self, kernel, dev, frame: bytes, env: "Env" = None) -> XdpResult:
-        return self._invoke(kernel, dev, frame, env)
+    def run_xdp(self, kernel, dev, frame: bytes) -> XdpResult:
+        return self._invoke(kernel, dev, frame)
 
     def run_xdp_burst(self, kernel, dev, frames, queue: int = 0) -> list:
         """Run the program over a burst of frames (GRO/XDP-bulk analogue)."""
-        return [self._invoke(kernel, dev, frame, None) for frame in frames]
+        return [self._invoke(kernel, dev, frame) for frame in frames]
 
-    def _invoke(self, kernel, dev, frame, env) -> XdpResult:
+    def _invoke(self, kernel, dev, frame) -> XdpResult:
         # Shared by both entry points, so a burst stays one hook call
-        # rather than calling run_xdp once per frame, and the XDP hook has
-        # one flow-cache consult.
-        if env is None:
-            cache = kernel.flow_cache
-            if cache.enabled and dev.xdp_prog is self:
-                return cache.run_xdp(dev, frame)
-            env = Env(kernel, redirect_verdict=XDP_REDIRECT)
+        # rather than calling run_xdp once per frame.
+        env = Env(kernel, redirect_verdict=XDP_REDIRECT)
         self.invocations += 1
         region = Region("pkt", bytearray(frame))
         args = [Pointer(region, 0), len(frame), dev.ifindex]
         t0 = kernel.clock.now_ns
         try:
-            verdict, executed = kernel.jit.execute(self.program, args, env)
+            verdict, __ = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
             # InjectedFault: a fault site fired inside a map op that the
             # helper layer doesn't absorb; treated exactly like a runtime
             # abort so nothing ever escapes the hook.
             self.aborts += 1
-            env.aborted = True
             _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
             return XdpResult(XDP_ABORTED, frame, aborted=True)
         _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
-        env.insns_executed = executed
         return XdpResult(int(verdict), bytes(region.data), env.redirect_ifindex)
 
 
@@ -101,12 +87,8 @@ class TcAttachment:
         self.invocations = 0
         self.aborts = 0
 
-    def run_tc(self, kernel, dev, skb, env: "Env" = None) -> TcResult:
-        if env is None:
-            cache = kernel.flow_cache
-            if cache.enabled and dev.tc_ingress_prog is self:  # egress runs uncached
-                return cache.run_tc(dev, skb)
-            env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
+    def run_tc(self, kernel, dev, skb) -> TcResult:
+        env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
         self.invocations += 1
         wire = getattr(skb, "wire_frame", None)
         frame = wire() if wire is not None else skb.pkt.to_bytes()
@@ -114,13 +96,10 @@ class TcAttachment:
         args = [Pointer(region, 0), len(frame), skb.ifindex]
         t0 = kernel.clock.now_ns
         try:
-            verdict, executed = kernel.jit.execute(self.program, args, env)
+            verdict, __ = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
             self.aborts += 1
-            env.aborted = True
             _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
             return TcResult(TC_ACT_SHOT, frame, aborted=True)
         _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
-        env.insns_executed = executed
-        out = bytes(region.data)
-        return TcResult(int(verdict), out, env.redirect_ifindex)
+        return TcResult(int(verdict), bytes(region.data), env.redirect_ifindex)

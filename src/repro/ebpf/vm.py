@@ -60,39 +60,15 @@ def _entry_regs(entry_args: List[Word]) -> List[Optional[Word]]:
 
 
 class Env:
-    """Per-invocation environment shared with helpers.
-
-    Besides redirect plumbing, the Env collects the *dependency record* the
-    flow cache (:mod:`repro.fastpath.flowcache`) needs: which kernel tables
-    helpers consulted, which netfilter rules / conntrack entries decided the
-    verdict, the earliest time-based expiry involved, and whether the run
-    touched per-packet state that makes its verdict uncacheable. An
-    attachment run given an Env runs the program; one given none consults
-    the flow cache first (:mod:`repro.ebpf.hooks`).
-    """
+    """Per-invocation environment shared with helpers: the kernel, the
+    hook's redirect verdict and target, and ``bpf_trace_printk``'s
+    records."""
 
     def __init__(self, kernel, redirect_verdict: int) -> None:
         self.kernel = kernel
         self.redirect_verdict = redirect_verdict
         self.redirect_ifindex: Optional[int] = None
         self.trace: List[tuple] = []
-        self.deps: set = set()  # kernel tables consulted ("fib", "bridge", …)
-        self.matched_rules: List[object] = []  # netfilter Rules that decided
-        self.ct_entries: List[object] = []  # conntrack entries consulted
-        self.expires_ns: Optional[int] = None  # earliest time-based staleness
-        self.uncacheable = False
-        self.aborted = False
-        self.insns_executed = 0
-
-    def note_dep(self, name: str) -> None:
-        self.deps.add(name)
-
-    def note_expiry(self, deadline_ns: int) -> None:
-        if self.expires_ns is None or deadline_ns < self.expires_ns:
-            self.expires_ns = deadline_ns
-
-    def mark_uncacheable(self) -> None:
-        self.uncacheable = True
 
 
 class VM:

@@ -1,6 +1,1 @@
-"""Megaflow-style fast-path flow cache (a deliberate extension beyond the
-paper: see docs/flow_cache.md)."""
-
-from repro.fastpath.flowcache import CachedActions, FlowCache, FlowCacheStats, FlowEntry
-
-__all__ = ["CachedActions", "FlowCache", "FlowCacheStats", "FlowEntry"]
+"""Placeholders with nothing behind them (see ``flowcache.py``)."""

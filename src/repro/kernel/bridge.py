@@ -80,10 +80,6 @@ class Bridge:
         self.root_port: Optional[int] = None
         self.flood_count = 0
         self.fdb_miss_count = 0
-        # Generation tag for the flow cache: bumped on semantically visible
-        # changes (new/moved FDB entries, port membership, STP role changes),
-        # NOT on per-packet learning refreshes of an unchanged entry.
-        self.gen = 0
 
     @property
     def kernel(self):
@@ -106,7 +102,6 @@ class Bridge:
         self.fdb[(device.mac, port.pvid)] = FdbEntry(
             mac=device.mac, vlan=port.pvid, port_ifindex=device.ifindex, is_local=True
         )
-        self.gen += 1
         return port
 
     def remove_port(self, device: "NetDevice") -> None:
@@ -116,7 +111,6 @@ class Bridge:
         device.master = None
         for key in [k for k, e in self.fdb.items() if e.port_ifindex == device.ifindex]:
             del self.fdb[key]
-        self.gen += 1
 
     # --- FDB ---
 
@@ -131,7 +125,6 @@ class Bridge:
             and self.kernel.clock.now_ns - entry.updated_ns > self.ageing_time_ns
         ):
             del self.fdb[(mac, vlan)]
-            self.gen += 1
             return None
         return entry
 
@@ -139,18 +132,6 @@ class Bridge:
         if mac.is_multicast:
             return
         self.kernel.costs_charge("bridge_fdb_learn")
-        prior = self.fdb.get((mac, vlan))
-        if (
-            prior is None
-            or prior.port_ifindex != port_ifindex
-            or prior.is_static != static
-            or (
-                not prior.is_local
-                and not prior.is_static
-                and self.kernel.clock.now_ns - prior.updated_ns > self.ageing_time_ns
-            )
-        ):
-            self.gen += 1
         self.fdb[(mac, vlan)] = FdbEntry(
             mac=mac,
             vlan=vlan,
@@ -160,8 +141,7 @@ class Bridge:
         )
 
     def fdb_delete(self, mac: MacAddr, vlan: int) -> None:
-        if self.fdb.pop((mac, vlan), None) is not None:
-            self.gen += 1
+        self.fdb.pop((mac, vlan), None)
 
     def age_fdb(self) -> int:
         """Expire dynamic entries past the ageing time; returns count removed."""
@@ -173,8 +153,6 @@ class Bridge:
         ]
         for key in expired:
             del self.fdb[key]
-        if expired:
-            self.gen += 1
         return len(expired)
 
     # --- VLAN helpers ---
@@ -374,9 +352,7 @@ class Bridge:
                 best_port = ifindex
         self.root_id, self.root_cost, __ = best
         self.root_port = best_port
-        changed = False
         for ifindex, port in self.ports.items():
-            prior_state = port.state
             if self.root_id == self.bridge_id:
                 port.state = STP_FORWARDING  # we are root: all designated
             elif ifindex == self.root_port:
@@ -388,10 +364,6 @@ class Bridge:
                 our_offer = (self.root_id, self.root_cost + port.path_cost, self.bridge_id)
                 their_offer = (heard_root, heard_cost, heard_sender)
                 port.state = STP_FORWARDING if our_offer < their_offer else STP_BLOCKING
-            if port.state != prior_state:
-                changed = True
-        if changed:
-            self.gen += 1
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -103,9 +103,6 @@ class Conntrack:
         # hotplug repoints a dead CPU's slot at a live shard so lookups for
         # its flows keep resolving (see merge_shard / split_shard).
         self._shard_map: List[int] = list(range(num_shards))
-        # Generation tag for the flow cache: bumped on entry create/remove
-        # and state transitions, NOT on per-packet timestamp/counter updates.
-        self.gen = 0
         #: ``nf_conntrack_max``; None = unlimited.
         self.max_entries = max_entries
         #: Entries evicted early (closing/unreplied) to admit new flows.
@@ -143,8 +140,6 @@ class Conntrack:
         for slot, shard in enumerate(self._shard_map):
             if shard == dead:
                 self._shard_map[slot] = target
-        if moved:
-            self.gen += 1
         return moved
 
     def split_shard(self, cpu: int) -> int:
@@ -158,8 +153,6 @@ class Conntrack:
             for tup in misplaced:
                 self._shards[self.shard_of(tup)][tup] = shard.pop(tup)
                 moved += 1
-        if moved:
-            self.gen += 1
         return moved
 
     def _has_room(self) -> bool:
@@ -218,18 +211,14 @@ class Conntrack:
                 return None
             entry = ConnEntry(tuple=tup, created_ns=now, updated_ns=now)
             self._shards[self.shard_of(tup)][tup] = entry
-            self.gen += 1
         else:
             # A packet in the reverse direction confirms the connection.
             if entry.state == CT_NEW and tup == entry.tuple.reversed():
                 entry.state = CT_ESTABLISHED
-                self.gen += 1
             entry.updated_ns = now
         entry.packets += 1
         skb.conntrack = entry
         if isinstance(skb.pkt.l4, TCP) and skb.pkt.l4.has(TCP.FIN | TCP.RST):
-            if entry.state != CT_CLOSED:
-                self.gen += 1
             entry.state = CT_CLOSED
         return entry
 
@@ -248,15 +237,12 @@ class Conntrack:
         now = self._clock.now_ns
         entry = ConnEntry(tuple=tup, created_ns=now, updated_ns=now)
         self._shards[self.shard_of(tup)][tup] = entry
-        self.gen += 1
         return entry
 
     def remove(self, tup: ConnTuple) -> None:
         shard = self._shards[self.shard_of(tup)]
-        removed = shard.pop(tup, None)
-        removed_rev = shard.pop(tup.reversed(), None)
-        if removed is not None or removed_rev is not None:
-            self.gen += 1
+        shard.pop(tup, None)
+        shard.pop(tup.reversed(), None)
 
     def gc(self) -> int:
         """Expire timed-out entries; returns count removed."""
@@ -267,8 +253,6 @@ class Conntrack:
             for tup in expired:
                 del shard[tup]
             count += len(expired)
-        if count:
-            self.gen += 1
         return count
 
     def entries(self) -> List[ConnEntry]:

@@ -56,9 +56,6 @@ class Fib:
         #: empty list
         self._table: PrefixTable[List[Route]] = PrefixTable()
         self._count = 0
-        # Bumped on every semantic mutation; the flow cache keys entry
-        # validity off this (generation-tag invalidation).
-        self.gen = 0
 
     def __len__(self) -> int:
         return self._count
@@ -72,13 +69,11 @@ class Fib:
                 if not replace:
                     raise RouteError(f"route {route.prefix} metric {route.metric} exists")
                 routes[i] = route
-                self.gen += 1
                 return
         routes.append(route)
         routes.sort(key=lambda r: r.metric)
         self._table.set(prefix.length, prefix.address.value, routes)
         self._count += 1
-        self.gen += 1
 
     def remove(self, prefix: IPv4Prefix, metric: Optional[int] = None) -> Route:
         routes = self._table.get(prefix.length, prefix.address.value)
@@ -96,7 +91,6 @@ class Fib:
         if not routes:
             self._table.pop(prefix.length, prefix.address.value)
         self._count -= 1
-        self.gen += 1
         return removed
 
     def remove_for_oif(self, ifindex: int) -> List[Route]:

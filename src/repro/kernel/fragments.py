@@ -80,7 +80,7 @@ class Reassembler:
         body = pkt.payload
         if ip.frag_offset == 0 and pkt.l4 is not None:
             raw = pkt.to_bytes()
-            header_len = 14 + (4 if pkt.vlan else 0) + IPv4.HDR_LEN
+            header_len = 14 + (4 if pkt.vlan else 0) + ip.header_len
             body = raw[header_len:]
         queue.add(ip, body)
         if not queue.complete():
@@ -93,7 +93,7 @@ class Reassembler:
             eth=pkt.eth,
             vlan=pkt.vlan,
             ip=IPv4(src=header.src, dst=header.dst, proto=header.proto, ttl=header.ttl,
-                    tos=header.tos, ident=header.ident),
+                    tos=header.tos, ident=header.ident, options=header.options),
             payload=payload,
         )
         # reparse so the L4 header materializes
@@ -115,12 +115,15 @@ class Reassembler:
 
 
 def fragment(pkt: Packet, mtu: int) -> List[Packet]:
-    """Split an IPv4 packet into MTU-sized fragments (DF honored)."""
-    raw = pkt.to_bytes()
-    header_len = 14 + (4 if pkt.vlan else 0) + IPv4.HDR_LEN
-    body = raw[header_len:]
+    """Split an IPv4 packet into MTU-sized fragments (DF honored).
+
+    The fragments carry no IP options: Linux copies into every fragment the
+    options whose copied flag is set, which this simulator does not.
+    """
     ip = pkt.ip
-    if len(body) + IPv4.HDR_LEN <= mtu:
+    raw = pkt.to_bytes()
+    body = raw[14 + (4 if pkt.vlan else 0) + ip.header_len:]
+    if len(body) + ip.header_len <= mtu:
         return [pkt]
     if ip.flags & 0x2:  # DF
         return []

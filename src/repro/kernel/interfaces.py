@@ -243,8 +243,8 @@ class DeviceTable:
         self._by_name: Dict[str, NetDevice] = {}
         self._next_ifindex = 1
         self._next_mac = 1
-        # Generation tag for the flow cache: bumped on device add/remove,
-        # address changes, link state, and enslavement changes.
+        # Bumped on device add/remove and address changes; is_local rebuilds
+        # its address set when it moves.
         self.gen = 0
         # every device's addresses (as ints), valid while gen == _local_gen
         self._local: FrozenSet[int] = frozenset()

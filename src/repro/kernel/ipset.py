@@ -10,11 +10,15 @@ when a stored prefix holds it). Both keep their members in a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.netsim.addresses import AddrLike, IPv4Addr, IPv4Prefix, PrefixTable, ipv4
 
 SET_TYPES = ("hash:ip", "hash:net")
+
+#: The most addresses one ``hash:ip`` add or del may expand a prefix into:
+#: the simulator's stand-in for Linux's ``IPSET_MAX_RANGE``.
+MAX_RANGE = 1 << 16
 
 
 class IpsetError(ValueError):
@@ -24,31 +28,33 @@ class IpsetError(ValueError):
 class IpSet:
     """One named set."""
 
-    def __init__(self, name: str, set_type: str = "hash:ip", registry: "Optional[IpsetRegistry]" = None) -> None:
+    def __init__(self, name: str, set_type: str = "hash:ip") -> None:
         if set_type not in SET_TYPES:
             raise IpsetError(f"unsupported set type {set_type!r}")
         self.name = name
         self.set_type = set_type
-        self._registry = registry
         # the members of either type; a hash:ip set holds only /32s
         self._members: PrefixTable[bool] = PrefixTable()
 
-    def _bump(self) -> None:
-        if self._registry is not None:
-            self._registry.gen += 1
+    def _keys(self, entry: AddrLike, prefixlen: int) -> Iterable[Tuple[int, int]]:
+        """The ``(length, network)`` members an add or del of this entry
+        touches: the prefix itself in a ``hash:net`` set, and every address
+        it holds in a ``hash:ip`` set, as Linux expands a range."""
+        network = IPv4Prefix(ipv4(entry), prefixlen).address.value
+        if self.set_type == "hash:net":
+            return ((prefixlen, network),)
+        size = 1 << (32 - prefixlen)
+        if size > MAX_RANGE:
+            raise IpsetError(f"hash:ip range /{prefixlen} holds more than {MAX_RANGE} addresses")
+        return ((32, address) for address in range(network, network + size))
 
     def add(self, entry: AddrLike, prefixlen: int = 32) -> None:
-        if self.set_type == "hash:ip" and prefixlen != 32:
-            raise IpsetError("hash:ip sets hold /32 addresses only")
-        prefix = IPv4Prefix(ipv4(entry), prefixlen)
-        if self._members.get(prefixlen, prefix.address.value) is None:
-            self._members.set(prefixlen, prefix.address.value, True)
-            self._bump()
+        for length, network in self._keys(entry, prefixlen):
+            self._members.set(length, network, True)
 
     def remove(self, entry: AddrLike, prefixlen: int = 32) -> None:
-        prefix = IPv4Prefix(ipv4(entry), prefixlen)
-        if self._members.pop(prefixlen, prefix.address.value) is not None:
-            self._bump()
+        for length, network in self._keys(entry, prefixlen):
+            self._members.pop(length, network)
 
     def test(self, addr: AddrLike) -> bool:
         return self._members.longest(ipv4(addr).value) is not None
@@ -65,23 +71,18 @@ class IpsetRegistry:
 
     def __init__(self) -> None:
         self._sets: Dict[str, IpSet] = {}
-        # Generation tag for the flow cache: bumped whenever any set's
-        # membership (or the set of sets) changes.
-        self.gen = 0
 
     def create(self, name: str, set_type: str = "hash:ip") -> IpSet:
         if name in self._sets:
             raise IpsetError(f"set {name!r} exists")
-        ipset = IpSet(name, set_type, registry=self)
+        ipset = IpSet(name, set_type)
         self._sets[name] = ipset
-        self.gen += 1
         return ipset
 
     def destroy(self, name: str) -> None:
         if name not in self._sets:
             raise IpsetError(f"no set {name!r}")
         del self._sets[name]
-        self.gen += 1
 
     def get(self, name: str) -> Optional[IpSet]:
         return self._sets.get(name)

@@ -142,5 +142,4 @@ class Ipvs:
         entry = self._conntrack.create(tup)
         dest.active_conns += 1
         entry.dnat_to = (dest.ip, dest.port)
-        self._conntrack.gen += 1  # pinning the NAT rewrite changes flow fate
         return entry.dnat_to

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, Tuple, Union
 
+from repro.fastpath.flowcache import FlowCache
 from repro.kernel import rtnetlink
 from repro.kernel.bridge import Bridge
 from repro.kernel.conntrack import Conntrack
@@ -67,6 +68,9 @@ _host_ids = itertools.count(1)
 class Kernel:
     """One simulated host: devices, stack state, and the netlink surface."""
 
+    #: Placeholder with nothing behind it: bench/workloads.py and bench/child.py read it.
+    flow_cache = FlowCache
+
     def __init__(
         self,
         hostname: str = "host",
@@ -104,9 +108,6 @@ class Kernel:
         from repro.kernel.softirq import SoftirqSet
 
         self.softirq = SoftirqSet(self)
-        from repro.fastpath import FlowCache  # local import: cycle guard
-
-        self.flow_cache = FlowCache(self)
         from repro.ebpf.jit import JitEngine  # local import: cycle guard
 
         self.jit = JitEngine(self)
@@ -222,7 +223,6 @@ class Kernel:
         dev = self.devices.by_name(name)
         if dev.up != up:
             dev.up = up
-            self.devices.gen += 1
             if not up:
                 for route in self.fib.remove_for_oif(dev.ifindex):
                     self._notify_route(msg.RTM_DELROUTE, route)
@@ -255,8 +255,6 @@ class Kernel:
         dev = self.devices.by_name(name)
         if not isinstance(dev, BridgeDevice):
             raise DeviceError(f"{name} is not a bridge")
-        if stp is not None or vlan_filtering is not None or ageing_time_s is not None:
-            dev.bridge.gen += 1
         if stp is not None:
             dev.bridge.stp_enabled = stp
         if vlan_filtering is not None:
@@ -340,8 +338,7 @@ class Kernel:
         onlink: bool = False,
     ) -> Route:
         """``ip route replace``: add-or-overwrite the same-prefix same-metric
-        entry. The FIB bumps its generation either way, so flow-cache entries
-        forwarding via the old next hop are invalidated."""
+        entry."""
         return self.route_add(dst, via=via, dev=dev, metric=metric, onlink=onlink, _replace=True)
 
     def route_del(self, dst: Union[str, IPv4Prefix], metric: Optional[int] = None) -> Route:
@@ -479,17 +476,16 @@ class Kernel:
 
         Ordering matters for conservation: the CPU's backlog is drained
         *while it is still online* (``dev_cpu_dead`` replays the dead CPU's
-        queue), so no queued frame is lost; then steering, RSS indirection,
-        the conntrack shard, and the flow-cache shard are all retargeted at
-        the surviving CPUs. The controller hears about it via a ``CPU_OFFLINE``
-        notification and records an incident.
+        queue), so no queued frame is lost; then steering, RSS indirection
+        and the conntrack shard are all retargeted at the surviving CPUs.
+        The controller hears about it via a ``CPU_OFFLINE`` notification and
+        records an incident.
         """
         self.softirq.drain_cpu(cpu)
         self.cpus.offline(cpu)  # raises on the last online CPU / mid-execution
         target = self._hotplug_target(cpu)
         self._retarget_rss()
         self.conntrack.merge_shard(cpu % self.conntrack.num_shards, target % self.conntrack.num_shards)
-        self.flow_cache.drop_shard(cpu)
         self.bus.notify(
             msg.GRP_CPU,
             NetlinkMsg(msg.CPU_OFFLINE, {"cpu": cpu, "num_online": self.cpus.num_online}),

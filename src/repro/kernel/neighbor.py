@@ -42,9 +42,6 @@ class NeighborTable:
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
         self._entries: Dict[Tuple[int, IPv4Addr], NeighborEntry] = {}
-        # Generation tag for the flow cache. Bumped only on semantically
-        # visible changes (lladdr/state), not on same-value refreshes.
-        self.gen = 0
 
     def lookup(self, ifindex: int, ip: AddrLike) -> Optional[NeighborEntry]:
         entry = self._entries.get((ifindex, ipv4(ip)))
@@ -94,8 +91,6 @@ class NeighborTable:
         if entry is None:
             entry = NeighborEntry(ip=ipv4(ip), ifindex=ifindex)
             self._entries[key] = entry
-        if entry.lladdr != lladdr or entry.state != state:
-            self.gen += 1
         entry.lladdr = lladdr
         entry.state = state
         entry.updated_ns = self._clock.now_ns
@@ -107,22 +102,17 @@ class NeighborTable:
         entry = self._entries.get((ifindex, ipv4(ip)))
         if entry is None:
             return []
-        if entry.state != NUD_FAILED:
-            self.gen += 1
         entry.state = NUD_FAILED
         dropped, entry.queued = entry.queued, []
         return dropped
 
     def remove(self, ifindex: int, ip: AddrLike) -> None:
-        if self._entries.pop((ifindex, ipv4(ip)), None) is not None:
-            self.gen += 1
+        self._entries.pop((ifindex, ipv4(ip)), None)
 
     def flush_ifindex(self, ifindex: int) -> None:
         stale = [k for k in self._entries if k[0] == ifindex]
         for key in stale:
             del self._entries[key]
-        if stale:
-            self.gen += 1
 
     def entries(self) -> List[NeighborEntry]:
         return list(self._entries.values())

@@ -183,15 +183,15 @@ class Netfilter:
     Rules and policies change only through the mutators below
     (``append_rule``, ``insert_rule``, ``delete_rule``, ``flush``,
     ``set_policy``); each bumps ``gen``, which invalidates the compiled
-    chains and the flow cache's netfilter-dependent entries.
+    chains.
     """
 
     def __init__(self, kernel) -> None:
         self._kernel = kernel
         self.chains: Dict[str, Chain] = {name: Chain(name) for name in BUILTIN_CHAINS}
         self._next_handle = 1
-        # Generation tag for the flow cache and the compiled chains: bumped on
-        # every ruleset mutation.
+        # Generation tag for the compiled chains: bumped on every ruleset
+        # mutation.
         self.gen = 0
         # Per-chain verdict counters (observability): chain -> verdict -> n.
         from collections import Counter
@@ -290,10 +290,8 @@ class Netfilter:
         does not carry, and returns that rule unmatched: it counts as
         scanned, its ipset does not. ``scanned`` counts the rules a linear
         walk visits, the match included, and ``ipset_scanned`` those of
-        them matching an ipset; the caller charges both in one step. That
-        equals the per-rule charges bit for bit while every cost is a whole
-        number of ns and the clock and busy accumulators already hold at
-        least the coalesced sum (see docs/fastpath.md).
+        them matching an ipset; the caller charges both in one step, which
+        the exact integer clock sums the same as per-rule charges.
         """
         compiled = self._compiled_chain(chain_name)
         src, dst, proto = fields

@@ -6,7 +6,7 @@ NIC RX queue is owned by one logical CPU (``queue % num_cpus`` — the
 CPUs after a hotplug event), and every frame is then RPS-steered by a
 *symmetric* flow hash so all packets of a flow — in both directions — are
 processed on a single CPU. That invariant is what lets the conntrack table
-and flow cache shard per CPU without cross-CPU locking on the fast path.
+shard per CPU without cross-CPU locking on the fast path.
 A one-CPU kernel has nowhere to steer to and does not steer.
 
 Overload semantics mirror ``enqueue_to_backlog``: each CPU has a bounded
@@ -30,9 +30,10 @@ and throughput is bounded by the bottleneck CPU only.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Deque, Iterable, List, Optional, Tuple
 
-from repro.netsim.flowkey import extract_flow_key
+from repro.netsim.checksum import internet_checksum
+from repro.netsim.packet import IPPROTO_TCP, IPPROTO_UDP
 from repro.netsim.rss import symmetric_flow_hash
 from repro.testing import faults
 
@@ -46,6 +47,35 @@ DEFAULT_MAX_BACKLOG = 1000
 #: Frames one CPU may process per softirq round before yielding to the
 #: next CPU (the NAPI poll budget; ``net/core/dev.c`` uses 64 too).
 NAPI_BUDGET = 64
+
+
+def _flow_tuple(frame: bytes) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(src, dst, proto, sport, dport)`` of a frame RPS may steer, or None.
+
+    Steering declines (the frame stays on its RX queue's CPU) anything
+    shorter than Ethernet + an option-less IPv4 header + the four port
+    bytes; a non-IPv4 ethertype, including 802.1Q tags; IP options; a bad
+    header checksum; a fragment (MF set or a nonzero offset); and any
+    protocol but TCP and UDP.
+    """
+    if len(frame) < 38:
+        return None
+    if frame[12] != 0x08 or frame[13] != 0x00 or frame[14] != 0x45:
+        return None
+    if internet_checksum(frame[14:34]) != 0:
+        return None
+    if ((frame[20] << 8) | frame[21]) & 0x3FFF:
+        return None
+    proto = frame[23]
+    if proto != IPPROTO_TCP and proto != IPPROTO_UDP:
+        return None
+    return (
+        int.from_bytes(frame[26:30], "big"),
+        int.from_bytes(frame[30:34], "big"),
+        proto,
+        (frame[34] << 8) | frame[35],
+        (frame[36] << 8) | frame[37],
+    )
 
 
 class SoftirqSet:
@@ -109,14 +139,14 @@ class SoftirqSet:
     def steer(self, frame: bytes, rx_cpu: int) -> int:
         """The RPS target CPU for a frame (``get_rps_cpu``).
 
-        Keyable frames steer by the symmetric flow hash over the *online*
-        CPUs; everything else (ARP, fragments, non-TCP/UDP) stays on the RX
-        queue's CPU.
+        TCP and UDP frames steer by the symmetric flow hash over the
+        *online* CPUs; everything :func:`_flow_tuple` declines (ARP,
+        fragments, ICMP, ...) stays on the RX queue's CPU.
         """
-        key = extract_flow_key(frame, 0)
-        if key is None:
+        flow = _flow_tuple(frame)
+        if flow is None:
             return rx_cpu
-        flow_hash = symmetric_flow_hash(key.src, key.dst, key.proto, key.sport, key.dport)
+        flow_hash = symmetric_flow_hash(*flow)
         cpus = self.kernel.cpus
         if cpus.num_online == cpus.num_cpus:
             return flow_hash % cpus.num_cpus

@@ -253,11 +253,10 @@ class Stack:
         """Batched driver entry: the GRO / ``xdp_do_flush`` analogue.
 
         Accounts and charges driver work once for the whole burst and runs
-        the XDP program (or the flow cache in front of it) over all frames
-        before dispatching any verdict, so the per-frame bookkeeping
-        (ledger attribution, driver charge) amortizes over the batch. A
-        device without an XDP program, a differential watchdog, or an
-        armed tracer forces the per-frame path.
+        the XDP program over all frames before dispatching any verdict, so
+        the per-frame bookkeeping (ledger attribution, driver charge)
+        amortizes over the batch. A device without an XDP program, a
+        differential watchdog, or an armed tracer forces the per-frame path.
 
         Running every program first is not always what per-frame delivery
         would do: a verdict dispatched early in the burst can change state
@@ -625,7 +624,7 @@ class Stack:
         self.send_ip(
             IPv4(src=dev.addresses[0].address, dst=skb.pkt.ip.src, proto=IPPROTO_ICMP),
             ICMP(ICMP_TIME_EXCEEDED),
-            skb.pkt.ip.pack(0)[:20],
+            skb.pkt.ip.pack(0),
         )
 
     def _icmp_unreachable(self, dev: NetDevice, skb: SKBuff) -> None:
@@ -635,7 +634,7 @@ class Stack:
         self.send_ip(
             IPv4(src=dev.addresses[0].address, dst=skb.pkt.ip.src, proto=IPPROTO_ICMP),
             ICMP(3, code=0),
-            skb.pkt.ip.pack(0)[:20],
+            skb.pkt.ip.pack(0),
         )
 
     # --------------------------------------------------------------- vxlan

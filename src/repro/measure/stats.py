@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -42,51 +42,3 @@ def summarize(values: Sequence[float]) -> Summary:
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / n
     return Summary(mean=mean, p99=percentile(values, 99.0), std=math.sqrt(variance), count=n)
-
-
-def flow_cache_summary(stats) -> Dict[str, object]:
-    """Flatten :class:`repro.fastpath.FlowCacheStats` for reporting.
-
-    A hook with no lookups at all (present only in ``records``) has no hit
-    rate — it is omitted, and the overall rate is ``None``, rather than a
-    misleading 0.00%.
-    """
-    data = stats.as_dict()
-    saw_traffic = any(stats.hits.values()) or any(stats.misses.values())
-    data["hit_rate"] = stats.hit_rate() if saw_traffic else None
-    for hook in ("xdp", "tc"):
-        if stats.hits[hook] or stats.misses[hook]:
-            data[f"hit_rate_{hook}"] = stats.hit_rate(hook)
-    return data
-
-
-def format_flow_cache(stats) -> List[str]:
-    """Human-readable report lines for the flow cache counters."""
-    saw_traffic = any(stats.hits.values()) or any(stats.misses.values())
-    overall = f"{stats.hit_rate() * 100:6.2f}%" if saw_traffic else "   n/a"
-    lines = [
-        f"hit rate        {overall}  "
-        f"(hits={sum(stats.hits.values())}, misses={sum(stats.misses.values())}, "
-        f"bypasses={sum(stats.bypasses.values())})",
-    ]
-    for hook in sorted(set(stats.hits) | set(stats.misses) | set(stats.records)):
-        if stats.hits[hook] or stats.misses[hook]:
-            rate = f"{stats.hit_rate(hook) * 100:.2f}%"
-        else:
-            rate = "n/a"  # records exist but no lookups yet: no rate to report
-        lines.append(
-            f"  {hook:<4} hits={stats.hits[hook]} misses={stats.misses[hook]} "
-            f"records={stats.records[hook]} rate={rate}"
-        )
-    for fpm, count in sorted(stats.fpm_hits.items()):
-        lines.append(f"  fpm {fpm:<8} runs avoided: {count}")
-    for reason, count in sorted(stats.invalidations.items()):
-        lines.append(f"  invalidated [{reason}]: {count}")
-    lines.append(
-        f"evictions={stats.evictions} flushes={stats.flushes} "
-        f"(entries={stats.flushed_entries})"
-    )
-    lines.append(
-        f"avoided {stats.insns_avoided} eBPF insns, saved {stats.ns_saved:.0f} simulated ns"
-    )
-    return lines

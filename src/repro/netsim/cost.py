@@ -89,10 +89,6 @@ class CostModel:
     cross_cpu_lock: int = 90          # contended cacheline bounce on a shared
                                       # (non-per-CPU) map mutation
 
-    # --- megaflow-style flow cache (extension beyond the paper) ---
-    flow_cache_lookup: int = 40       # hash + gen revalidation + replay
-    flow_cache_insert: int = 25       # record an entry after a full run
-
     # --- Polycube-style platform (custom maps, tail-call chaining) ---
     polycube_classifier: int = 95         # bitvector classification (rule-count ~flat)
     polycube_classifier_per_rule: float = 0.06

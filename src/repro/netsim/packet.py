@@ -132,7 +132,8 @@ class ARP:
 
 @dataclass
 class IPv4:
-    """IPv4 header (20 bytes; options unsupported by the simulator)."""
+    """IPv4 header: 20 fixed bytes, then any options, kept as raw bytes
+    (a multiple of 4, at most 40) that :meth:`pack` writes back unchanged."""
 
     src: IPv4Addr
     dst: IPv4Addr
@@ -143,15 +144,22 @@ class IPv4:
     flags: int = 0  # bit 1 = DF, bit 0 (of the 3-bit field LSB) = MF
     frag_offset: int = 0
     total_length: int = 0  # filled in by pack() when zero
+    options: bytes = b""
 
     HDR_LEN = 20
 
+    @property
+    def header_len(self) -> int:
+        """The header's length in bytes, options included (IHL × 4)."""
+        return self.HDR_LEN + len(self.options)
+
     def pack(self, payload_len: int = 0) -> bytes:
-        total = self.total_length or (self.HDR_LEN + payload_len)
+        header_len = self.header_len
+        total = self.total_length or (header_len + payload_len)
         flags_frag = (self.flags << 13) | self.frag_offset
         header = struct.pack(
             "!BBHHHBBH4s4s",
-            (4 << 4) | 5,
+            (4 << 4) | (header_len >> 2),
             self.tos,
             total,
             self.ident,
@@ -161,7 +169,7 @@ class IPv4:
             0,
             self.src.to_bytes(),
             self.dst.to_bytes(),
-        )
+        ) + self.options
         checksum = internet_checksum(header)
         return header[:10] + struct.pack("!H", checksum) + header[12:]
 
@@ -203,6 +211,7 @@ class IPv4:
             flags=flags_frag >> 13,
             frag_offset=flags_frag & 0x1FFF,
             total_length=total,
+            options=bytes(data[cls.HDR_LEN:ihl]) if ihl > cls.HDR_LEN else b"",
         )
         # the body ends at the total length: anything after is Ethernet padding
         return hdr, data[ihl:total]

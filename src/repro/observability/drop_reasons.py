@@ -124,7 +124,6 @@ register_drop_reason("no_socket", "local", "no listening socket for a local pack
 #: Files whose ``drop("...")`` call sites the self-check audits.
 DROP_SITE_GLOBS = (
     "kernel/*.py",
-    "fastpath/*.py",
     "ebpf/hooks.py",
 )
 

@@ -1,9 +1,9 @@
 """The unified metrics registry: one snapshot over everything observable.
 
 Collects the stack's packet ledger and drop counters, netfilter per-chain
-verdicts and scan counters, flow-cache statistics, conntrack occupancy,
-the latency histograms, tracer state, and — when a controller is
-attached — control plane health, incidents, and watchdog verdicts.
+verdicts and scan counters, conntrack occupancy, the latency histograms,
+tracer state, and — when a controller is attached — control plane health,
+incidents, and watchdog verdicts.
 Exported two ways: Prometheus text exposition (``to_prometheus``) for
 scrape-style tooling and JSON (``to_json``) for scripts.
 """
@@ -114,10 +114,6 @@ class MetricsRegistry:
             "fpm_latency": obs.fpm_latency.as_dict(),
             "tracer": obs.tracer.summary(),
         }
-        from repro.measure.stats import flow_cache_summary
-
-        cache = kernel.flow_cache
-        data["flow_cache"] = {"enabled": cache.enabled, **flow_cache_summary(cache.stats)}
         engine = getattr(kernel, "jit", None)
         if engine is not None:
             data["jit_engine"] = engine.summary()
@@ -244,20 +240,6 @@ class MetricsRegistry:
             family("linuxfp_conntrack_shard_entries", "gauge", "Conntrack occupancy per CPU shard.")
             for shard, count in enumerate(kernel.conntrack.shard_sizes()):
                 sample("linuxfp_conntrack_shard_entries", count, shard=str(shard))
-
-        stats = kernel.flow_cache.stats
-        family("linuxfp_flow_cache_events_total", "counter", "Flow-cache lookups by hook and result.")
-        for result, counter in (("hit", stats.hits), ("miss", stats.misses), ("bypass", stats.bypasses)):
-            for hook, count in sorted(counter.items()):
-                sample("linuxfp_flow_cache_events_total", count, hook=hook, result=result)
-        family("linuxfp_flow_cache_fpm_hits_total", "counter", "FPM executions avoided by flow-cache replay.")
-        for fpm, count in sorted(stats.fpm_hits.items()):
-            sample("linuxfp_flow_cache_fpm_hits_total", count, fpm=fpm)
-        family("linuxfp_flow_cache_invalidations_total", "counter", "Flow-cache invalidations by reason.")
-        for reason, count in sorted(stats.invalidations.items()):
-            sample("linuxfp_flow_cache_invalidations_total", count, reason=reason)
-        family("linuxfp_flow_cache_evictions_total", "counter", "Entries displaced by LRU capacity pressure.")
-        sample("linuxfp_flow_cache_evictions_total", stats.evictions)
 
         self._prom_histograms(lines, family, sample)
 

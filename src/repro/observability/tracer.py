@@ -2,7 +2,7 @@
 
 Arm the tracer with a :class:`TraceFilter`; every matching packet then
 accumulates its journey — profiler stage names, hook verdicts, FPM ids,
-flow-cache hits/misses, and the terminal outcome or drop reason — into a
+and the terminal outcome or drop reason — into a
 :class:`PacketTrace`. Completed traces land in a bounded ring buffer with
 overflow accounting, so tracing a busy pipeline can never grow memory.
 """

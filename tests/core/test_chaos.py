@@ -37,10 +37,10 @@ chaos_op = st.one_of(
 
 
 def build_pair():
-    """A plain DUT and an accelerated DUT (watchdog + flow cache on)."""
+    """A plain DUT and an accelerated DUT (watchdog on)."""
     slow_topo, slow_out = build_dut([], accelerated=False)
     fast_topo, fast_out = build_dut([], accelerated=False)
-    controller = Controller(fast_topo.dut, hook="xdp", watchdog_every=5, flow_cache=True)
+    controller = Controller(fast_topo.dut, hook="xdp", watchdog_every=5)
     controller.start()
     fast_topo.prewarm_neighbors()
     return slow_topo, slow_out, fast_topo, fast_out, controller

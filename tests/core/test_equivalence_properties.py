@@ -125,12 +125,10 @@ class TestFastSlowEquivalence:
 
 # churn strategies ------------------------------------------------------------
 #
-# Operations interleave packets with live configuration mutations. Config ops
-# apply to BOTH the accelerated and the plain DUT; cache ops apply only to the
-# accelerated one (the plain DUT has nothing to flush). The invariant is the
-# same as above — identical per-packet outcomes and identical forwarded
-# bytes — but now it must hold *across* mutations, which is exactly what the
-# flow cache's generation-tag invalidation is for.
+# Operations interleave packets with live configuration mutations, applied
+# to BOTH the accelerated and the plain DUT. The invariant is the same as
+# above — identical per-packet outcomes and identical forwarded bytes — but
+# now it must hold *across* mutations.
 
 churn_op = st.one_of(
     st.tuples(st.just("pkt"), packet_strategy),
@@ -141,8 +139,6 @@ churn_op = st.one_of(
     st.tuples(st.just("neigh_del"), st.just(0)),
     st.tuples(st.just("neigh_add"), st.just(0)),
     st.tuples(st.just("age"), st.sampled_from([1, 301, 4000])),  # seconds
-    st.tuples(st.just("cache_flush"), st.just(0)),
-    st.tuples(st.just("cache_toggle"), st.booleans()),
 )
 
 
@@ -187,22 +183,14 @@ class TestChurnEquivalence:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.lists(churn_op, min_size=1, max_size=14))
-    def test_equivalence_under_churn_with_cache(self, ops):
+    def test_equivalence_under_churn(self, ops):
         slow_topo, slow_out = build_dut([], accelerated=False)
-        fast_topo, fast_out = build_dut([], accelerated=False)
-        from repro.core import Controller as _Controller
-
-        _Controller(fast_topo.dut, hook="xdp", flow_cache=True).start()
-        fast_topo.prewarm_neighbors()
+        fast_topo, fast_out = build_dut([], accelerated=True)
         slow_handles, fast_handles = [], []
 
         for op, arg in ops:
             if op == "pkt":
                 assert drive(slow_topo, slow_out, [arg]) == drive(fast_topo, fast_out, [arg])
-            elif op == "cache_flush":
-                fast_topo.dut.flow_cache.flush()
-            elif op == "cache_toggle":
-                fast_topo.dut.flow_cache.enabled = arg
             else:
                 _apply_config_op(slow_topo, slow_handles, op, arg)
                 _apply_config_op(fast_topo, fast_handles, op, arg)
@@ -211,33 +199,3 @@ class TestChurnEquivalence:
         # topologies, so skip the Ethernet header and exclude ARP frames
         # (their *payload* embeds the per-topology sender MAC).
         assert _ip_payloads(slow_out) == _ip_payloads(fast_out)
-
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(ops=st.lists(churn_op, min_size=1, max_size=10))
-    def test_cache_on_equals_cache_off(self, ops):
-        """Two accelerated DUTs — cache on vs off — must agree exactly."""
-        from repro.core import Controller as _Controller
-
-        def build(flow_cache):
-            topo = LineTopology()
-            topo.install_prefixes(8)
-            _Controller(topo.dut, hook="xdp", flow_cache=flow_cache).start()
-            topo.prewarm_neighbors()
-            out = []
-            topo.sink_eth.nic.attach(lambda frame, q: out.append(frame))
-            return topo, out
-
-        off_topo, off_out = build(False)
-        on_topo, on_out = build(True)
-        off_handles, on_handles = [], []
-        for op, arg in ops:
-            if op == "pkt":
-                assert drive(off_topo, off_out, [arg]) == drive(on_topo, on_out, [arg])
-            elif op == "cache_flush":
-                on_topo.dut.flow_cache.flush()
-            elif op == "cache_toggle":
-                on_topo.dut.flow_cache.enabled = arg
-            else:
-                _apply_config_op(off_topo, off_handles, op, arg)
-                _apply_config_op(on_topo, on_handles, op, arg)
-        assert _ip_payloads(off_out) == _ip_payloads(on_out)

@@ -20,7 +20,7 @@ from repro.observability.drop_reasons import reason_names
 NUM_PREFIXES = 8
 
 
-def build_dut(rules=(), accelerated=False, conntrack_max=None, flow_cache=False):
+def build_dut(rules=(), accelerated=False, conntrack_max=None):
     topo = LineTopology()
     topo.install_prefixes(NUM_PREFIXES)
     if conntrack_max is not None:
@@ -29,7 +29,7 @@ def build_dut(rules=(), accelerated=False, conntrack_max=None, flow_cache=False)
         topo.dut.ipt_append("FORWARD", rule)
     controller = None
     if accelerated:
-        controller = Controller(topo.dut, hook="xdp", flow_cache=flow_cache)
+        controller = Controller(topo.dut, hook="xdp")
         controller.start()
     topo.prewarm_neighbors()
     delivered = []
@@ -73,17 +73,6 @@ class TestDifferentialUnderPressure:
             assert ct.early_drops > 0
             assert_conserved(topo.dut.stack)
         assert slow.dut.conntrack.early_drops == fast.dut.conntrack.early_drops
-
-    def test_flow_cache_at_capacity_no_divergence(self):
-        slow, _, slow_out = build_dut(accelerated=False)
-        fast, _, fast_out = build_dut(accelerated=True, flow_cache=True)
-        fast.dut.flow_cache.capacity = 8
-        # first pass populates (and overflows) the cache; second replays
-        for _ in range(2):
-            assert drive_flows(slow, slow_out, 32) == drive_flows(fast, fast_out, 32)
-        assert fast.dut.flow_cache.stats.evictions > 0
-        assert [f[14:] for f in slow_out] == [f[14:] for f in fast_out]
-        assert_conserved(fast.dut.stack)
 
 
 class TestAcceptanceWorkload:

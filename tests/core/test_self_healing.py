@@ -232,28 +232,3 @@ class TestOverrunResync:
         assert len(view_rules) == 1  # applied once despite double delivery
         assert controller.health()["ok"]
 
-
-class TestEpochTags:
-    def test_quarantine_flush_bumps_partition_epoch(self):
-        topo = router_topo()
-        controller = Controller(topo.dut, hook="xdp", flow_cache=True)
-        controller.start()
-        cache = topo.dut.flow_cache
-        ifindex = topo.dut.devices.by_name("eth0").ifindex
-        before = cache.epoch("xdp", ifindex)
-        controller.deployer.quarantine("eth0", "test", holdoff_ns=1)
-        assert cache.epoch("xdp", ifindex) > before
-
-    def test_stale_epoch_entry_never_serves(self):
-        topo = router_topo()
-        controller = Controller(topo.dut, hook="xdp", flow_cache=True)
-        controller.start()
-        cache = topo.dut.flow_cache
-        delivered = attach_sink(topo)
-        send_one(topo)  # miss: records an entry
-        assert len(cache.entries()) == 1
-        ifindex = topo.dut.devices.by_name("eth0").ifindex
-        cache._epochs[("xdp", ifindex)] += 1  # simulate an in-flight stale insert
-        send_one(topo)
-        assert cache.stats.invalidations["epoch"] == 1
-        assert len(delivered) == 2  # both packets went through correctly

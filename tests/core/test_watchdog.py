@@ -105,43 +105,44 @@ class TestMismatchContainment:
         assert controller.watchdog.mismatches == 1
         assert len(delivered) == 5
 
-    def test_quarantine_flushes_cached_bad_verdicts(self):
+    def test_traffic_after_quarantine_rides_the_slow_path(self):
         topo = router_topo()
-        controller = Controller(topo.dut, hook="xdp", watchdog_every=4, flow_cache=True)
+        controller = Controller(topo.dut, hook="xdp", watchdog_every=4)
         controller.start()
-        cache = topo.dut.flow_cache
         corrupt_fast_path(controller)
         delivered = attach_sink(topo)
-        send(topo, 8, flow=0)  # one flow, so the bad DROP verdict gets cached
+        send(topo, 8, flow=0)
         assert controller.watchdog.mismatches == 1
         assert len(delivered) == 5
-        # the poisoned DROP verdict is gone; anything recorded since the
-        # flush came from the dispatcher falling through to the slow path
-        assert all(e.verdict != 1 for e in cache.entries())  # 1 == XDP_DROP
+        # the dispatcher falls through to the slow path from now on
         send(topo, 4, flow=0)
         assert len(delivered) == 9
 
-    def test_watchdog_checks_cached_verdicts(self):
+    def test_wrong_rewrite_is_caught_and_quarantined(self):
+        """An FPM that forwards with the wrong destination MAC: the first
+        sample's prediction disagrees with the kernel's frame."""
         from repro.netsim.addresses import MacAddr
 
         topo = router_topo()
-        controller = Controller(topo.dut, hook="xdp", watchdog_every=4, flow_cache=True)
+        controller = Controller(topo.dut, hook="xdp", watchdog_every=4)
         controller.start()
-        cache = topo.dut.flow_cache
-        delivered = attach_sink(topo)
-        send(topo, 1, flow=0)  # packet 1 records the flow
-        (poisoned,) = cache.entries()
         bogus = bytes.fromhex("02deadbeef00")
-        poisoned.actions.eth_dst = bogus
+        bad = compile_c(
+            "u32 main(u8* pkt, u64 len, u64 ifindex) {"
+            " if (len < 14) { return 2; }"
+            f" st48(pkt, 0, 0x{bogus.hex()});"
+            f" return redirect({topo.dut_out.ifindex}, 0); }}",
+            name="bad", hook="xdp",
+        )
+        controller.deployer.deployed["eth0"].prog_array.set_prog(0, bad)
+        delivered = attach_sink(topo)
         send(topo, 8, flow=0)
-        # packets 2-3 replayed the poisoned entry; packet 4, the first
-        # sample, predicted from the same entry and disagreed with the kernel
+        # packets 1-3 left with the wrong MAC; packet 4, the first sample,
+        # was the kernel's and disagreed with the prediction
         assert controller.watchdog.mismatches == 1
         assert controller.watchdog.sampled == 1
         assert "eth0" in controller.deployer.quarantined
-        epoch = cache.epoch("xdp", topo.dut_in.ifindex)
-        assert all(e is not poisoned and e.epoch == epoch for e in cache.entries())
-        assert [f[0:6] == bogus for f in delivered] == [False, True, True] + [False] * 6
+        assert [f[0:6] == bogus for f in delivered] == [True] * 3 + [False] * 5
         assert all(MacAddr.from_bytes(f[0:6]) == topo.sink_eth.mac for f in delivered[3:])
 
     def test_tc_hook_watchdog(self):

@@ -120,11 +120,12 @@ class TestDecoderFuzz:
         kernel.add_address("eth0", "10.0.0.1/24")
         dev.nic.receive_from_wire(bytes(data))  # must not raise
 
-def _accelerated_dut(flow_cache):
-    """A LineTopology DUT running the synthesized XDP fast path."""
+def _dut(accelerated):
+    """A LineTopology DUT, on the synthesized XDP fast path or plain."""
     topo = LineTopology()
     topo.install_prefixes(4)
-    Controller(topo.dut, hook="xdp", flow_cache=flow_cache).start()
+    if accelerated:
+        Controller(topo.dut, hook="xdp").start()
     topo.prewarm_neighbors()
     out = []
     topo.sink_eth.nic.attach(lambda frame, q: out.append(frame))
@@ -132,7 +133,7 @@ def _accelerated_dut(flow_cache):
 
 
 def _good_frame(topo):
-    """A canonical forwardable UDP frame (the flow the cache will hold)."""
+    """A canonical forwardable UDP frame."""
     return make_udp(
         topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2",
         topo.flow_destination(0, 4), sport=1234, dport=53, ttl=32,
@@ -143,27 +144,36 @@ def _ipv4_payloads(frames):
     return [f[14:] for f in frames if f[12:14] == b"\x08\x00"]
 
 
-class TestFlowCacheFuzz:
-    """Hostile frames through the flow-cache path: the cache must fail open
-    (bypass to the full program), never raise, and never serve a verdict
-    recorded for a different packet (cache poisoning)."""
+def _outputs(frames_for, accelerated):
+    """The IPv4 frames a DUT sends to the sink for ``frames_for(topo)``,
+    one list per input frame."""
+    topo, out = _dut(accelerated)
+    per_frame = []
+    for frame in frames_for(topo):
+        sent = len(out)
+        topo.dut_in.nic.receive_from_wire(frame)  # must not raise
+        per_frame.append(_ipv4_payloads(out[sent:]))
+    return per_frame
+
+
+def _agree(frames_for, skip=()):
+    """Send ``frames_for(topo)`` through an accelerated and a plain DUT:
+    nothing raises, and the sink gets the same IPv4 frames from both for
+    every input frame whose index is not in ``skip``."""
+    fast, slow = _outputs(frames_for, True), _outputs(frames_for, False)
+    assert [o for i, o in enumerate(fast) if i not in skip] == [o for i, o in enumerate(slow) if i not in skip]
+
+
+class TestHostileFramesAcceleratedVsPlain:
+    """Hostile frames between well-formed ones: the fast path never raises,
+    and forwards what the plain kernel forwards. The property tests compare
+    every frame around a damaged one; :meth:`test_damaged_header_agrees`
+    compares the damaged frames themselves."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.lists(st.binary(min_size=0, max_size=200), min_size=1, max_size=6))
-    def test_arbitrary_frames_never_raise_or_poison(self, data):
-        on_topo, on_out = _accelerated_dut(flow_cache=True)
-        off_topo, off_out = _accelerated_dut(flow_cache=False)
-        good_on, good_off = _good_frame(on_topo), _good_frame(off_topo)
-        # seed the cache with a legitimate flow, then batter it with garbage
-        on_topo.dut_in.nic.receive_from_wire(good_on)
-        off_topo.dut_in.nic.receive_from_wire(good_off)
-        for frame in data:
-            on_topo.dut_in.nic.receive_from_wire(bytes(frame))   # must not raise
-            off_topo.dut_in.nic.receive_from_wire(bytes(frame))
-        # the cached entry must still replay the *original* verdict
-        on_topo.dut_in.nic.receive_from_wire(good_on)
-        off_topo.dut_in.nic.receive_from_wire(good_off)
-        assert _ipv4_payloads(on_out) == _ipv4_payloads(off_out)
+    def test_arbitrary_frames(self, data):
+        _agree(lambda topo: [_good_frame(topo), *map(bytes, data), _good_frame(topo)])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -173,80 +183,53 @@ class TestFlowCacheFuzz:
             max_size=4,
         )
     )
-    def test_mutations_of_cached_flow_frame(self, mutations):
-        """Bit-flipped variants of a cached flow's frame must never be served
-        that flow's cached actions: cache-on and cache-off agree exactly."""
-        on_topo, on_out = _accelerated_dut(flow_cache=True)
-        off_topo, off_out = _accelerated_dut(flow_cache=False)
-        good_on, good_off = _good_frame(on_topo), _good_frame(off_topo)
-        # hot cache: the entry for this exact flow exists and has been hit
-        for _ in range(3):
-            on_topo.dut_in.nic.receive_from_wire(good_on)
-            off_topo.dut_in.nic.receive_from_wire(good_off)
-
-        def mutate(frame):
-            buf = bytearray(frame)
+    def test_mutations_of_a_forwarded_frame(self, mutations):
+        def frames(topo):
+            buf = bytearray(_good_frame(topo))
             for pos, val in mutations:
                 buf[pos % len(buf)] = val
-            return bytes(buf)
+            return [_good_frame(topo)] * 3 + [bytes(buf)] + [_good_frame(topo)] * 2
 
-        on_topo.dut_in.nic.receive_from_wire(mutate(good_on))    # must not raise
-        off_topo.dut_in.nic.receive_from_wire(mutate(good_off))
-        assert _ipv4_payloads(on_out) == _ipv4_payloads(off_out)
+        _agree(frames, skip={3})
 
     @settings(max_examples=60, deadline=None)
     @given(cut=st.integers(min_value=0, max_value=59))
-    def test_truncated_frames_bypass_cleanly(self, cut):
-        """Every truncation of a valid frame is handled without raising and
-        agrees with the cache-off DUT."""
-        on_topo, on_out = _accelerated_dut(flow_cache=True)
-        off_topo, off_out = _accelerated_dut(flow_cache=False)
-        good_on, good_off = _good_frame(on_topo), _good_frame(off_topo)
-        on_topo.dut_in.nic.receive_from_wire(good_on)
-        off_topo.dut_in.nic.receive_from_wire(good_off)
-        on_topo.dut_in.nic.receive_from_wire(good_on[:cut])
-        off_topo.dut_in.nic.receive_from_wire(good_off[:cut])
-        assert _ipv4_payloads(on_out) == _ipv4_payloads(off_out)
+    def test_truncated_frames(self, cut):
+        _agree(lambda topo: [_good_frame(topo), _good_frame(topo)[:cut], _good_frame(topo)], skip={1})
 
-    def test_unkeyable_garbage_never_enters_cache(self):
-        """Frames that fail flow-key extraction are bypasses: they must not
-        create cache entries, only bump the bypass counter."""
-        topo, _ = _accelerated_dut(flow_cache=True)
-        cache = topo.dut.flow_cache
-        topo.dut_in.nic.receive_from_wire(_good_frame(topo))
-        assert len(cache) == 1
-        hostile = [
+    def test_malformed_frames(self):
+        _agree(lambda topo: [
+            _good_frame(topo),
             b"",                                   # empty
             b"\x00" * 13,                          # shorter than an Ethernet header
             b"\xff" * 64,                          # broadcast garbage, bad ethertype
             _good_frame(topo)[:20],                # truncated mid-IP-header
-            b"\x00" * 12 + b"\x08\x00" + b"\x46" + b"\x00" * 50,  # IHL != 5
-        ]
-        before = dict(cache.stats.bypasses)
-        for frame in hostile:
-            topo.dut_in.nic.receive_from_wire(frame)
-        assert len(cache) == 1  # nothing new was recorded
-        assert sum(cache.stats.bypasses.values()) > sum(before.values())
+            b"\x00" * 12 + b"\x08\x00" + b"\x46" + b"\x00" * 50,  # IHL 6, zeros
+        ])
 
-    def test_checksum_corruption_misses_cache(self):
-        """A frame whose IP checksum is wrong must not hit the cached entry
-        for the same 5-tuple — the kernel drops it on both paths."""
-        on_topo, on_out = _accelerated_dut(flow_cache=True)
-        off_topo, off_out = _accelerated_dut(flow_cache=False)
-        good_on, good_off = _good_frame(on_topo), _good_frame(off_topo)
-        on_topo.dut_in.nic.receive_from_wire(good_on)
-        off_topo.dut_in.nic.receive_from_wire(good_off)
+    def test_checksum_corruption(self):
+        def frames(topo):
+            good = _good_frame(topo)
+            return [good, good[:24] + bytes([good[24] ^ 0xFF]) + good[25:], good]
 
-        def corrupt(frame):
-            buf = bytearray(frame)
-            buf[24] ^= 0xFF  # IP header checksum byte
-            return bytes(buf)
+        _agree(frames, skip={1})
 
-        hits_before = dict(on_topo.dut.flow_cache.stats.hits)
-        on_topo.dut_in.nic.receive_from_wire(corrupt(good_on))
-        off_topo.dut_in.nic.receive_from_wire(corrupt(good_off))
-        assert dict(on_topo.dut.flow_cache.stats.hits) == hits_before
-        assert _ipv4_payloads(on_out) == _ipv4_payloads(off_out)
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the router FPM checks neither the IPv4 header checksum, the version "
+        "and IHL nor the total length against the frame, all of which ip_rcv "
+        "drops; and the slow path recomputes the L4 checksum of a frame it "
+        "forwards, which Linux leaves as it came"))
+    @pytest.mark.parametrize("field", ["header-checksum", "version", "total-length", "udp-checksum"])
+    def test_damaged_header_agrees(self, field):
+        def frames(topo):
+            good = bytearray(_good_frame(topo))
+            if field == "total-length":
+                return [bytes(good[:34])]
+            offset = {"header-checksum": 24, "version": 14, "udp-checksum": 40}[field]
+            good[offset] ^= 0xFF
+            return [bytes(good)]
+
+        _agree(frames)
 
 
 class TestProgramConstruction:
@@ -291,7 +274,7 @@ class TestDifferentialFuzz:
 
         topo = LineTopology()
         topo.install_prefixes(4)
-        controller = Controller(topo.dut, hook="xdp", flow_cache=False)
+        controller = Controller(topo.dut, hook="xdp")
         controller.start()
         topo.prewarm_neighbors()
         out = []

@@ -310,3 +310,25 @@ class TestHooksAndLoader:
         frame = make_udp("02:00:00:00:00:01", "02:00:00:00:00:02", "1.1.1.1", "10.0.1.1").to_bytes()
         kernel.devices.by_name("eth0").nic.receive_from_wire(frame)
         assert seen == [MacAddr.parse("02:00:00:00:00:42")]
+
+    def test_tc_ingress_and_egress_programs_each_run_once(self):
+        """A TTL-1 frame: the synthesized TC ingress FPM punts it, and the
+        slow path's ICMP error leaves eth0 through a TC egress program."""
+        from repro.core import Controller
+        from repro.measure.topology import LineTopology
+
+        topo = LineTopology()
+        topo.install_prefixes(4)
+        Controller(topo.dut, hook="tc").start()
+        topo.prewarm_neighbors()
+        loader = Loader(topo.dut)
+        egress = loader.load(compile_c("u32 main() { return 0; }", name="egress", hook="tc"))
+        loader.attach_tc("eth0", egress, egress=True)
+        ingress = topo.dut_in.tc_ingress_prog
+        runs = ingress.invocations
+        frame = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", topo.flow_destination(0, 4),
+                         ttl=1).to_bytes()
+        topo.dut_in.nic.receive_from_wire(frame)
+        assert topo.dut.stack.outcomes["tx"] == 1
+        assert egress.invocations == 1
+        assert ingress.invocations == runs + 1

@@ -192,23 +192,21 @@ class TestConntrackShards:
                 assert ct.shard_of(tup) == index
 
 
-class TestFlowCacheShard:
-    def test_offline_invalidates_the_dead_cpus_shard(self):
-        topo, _ = build(num_queues=4)
-        controller = Controller(topo.dut, hook="xdp", flow_cache=True)
+class TestAcceleratedOffline:
+    def test_forwarding_continues_after_offline(self):
+        topo, delivered = build(num_queues=4)
+        controller = Controller(topo.dut, hook="xdp")
         controller.start()
         topo.prewarm_neighbors()
         for i in range(64):
             topo.dut_in.nic.receive_from_wire(frame_for(topo, i))
             topo.dut_in.nic.receive_from_wire(frame_for(topo, i, seq=1))
-        cache = topo.dut.flow_cache
-        before = cache.stats.invalidations.get("cpu_offline", 0)
+        assert len(delivered) == 128
         topo.dut.cpu_offline(1)
-        dropped = cache.stats.invalidations.get("cpu_offline", 0) - before
-        assert dropped > 0  # the dead CPU's cached flows are gone
-        # and traffic still forwards (re-populating live shards)
+        # the flows CPU 1 served re-steer to live CPUs and still forward
         for i in range(16):
             topo.dut_in.nic.receive_from_wire(frame_for(topo, i, seq=2))
+        assert len(delivered) == 144
         assert_ledger_balanced(topo.dut.stack)
 
 

@@ -39,6 +39,24 @@ class TestFragmentFunction:
             assert piece.ip.frag_offset * 8 == seen
             seen += len(piece.payload)
 
+    def test_fragments_split_after_the_options(self):
+        """An IHL-6 header is split after its 24 bytes; the fragments carry
+        no options (Linux copies those with the copied flag set)."""
+        pkt = big_udp(3000)
+        pkt.ip.options = b"\x01\x01\x01\x00"
+        pkt = Packet.from_bytes(pkt.to_bytes())
+        pieces = fragment(pkt, mtu=1500)
+        assert all(piece.ip.options == b"" for piece in pieces)
+        assert b"".join(piece.payload for piece in pieces) == pkt.to_bytes()[14 + 24:]
+
+    def test_first_fragment_options_reassemble(self):
+        pieces = fragment(big_udp(3000), mtu=1500)
+        pieces[0].ip.options = b"\x01\x01\x01\x00"
+        reassembler = Reassembler(Clock())
+        whole = [reassembler.push(Packet.from_bytes(p.to_bytes())) for p in pieces][-1]
+        assert whole.ip.options == b"\x01\x01\x01\x00"
+        assert whole.to_bytes()[14 + 24:] == big_udp(3000).to_bytes()[14 + 20:]
+
     def test_df_prevents_fragmentation(self):
         pkt = big_udp(3000)
         pkt.ip.flags = 0x2  # DF

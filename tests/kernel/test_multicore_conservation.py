@@ -18,8 +18,7 @@ NUM_PREFIXES = 8
 NUM_CPUS = 4
 
 
-def build(rules=(), accelerated=False, conntrack_max=None, num_queues=NUM_CPUS,
-          flow_cache=False):
+def build(rules=(), accelerated=False, conntrack_max=None, num_queues=NUM_CPUS):
     topo = LineTopology(num_queues=num_queues)
     topo.install_prefixes(NUM_PREFIXES)
     if conntrack_max is not None:
@@ -28,7 +27,7 @@ def build(rules=(), accelerated=False, conntrack_max=None, num_queues=NUM_CPUS,
         topo.dut.ipt_append("FORWARD", rule)
     controller = None
     if accelerated:
-        controller = Controller(topo.dut, hook="xdp", flow_cache=flow_cache)
+        controller = Controller(topo.dut, hook="xdp")
         controller.start()
     topo.prewarm_neighbors()
     delivered = []
@@ -81,16 +80,12 @@ class TestLedgerAcrossCpus:
         assert topo.dut.observability.drops.total() == 9
 
     def test_accelerated_pipeline_balances_too(self):
-        topo, controller, delivered = build(accelerated=True, flow_cache=True)
+        topo, controller, delivered = build(accelerated=True)
         assert drive_flows(topo, delivered, 64).count(True) == 64
-        drive_flows(topo, delivered, 64).count(True)  # warm-cache pass
+        assert drive_flows(topo, delivered, 64).count(True) == 64
         assert_conserved_per_cpu(topo.dut.stack)
-        # the flow cache sharded by CPU: entries live in multiple shards
-        cache = topo.dut.flow_cache
-        assert cache.enabled
-        shard_fill = [len(s) for s in cache._shards]
-        assert sum(shard_fill) == len(cache.entries())
-        assert len([f for f in shard_fill if f]) > 1
+        # the fast path ran on more than one CPU
+        assert len([n for n in topo.dut.cpus.packets if n]) > 1
 
     def test_metrics_expose_the_per_cpu_families(self):
         topo, _, delivered = build()

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import Controller
 from repro.kernel import Kernel
-from repro.kernel.ipset import IpSet, IpsetError, IpsetRegistry
+from repro.kernel.ipset import MAX_RANGE, IpSet, IpsetError, IpsetRegistry
 from repro.kernel.netfilter import ACCEPT, DROP, FORWARD, NetfilterError, RETURN, Rule
+from repro.measure.topology import LineTopology
 from repro.netsim.addresses import IPv4Addr, IPv4Prefix, MacAddr
 from repro.netsim.packet import IPPROTO_TCP, IPPROTO_UDP, make_tcp, make_udp
 from repro.netsim.skbuff import SKBuff
+from repro.tools import ipset
 
 MAC1 = MacAddr.parse("02:00:00:00:00:01")
 MAC2 = MacAddr.parse("02:00:00:00:00:02")
@@ -171,8 +174,33 @@ class TestIpset:
         assert s.test("10.0.0.1") and not s.test("10.0.0.2")
 
     def test_hash_ip_rejects_prefix(self):
-        with pytest.raises(IpsetError):
-            IpSet("bl", "hash:ip").add("10.0.0.0", prefixlen=24)
+        """A /0, or any range past MAX_RANGE addresses, is refused whole:
+        neither add nor del touches the set."""
+        s = IpSet("bl", "hash:ip")
+        s.add("10.0.0.1")
+        wider = 32 - MAX_RANGE.bit_length()  # the first length past the cap
+        for length in (0, wider):
+            with pytest.raises(IpsetError):
+                s.add("10.0.0.0", prefixlen=length)
+            with pytest.raises(IpsetError):
+                s.remove("10.0.0.0", prefixlen=length)
+        assert [str(ip) for ip, __ in s.entries()] == ["10.0.0.1"]
+
+    def test_hash_ip_expands_prefix(self, kernel):
+        """As in Linux, a hash:ip add or del of a prefix covers every
+        address in it."""
+        ipset(kernel, "create s hash:ip")
+        ipset(kernel, "add s 10.0.0.0/30")
+        s = kernel.ipsets.require("s")
+        assert [(str(ip), n) for ip, n in s.entries()] == [(f"10.0.0.{i}", 32) for i in range(4)]
+        assert not s.test("10.0.0.4")
+        ipset(kernel, "del s 10.0.0.0/30")
+        assert len(s) == 0
+        ipset(kernel, "add s 10.0.0.1")
+        ipset(kernel, "del s 10.0.0.0/30")
+        assert not s.test("10.0.0.1")
+        s.add("10.1.0.0", prefixlen=32 - MAX_RANGE.bit_length() + 1)  # exactly MAX_RANGE addresses
+        assert len(s) == MAX_RANGE
 
     def test_hash_net_membership(self):
         s = IpSet("nets", "hash:net")
@@ -218,39 +246,37 @@ class TestIpset:
     @given(st.sampled_from(["hash:ip", "hash:net"]), st.data(), st.lists(addresses, max_size=6))
     def test_matches_the_stored_prefixes(self, set_type, data, probes):
         """Against brute force over a set of the stored prefixes: ``test``,
-        ``entries``, ``len``, and a registry gen that moves only when the
-        membership does. Operations draw from a few entries, so that most
-        of them meet a stored one."""
-        # a hash:ip set refuses every length but 32, so draw that one often
-        lengths = self.lengths if set_type == "hash:net" else st.just(32) | self.lengths
+        ``entries`` and ``len``. A hash:ip set stores each address of a
+        prefix it is given, and refuses a prefix wider than MAX_RANGE.
+        Operations draw from a few entries, so that most of them meet a
+        stored one."""
+        # a hash:ip prefix expands to its addresses: draw short ranges, and
+        # some of the lengths it refuses
+        lengths = self.lengths if set_type == "hash:net" else st.integers(29, 32) | st.sampled_from([0, 8, 15])
         pool = st.sampled_from(data.draw(st.lists(st.tuples(self.addresses, lengths), min_size=1, max_size=6)))
         ops = data.draw(st.lists(st.tuples(st.booleans(), pool), max_size=40))
-        registry = IpsetRegistry()
-        s = registry.create("s", set_type)
+        s = IpsetRegistry().create("s", set_type)
         stored = set()  # (length, network)
         for is_add, (addr, length) in ops:
-            if set_type == "hash:ip" and not is_add:
-                length = 32
-            entry = (length, IPv4Prefix(IPv4Addr(addr), length).address.value)
-            gen = registry.gen
-            if not is_add:
-                s.remove(addr, length)
-                changed = entry in stored
-                stored.discard(entry)
-            elif set_type == "hash:ip" and length != 32:
-                with pytest.raises(IpsetError):
-                    s.add(addr, length)
-                changed = False
+            op = s.add if is_add else s.remove
+            network = IPv4Prefix(IPv4Addr(addr), length).address.value
+            if set_type == "hash:net":
+                entries = {(length, network)}
+            elif 1 << (32 - length) > MAX_RANGE:
+                entries = None
             else:
-                s.add(addr, length)
-                changed = entry not in stored
-                stored.add(entry)
-            assert registry.gen == gen + changed
+                entries = {(32, network + i) for i in range(1 << (32 - length))}
+            if entries is None:
+                with pytest.raises(IpsetError):
+                    op(addr, length)
+            else:
+                op(addr, length)
+                stored = stored | entries if is_add else stored - entries
             assert s.entries() == [(IPv4Addr(network), n) for n, network in sorted(stored)]
             assert len(s) == len(stored)
             points = list(probes) + [network for __, network in stored]
             for point in points:
-                expected = any(IPv4Prefix(IPv4Addr(point), n).address.value == network for n, network in stored)
+                expected = any(point & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF == network for n, network in stored)
                 assert s.test(point) == expected
 
     def test_paper_blacklist_aggregation(self, kernel):
@@ -265,3 +291,54 @@ class TestIpset:
         allowed = udp_skb(src="10.0.0.1")
         verdict, scanned = kernel.netfilter.evaluate(FORWARD, allowed)
         assert verdict == ACCEPT and scanned == 1
+
+
+
+def accelerated_router(configure):
+    """An XDP-accelerated LineTopology router, set up by ``configure(dut)``
+    before the controller starts; frames reaching the sink are collected in
+    the returned list."""
+    topo = LineTopology()
+    topo.install_prefixes(8)
+    configure(topo.dut)
+    Controller(topo.dut, hook="xdp").start()
+    topo.prewarm_neighbors()
+    out = []
+    topo.sink_eth.nic.attach(lambda frame, q: out.append(frame))
+    return topo, out
+
+
+def send(topo):
+    frame = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", topo.flow_destination(0, 8),
+                     sport=1234, dport=53).to_bytes()
+    topo.dut_in.nic.receive_from_wire(frame)
+
+
+class TestAcceleratedChanges:
+    """Ruleset and set changes reach the fast path on the next packet."""
+
+    def test_netfilter_change_takes_effect(self):
+        # a non-matching rule so the filter FPM exists from the start
+        topo, out = accelerated_router(lambda dut: dut.ipt_append(FORWARD, Rule(target=ACCEPT, dport=9999)))
+        send(topo)
+        send(topo)
+        assert len(out) == 2
+        drop = topo.dut.ipt_append(FORWARD, Rule(target=DROP, dport=53))
+        send(topo)
+        assert len(out) == 2
+        topo.dut.ipt_delete(FORWARD, drop.handle)
+        send(topo)
+        assert len(out) == 3
+
+    def test_ipset_change_takes_effect(self):
+        def configure(dut):
+            dut.ipset_create("bl", "hash:ip")
+            dut.ipt_append(FORWARD, Rule(target=DROP, match_set="bl", set_dir="src"))
+
+        topo, out = accelerated_router(configure)
+        send(topo)
+        send(topo)
+        assert len(out) == 2
+        topo.dut.ipset_add("bl", "10.0.1.2")
+        send(topo)
+        assert len(out) == 2  # blacklisted now

@@ -56,8 +56,6 @@ def reference_ipt_lookup(env, args):
     """``bpf_ipt_lookup`` as a per-rule loop; returns (IPT_*, rules scanned)."""
     kernel = env.kernel
     kernel.costs_charge("helper_ipt_base")
-    env.note_dep("netfilter")
-    env.note_dep("devices")
     chain_name = {0: "INPUT", 1: "FORWARD", 2: "OUTPUT"}.get(args[0])
     if chain_name is None:
         return IPT_UNSUPPORTED, 0
@@ -88,10 +86,8 @@ def reference_ipt_lookup(env, args):
             return IPT_UNSUPPORTED, scanned
         if rule.match_set is not None:
             kernel.costs_charge("helper_ipset_lookup")
-            env.note_dep("ipset")
         if rule.matches(pkt.ip, skb, in_name, out_name, kernel.ipsets):
             rule.packets += 1
-            env.matched_rules.append(rule)
             if rule.target == "ACCEPT":
                 return IPT_ACCEPT, scanned
             if rule.target == "DROP":
@@ -266,8 +262,7 @@ def lookup_helper(kernel, chain_id, spec, frame, lookup, length=None):
     ptr = Pointer(Region("pkt", bytearray(frame)), 0)
     length = len(frame) if length is None else length
     args = [chain_id, ptr, length, spec["in_ifindex"], spec["out_ifindex"]]
-    result, clock, busy = observe(kernel, lambda: lookup(env, args))
-    return result, clock, busy, [r.handle for r in env.matched_rules], env.deps
+    return observe(kernel, lambda: lookup(env, args))
 
 
 def lookup_slow(kernel, chain_id, spec, frame, evaluate):

@@ -1,16 +1,18 @@
 """RPS flow steering: flow→CPU affinity and per-flow ordering.
 
-The Hypothesis property is the invariant the sharded conntrack and per-CPU
-flow cache rely on: for any packet stream, every packet of one flow — in
-*both* directions — is processed on exactly one CPU, and per-flow packet
-order is preserved end to end.
+The Hypothesis property is the invariant the sharded conntrack relies on:
+for any packet stream, every packet of one flow — in *both* directions — is
+processed on exactly one CPU, and per-flow packet order is preserved end to
+end.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.measure.scenarios import setup_router
 from repro.measure.topology import LineTopology
+from repro.netsim.checksum import internet_checksum
 from repro.netsim.packet import make_arp_request, make_udp
 
 NUM_PREFIXES = 8
@@ -54,6 +56,39 @@ def reverse_frame(topo, flow):
         topo.flow_destination(flow, NUM_PREFIXES), "10.0.1.2",
         sport=9, dport=1024 + flow, ttl=16,
     ).to_bytes()
+
+
+def rechecksummed(frame, offset=None, value=b""):
+    """``frame`` with ``value`` written at ``offset`` and a valid IPv4
+    header checksum, so only the written field can decline it."""
+    raw = bytearray(frame)
+    if offset is not None:
+        raw[offset:offset + len(value)] = value
+    ihl = (raw[14] & 0x0F) * 4
+    raw[24:26] = b"\x00\x00"
+    raw[24:26] = internet_checksum(bytes(raw[14:14 + ihl])).to_bytes(2, "big")
+    return bytes(raw)
+
+
+def with_options(frame):
+    """IHL 6: one end-of-list options word after the fixed header."""
+    raw = bytearray(frame[:34] + bytes(4) + frame[34:])
+    raw[14] = 0x46
+    raw[16:18] = (len(raw) - 14).to_bytes(2, "big")
+    return rechecksummed(raw)
+
+
+#: frames steering cannot read a TCP/UDP 5-tuple from, each made from a
+#: well-formed forward frame
+DECLINED = {
+    "short": lambda f: f[:37],
+    "arp": lambda f: f[:12] + b"\x08\x06" + f[14:],
+    "ip-options": with_options,
+    "bad-checksum": lambda f: f[:24] + bytes([f[24] ^ 0xFF]) + f[25:],
+    "more-frags": lambda f: rechecksummed(f, 20, b"\x20\x00"),
+    "frag-offset": lambda f: rechecksummed(f, 20, b"\x00\x03"),
+    "icmp": lambda f: rechecksummed(f, 23, b"\x01"),
+}
 
 
 class TestSteering:
@@ -117,6 +152,26 @@ class TestSteering:
         topo.dut_in.nic.receive_from_wire(arp)
         assert log[-1][1] == queue % topo.dut.cpus.num_cpus
         assert topo.dut.softirq.rps_steered == steered_before
+
+    @pytest.mark.parametrize("case", sorted(DECLINED))
+    def test_declined_frame_stays_on_rx_cpu(self, case):
+        """Each declined frame is processed on its RX queue's CPU, though
+        the well-formed frame it was made from steers to another one."""
+        topo, _ = build(num_queues=4)
+        softirq = topo.dut.softirq
+        for flow in range(256):
+            good = forward_frame(topo, flow)
+            frame = DECLINED[case](good)
+            rx_cpu = softirq.rx_queue_cpu(topo.dut_in.nic.rss_queue(frame))
+            if softirq.steer(good, rx_cpu) != rx_cpu:
+                break
+        else:  # pragma: no cover - population always has cross-steers
+            raise AssertionError("no cross-steered flow found")
+        log = record_processing_cpu(topo)
+        steered_before = softirq.rps_steered
+        topo.dut_in.nic.receive_from_wire(frame)
+        assert log[-1] == (frame, rx_cpu)
+        assert softirq.rps_steered == steered_before
 
     def test_cross_steer_pays_the_ipi_cost(self):
         topo, _ = build(num_queues=4)

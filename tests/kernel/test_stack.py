@@ -6,6 +6,7 @@ from repro.kernel import Kernel
 from repro.kernel.sockets import SocketError, tcp_rr_server, udp_echo_server
 from repro.measure.topology import LineTopology
 from repro.netsim.addresses import IPv4Addr, MacAddr, ipv4
+from repro.netsim.checksum import internet_checksum
 from repro.netsim.packet import (
     ICMP,
     ICMP_ECHO_REPLY,
@@ -131,6 +132,62 @@ class TestForwarding:
         pkt.ip.flags = 0x1  # more fragments
         topo.dut_in.nic.receive_from_wire(pkt.to_bytes())
         assert len(sink_rx) == 1 and sink_rx[0].ip.more_fragments
+
+
+def options_frame(topo, ttl=64):
+    """A UDP frame 10.0.1.2 → 10.0.2.2:5353 whose IHL is 6: one options
+    word after the fixed header, checksummed over all 24 header bytes."""
+    udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", "10.0.2.2", sport=1234, dport=5353,
+                   payload=b"q" * 8, ttl=ttl).to_bytes()
+    header = bytearray(udp[14:34] + b"\x01\x01\x01\x00")  # NOP, NOP, NOP, end of list
+    header[0] = 0x46
+    header[2:4] = (len(header) + len(udp) - 34).to_bytes(2, "big")
+    header[10:12] = b"\x00\x00"
+    header[10:12] = internet_checksum(bytes(header)).to_bytes(2, "big")
+    return udp[:14] + bytes(header) + udp[34:]
+
+
+def raw_sniff(nic_dev):
+    """Capture the raw frames arriving at a device without stealing them."""
+    captured = []
+    original = nic_dev.nic._handler
+
+    def tee(frame, queue):
+        captured.append(frame)
+        original(frame, queue)
+
+    nic_dev.nic.attach(tee)
+    return captured
+
+
+class TestIpOptions:
+    """The slow path forwards a header with options as it came, TTL aside."""
+
+    def test_forwarded_header_keeps_its_options(self, topo):
+        topo.prewarm_neighbors()
+        sink_rx = raw_sniff(topo.sink_eth)
+        got = []
+        topo.sink.sockets.bind(IPPROTO_UDP, 5353, lambda k, skb: got.append(skb.pkt.payload))
+        frame = options_frame(topo)
+        topo.dut_in.nic.receive_from_wire(frame)
+        assert len(sink_rx) == 1
+        out = sink_rx[0]
+        assert out[14] == 0x46  # IHL 6
+        assert int.from_bytes(out[16:18], "big") == 40 == len(out) - 14
+        assert internet_checksum(out[14:38]) == 0
+        assert out[22] == 63
+        assert out[34:38] == frame[34:38] == b"\x01\x01\x01\x00"
+        assert out[38:] == frame[38:]
+        assert got == [b"q" * 8]
+
+    def test_icmp_error_quotes_the_whole_header(self, topo):
+        topo.prewarm_neighbors()
+        src_rx = sniff(topo.src_eth)
+        frame = options_frame(topo, ttl=1)
+        topo.dut_in.nic.receive_from_wire(frame)
+        errors = [p for p in src_rx if p.ip and p.ip.proto == IPPROTO_ICMP]
+        assert len(errors) == 1 and errors[0].l4.icmp_type == 11
+        assert errors[0].payload == frame[14:38]
 
 
 class TestLocalDelivery:

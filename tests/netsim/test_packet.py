@@ -159,6 +159,33 @@ class TestIPv4:
         with pytest.raises(PacketError):
             IPv4.parse(bytes(raw))
 
+    @given(
+        st.integers(5, 15),
+        st.data(),
+        st.sampled_from([IPPROTO_UDP, 47]),
+        st.sampled_from([0, 0x4000]),
+        st.binary(max_size=24),
+    )
+    def test_frames_with_options_round_trip(self, ihl, data, proto, flags_frag, payload):
+        """Any IHL from 5 to 15 with a valid checksum re-serialises byte
+        for byte: the options are kept and written back."""
+        options = data.draw(st.binary(min_size=4 * (ihl - 5), max_size=4 * (ihl - 5)))
+        src, dst = IPv4Addr.parse("10.0.0.1"), IPv4Addr.parse("10.9.8.7")
+        body = payload if proto != IPPROTO_UDP else UDP(1234, 53).pack(payload, src, dst) + payload
+        header = bytearray(
+            bytes([0x40 | ihl, data.draw(st.integers(0, 255))])
+            + (4 * ihl + len(body)).to_bytes(2, "big")
+            + data.draw(st.binary(min_size=2, max_size=2))
+            + flags_frag.to_bytes(2, "big")
+            + bytes([data.draw(st.integers(1, 255)), proto, 0, 0])
+            + src.to_bytes() + dst.to_bytes() + options
+        )
+        header[10:12] = internet_checksum(bytes(header)).to_bytes(2, "big")
+        frame = Ethernet(DST_MAC, SRC_MAC, ETH_P_IP).pack() + bytes(header) + body
+        parsed = Packet.from_bytes(frame)
+        assert parsed.ip.options == options and parsed.ip.header_len == 4 * ihl
+        assert parsed.to_bytes() == frame
+
 
 class TestL4:
     def test_udp_round_trip_with_checksum(self):

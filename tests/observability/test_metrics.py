@@ -98,4 +98,3 @@ class TestPrometheus:
         assert "linuxfp_controller_rebuilds_total" in text
         snap = registry.snapshot()
         assert snap["controller"]["health"]["ok"] is True
-        assert "flow_cache" in snap
