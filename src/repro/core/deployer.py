@@ -145,7 +145,11 @@ class Deployer:
         declined the program and the interpreter serves, fail-closed;
         ``inline_mem_ops`` counts the packet and stack accesses compiled with
         no checks, and ``stack_locals`` the 8-byte stack slots the compiled
-        code holds in Python locals. Withdrawn interfaces are omitted.
+        code holds in Python locals. The rest prove each codegen pass fires:
+        ``blocks`` emitted, ``guards`` (join points that still test the
+        jump target), ``folded`` results, branches and addresses known at
+        compile time, ``dead_stores`` dropped and ``fused_moves`` merged.
+        Withdrawn interfaces are omitted.
         """
         out: Dict[str, Dict[str, object]] = {}
         for ifname, entry in sorted(self.deployed.items()):
@@ -157,6 +161,11 @@ class Deployer:
                 "insns": len(entry.current.program),
                 "inline_mem_ops": report.inline_mem_ops,
                 "stack_locals": report.stack_locals,
+                "blocks": report.blocks,
+                "guards": report.guards,
+                "folded": report.folded,
+                "dead_stores": report.dead_stores,
+                "fused_moves": report.fused_moves,
             }
         return out
 

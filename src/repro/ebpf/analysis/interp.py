@@ -22,9 +22,9 @@ What is proven statically (the VM's fat pointers then only re-assert it):
 
 The walk also records per-instruction coverage and per-branch feasible
 outcomes, which :mod:`repro.ebpf.analysis.lint` turns into dead-code and
-redundant-check findings, and the operand, call and helper-buffer facts
-the JIT's translator (:mod:`repro.ebpf.jit.compiler`) selects its typed
-forms and its stack storage by.
+redundant-check findings, and the operand, call, helper-buffer and
+constant facts the JIT's translator (:mod:`repro.ebpf.jit.compiler`)
+selects its typed forms, its stack storage and its folded values by.
 """
 
 from __future__ import annotations
@@ -98,6 +98,32 @@ def _operand(value: AbstractVal) -> Operand:
     return (PTR_TO_STACK, rng.lo if rng.lo == rng.hi else None)
 
 
+#: Kinds the constant fact records: a scalar's value, a packet or stack
+#: pointer's offset. A packet length's range lives in the path state, so
+#: its copies have none.
+_CONST_KINDS = frozenset({SCALAR, PTR_TO_PACKET, PTR_TO_STACK})
+
+
+def _const(value: AbstractVal) -> Optional[int]:
+    """The one integer compiled code holds for ``value`` when it is
+    constant, else None."""
+    rng = value.rng
+    return rng.lo if rng.lo == rng.hi and value.kind in _CONST_KINDS else None
+
+
+def _block_starts(insns) -> Set[int]:
+    """The entry, every jump target and every instruction after a
+    conditional jump: where the constant fact is recorded."""
+    starts = {0}
+    for pc, insn in enumerate(insns):
+        op = insn.op
+        if op is Op.JA or op in JMP_IMM_OPS or op in JMP_REG_OPS:
+            starts.add(pc + insn.off + 1)
+            if op is not Op.JA:
+                starts.add(pc + 1)
+    return starts
+
+
 def _join(a: Optional[Operand], b: Optional[Operand]) -> Optional[Operand]:
     """Two paths' kinds of one operand (None: uninitialised): stack pointers
     that disagree on the offset lose it, any other disagreement is
@@ -147,6 +173,20 @@ class Analysis:
     #: For each reached helper call: the frame byte ranges ``[low, high_end)``
     #: its stack pointer arguments let it read or write, over every path.
     helper_stack: Dict[int, Set[Tuple[int, int]]] = field(default_factory=dict)
+    #: For each reached instruction that starts a block (the entry, a jump
+    #: target, the instruction after a conditional jump): the values that
+    #: are one constant on every path reaching it, as ``(registers,
+    #: slots)``: ``registers[n]`` is r``n``'s value or None, and ``slots``
+    #: maps each tracked 8-byte stack slot (absolute frame offset) to its
+    #: value. A scalar's value is the constant itself (the range domain's
+    #: ``[c, c]``); a packet or stack pointer's is its constant offset,
+    #: which is the integer compiled code holds for it. Copies of the
+    #: packet length, whose range the walk keeps per path, are left out.
+    consts: Dict[int, Tuple[Tuple[Optional[int], ...], Dict[int, int]]] = field(default_factory=dict)
+    #: For each reached ALU op, load and helper call: the value it writes
+    #: (to ``dst``, or r0 for a call), as above, when that is one constant
+    #: on every path through it, else None.
+    results: Dict[int, Optional[int]] = field(default_factory=dict)
 
 
 class _State:
@@ -266,6 +306,7 @@ class _Interp:
             st.regs[reg] = self.new_vid(st, value)
         st.regs[R10] = self.new_vid(st, AbstractVal(PTR_TO_STACK, Range.const(STACK_SIZE)))
 
+        starts = _block_starts(self.insns)
         work: List[Tuple[int, _State]] = [(0, st)]
         while work:
             pc, st = work.pop()
@@ -279,12 +320,35 @@ class _Interp:
                         code="too-complex",
                     )
                 self.analysis.visited.add(pc)
+                if pc in starts:
+                    self._note_consts(pc, st)
                 insn = self.insns[pc]
                 if insn.op is Op.EXIT:
                     self._check_exit(pc, insn, st)
                     break
                 pc = self._step(pc, insn, st, work)
         return self.analysis
+
+    def _note_consts(self, pc: int, st: _State) -> None:
+        """Join this path's constants at ``pc`` into the fact."""
+        vals = st.vals
+        regs = tuple([None if vid is None else _const(vals[vid]) for vid in st.regs])
+        slots = {}
+        for offset, vid in st.slots.items():
+            value = _const(vals[vid])
+            if value is not None:
+                slots[offset] = value
+        old = self.analysis.consts.get(pc)
+        if old is not None:
+            regs = tuple([value if value == new else None for value, new in zip(old[0], regs)])
+            slots = {offset: value for offset, value in old[1].items() if slots.get(offset) == value}
+        self.analysis.consts[pc] = (regs, slots)
+
+    def _note_result(self, pc: int, value: AbstractVal) -> None:
+        """Join the value ``pc`` writes on this path into the fact."""
+        const = _const(value)
+        results = self.analysis.results
+        results[pc] = const if results.get(pc, const) == const else None
 
     # ------------------------------------------------------ transfer rules
 
@@ -317,11 +381,13 @@ class _Interp:
                 self.note(pc, left, right if op in ALU_REG_OPS else None)
             result = self._alu(pc, insn, op_name, left, right)
             st.regs[insn.dst] = self.new_vid(st, result)
+            self._note_result(pc, result)
             return pc + 1
         if op is Op.LDX:
             pointer = st.val(self.read(st, pc, insn, insn.src))
             self.note(pc, None, pointer)
-            st.regs[insn.dst] = self._load(pc, insn, st, pointer, insn.imm)
+            vid = st.regs[insn.dst] = self._load(pc, insn, st, pointer, insn.imm)
+            self._note_result(pc, st.vals[vid])
             return pc + 1
         if op is Op.STX:
             pointer = st.val(self.read(st, pc, insn, insn.dst))
@@ -541,6 +607,7 @@ class _Interp:
         for reg in range(1, 6):
             st.regs[reg] = None  # helper calls clobber the argument registers
         st.regs[0] = self.new_vid(st, result)
+        self._note_result(pc, result)
         return pc + 1
 
     def _check_call(self, pc: int, insn: Insn, st: _State, helper_name: str, sig) -> AbstractVal:

@@ -36,7 +36,8 @@ def _observe_fpm(kernel, name: str, elapsed_ns: int) -> None:
         return
     obs.record_fpm(name, elapsed_ns)
     if obs.tracer.recording:
-        obs.tracer.event("fpm", name)
+        # which executor served the run: jit, interp, or jit+interp
+        obs.tracer.event("fpm", "%s [%s]" % (name, kernel.jit.served))
 
 
 class XdpAttachment:

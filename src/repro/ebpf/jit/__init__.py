@@ -8,25 +8,32 @@ bounds and every register initialized on live paths, so a specialized
 executor can drop the checks the proof made redundant.
 
 :func:`compile_program` translates verified bytecode into one Python
-function per program (a guarded-block ladder over the forward-only CFG).
-It runs no analysis of its own: it reads the program's one verifier
-analysis (reachability, per-instruction operand kinds, spill facts, and
-each helper call's argument kinds and stack buffers) and emits,
-instruction by instruction, the typed form those facts select. The result
+function per program: the verifier's reached CFG laid out as nested
+blocks, with a jump-target guard only at the join points some edge jumps
+past. It reads the program's one verifier analysis (reachability, branch
+outcomes, per-instruction operand kinds, spill facts, each helper call's
+argument kinds and stack buffers, and the constants where each block
+starts and of each result) and emits, block by block, the typed form those
+facts select. The result
 
 - keeps packet and stack pointers as plain integer offsets, and builds a
   real :class:`~repro.ebpf.memory.Pointer` only for a helper argument or
   a spill into the stack region;
 - inlines packet loads/stores as direct slices with no bounds or
-  provenance checks;
+  provenance checks, at literal offsets where the verifier proved the
+  pointer's offset constant;
+- forwards constants and copies through registers and locals, drops
+  stores that no later path reads, and turns byte-wise moves into slice
+  copies, adjacent ones fused;
 - holds every 8-byte stack slot that is only ever accessed whole, and
   that no helper buffer covers, in a Python local (minic spills
   everything, including the packet pointer, through r10); the other
   stack bytes stay in a region with the interpreter's spill bookkeeping;
 - folds the per-instruction cost charges into one charge per run of
   instructions, flushed before every helper call because helpers read the
-  clock; the clock sums exact integers, so the JIT charges what the
-  interpreter charges in any grouping;
+  clock, with the counts compiled in as literals; the clock sums exact
+  integers, so the JIT charges what the interpreter charges in any
+  grouping;
 - runs every program of a tail-call chain on a fresh frame, as the
   interpreter does, so a tail call into a program the JIT cannot compile
   resumes in the interpreter mid-chain with nothing to hand over but the

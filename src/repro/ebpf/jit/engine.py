@@ -9,7 +9,10 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
   the interpreter mid-chain when a tail target failed to compile. Every
   program in a chain starts on a fresh zeroed stack frame, compiled or
   interpreted, so only the entry arguments and the instruction and
-  tail-call counters hand over.
+  tail-call counters hand over;
+- records in :attr:`JitEngine.served` what served the latest run
+  (``jit``, ``interp``, or ``jit+interp`` when a chain resumed in the
+  interpreter), which the packet tracer's ``fpm`` event reports.
 
 The engine is fail-closed at every decision point: compilation failure,
 an unexpected entry ABI, or an uncompilable tail target all land back on
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.ebpf.jit.compiler import CompiledUnit, JitReport, _JitHalt, compile_program
+from repro.ebpf.jit.compiler import CompiledUnit, JitReport, compile_program
 from repro.ebpf.memory import Pointer
 from repro.ebpf.vm import TAIL_CALL_LIMIT, VM, VMError
 
@@ -35,6 +38,8 @@ class JitEngine:
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
+        #: What served the latest run: "jit", "interp" or "jit+interp".
+        self.served = ""
         self.stats = {
             "compiled": 0,
             "fallbacks": 0,
@@ -86,21 +91,20 @@ class JitEngine:
         unit = self.unit_for(program)
         if unit is None or not self._abi_ok(args):
             self.stats["interp_runs"] += 1
+            self.served = "interp"
             vm = VM(kernel)
             verdict = vm.run(program, args, env)
             return verdict, vm.insns_executed
 
         self.stats["jit_runs"] += 1
+        self.served = "jit"
         costs = kernel.costs
         kernel.charge_ns(costs.ebpf_prog_entry)
         executed = 0
         tail_calls = 0
         current = unit
         while True:
-            try:
-                tag, value, n, tail_msg = current.fn(env, args, kernel.charge_ns, costs.ebpf_insn)
-            except _JitHalt as halt:
-                raise halt.error
+            tag, value, n, tail_msg = current.fn(env, args, kernel.charge_ns, costs.ebpf_insn)
             executed += n
             if tag == CompiledUnit.TAG_EXIT:
                 return value, executed
@@ -117,6 +121,7 @@ class JitEngine:
             # uncompilable target: the interpreter resumes the chain with
             # the accumulated counters, on a fresh frame like any target
             self.stats["interp_runs"] += 1
+            self.served = "jit+interp"
             vm = VM(kernel)
             verdict = vm.run(
                 target,

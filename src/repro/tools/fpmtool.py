@@ -171,7 +171,11 @@ def cmd_prog(args) -> int:
             insns = str(len(current.program))
             report = topo.dut.jit.report_for(current.program)
             if report.status == "compiled":
-                jit = f"compiled({report.inline_mem_ops} inline, {report.stack_locals} locals)"
+                jit = (
+                    f"compiled({report.inline_mem_ops} inline, {report.stack_locals} locals, "
+                    f"{report.blocks} blocks, {report.guards} guards, {report.folded} folded, "
+                    f"{report.dead_stores} dead stores, {report.fused_moves} fused moves)"
+                )
             else:
                 jit = report.status  # fallback
         else:

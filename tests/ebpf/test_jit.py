@@ -1,17 +1,24 @@
 """Tests for the bytecode→Python JIT.
 
 Covers the compiler's reports and fail-closed fallback (including the
-decline of an operand whose kind differs across paths), the per-program
-unit record, the entry-ABI guard, interpreter resume mid-tail-chain, the
-fresh stack frame of every tail-call target, tail-call-limit parity, and
-the burst hook entry point; then the deployed system: every template family
-runs compiled with no silent fallback and keeps stack slots in Python
-locals, a router burst spills nothing through the stack region, set-up
-compiles nothing, each program compiles once and is analyzed once, and a
-retired program is freed by reference counting alone.
+decline of an operand whose kind differs across paths), the counters that
+prove each codegen pass fires, a layout deeper than Python's indentation
+limit, a copy that keeps its value while one instruction reads it and its
+source after the source loaded a packet byte, the per-program unit record, the entry-ABI guard, interpreter resume
+mid-tail-chain, the fresh stack frame of every tail-call target,
+tail-call-limit parity, and the burst hook entry point; then the deployed
+system: every template family runs compiled with no silent fallback and
+keeps stack slots in Python locals, a router burst spills nothing through
+the stack region, the Python lines one forwarded frame executes stay under
+a pinned ceiling, the packet tracer names the executor that served each
+run, set-up compiles nothing, each program compiles once and is analyzed
+once, and a retired program is freed by reference counting alone.
 """
 
+import contextlib
 import gc
+import io
+import sys
 import weakref
 from collections import Counter
 
@@ -21,9 +28,10 @@ from repro.core import Controller
 from repro.core.fpm.library import render_dispatcher, render_fast_path
 from repro.ebpf.analysis import interp
 from repro.ebpf.hooks import XdpAttachment
-from repro.ebpf.isa import Insn, Op, exit_, ldx, mov_imm, mov_reg
+from repro.ebpf.helpers import HELPER_IDS
+from repro.ebpf.isa import Insn, Op, call, exit_, ldx, mov_imm, mov_reg, stx
 from repro.ebpf.jit import JitEngine, JitReport, compile_program
-from repro.ebpf.jit import compiler as jit_compiler
+from repro.ebpf.jit import engine as engine_mod
 from repro.ebpf.maps import ProgArray
 from repro.ebpf.memory import Pointer, Region
 from repro.ebpf.minic import compile_c
@@ -37,7 +45,7 @@ from repro.measure.scenarios import setup_gateway, setup_router
 from repro.netsim.addresses import ipv4
 from repro.netsim.packet import IPPROTO_TCP, IPv4, TCP, make_udp
 from repro.testing import faults
-from repro.tools import iptables
+from repro.tools import fpmtool, iptables
 from repro.tools.fpmlint import HOOKS, _configurations
 
 READER_SRC = """
@@ -84,6 +92,101 @@ class TestCompiler:
                 assert report.blocks > 0
                 assert report.inline_mem_ops > 0
                 assert report.stack_locals > 0
+
+    def test_router_counters_show_every_pass(self):
+        # The router FPM: constants fold (pkt + 22 becomes a literal
+        # offset), spills nobody reads are dropped, the two 6-byte MAC
+        # moves fuse from 2 + 4 bytes, and every join is a short exit
+        # tail copied into its predecessors, so no block tests _g.
+        program = compile_src(render_fast_path("eth0", "xdp", _configurations()["router"]), name="r")
+        unit, report = compile_program(program)
+        assert report.folded > 0 and report.dead_stores > 0
+        assert report.fused_moves == 2
+        assert report.guards == 0 and "_g" not in unit.source
+        assert "_pkd[0:6] = _skd[" in unit.source and "_pkd[6:12] = _skd[" in unit.source
+        assert "_pkd[22]" in unit.source
+
+    def test_joins_that_are_jumped_past_keep_a_guard(self):
+        guards = {}
+        for label, nodes in _configurations().items():
+            program = compile_src(render_fast_path("eth0", "xdp", nodes), name=label)
+            unit, report = compile_program(program)
+            guards[label] = report.guards
+            assert unit.source.count("if _g <= ") == report.guards, label
+        assert any(guards.values()), guards
+
+    def test_nesting_deeper_than_python_allows_still_compiles(self):
+        # 130 nested conditionals: each taken edge jumps to one shared join
+        # that is too long to copy, so both arms of every branch stay open
+        # and a layout nesting one level per branch would pass Python's
+        # 100 indentation levels; the compiler starts guarded joins instead.
+        depth = 130
+        insns = [Insn(Op.JGE_IMM, dst=2, imm=32, off=2), mov_imm(0, 1), exit_(), mov_imm(6, 0)]
+        jumps = []
+        for i in range(depth):
+            insns.append(ldx(7, 1, i % 32, 1))
+            jumps.append(len(insns))
+            insns.append(Insn(Op.JEQ_IMM, dst=7, imm=(i * 37) % 256))
+            insns.append(Insn(Op.ADD_IMM, dst=6, imm=i + 1))
+        insns += [mov_reg(0, 6), exit_()]
+        join = len(insns)
+        insns += [Insn(Op.MUL_IMM, dst=6, imm=3), Insn(Op.ADD_IMM, dst=6, imm=7),
+                  Insn(Op.XOR_IMM, dst=6, imm=0x55), Insn(Op.AND_IMM, dst=6, imm=0xFFFF),
+                  mov_reg(0, 6), exit_()]
+        for at in jumps:
+            insns[at].off = join - at - 1
+        program = Program(name="deep", insns=insns, hook="xdp")
+        verify(program)
+        unit, report = compile_program(program)
+        assert unit is not None, report.error
+        assert report.guards > 0
+        assert max(len(line) - len(line.lstrip()) for line in unit.source.splitlines()) < 4 * 100
+        for frame in (bytes(64), bytes(range(64)), bytes([37 * i % 256 for i in range(64)])):
+            k_jit, k_int = Kernel("deep-jit"), Kernel("deep-int")
+            _, args = frame_args(frame)
+            got = JitEngine(k_jit).execute(program, args, Env(k_jit, 4))
+            _, args2 = frame_args(frame)
+            vm = VM(k_int)
+            assert got == (vm.run(program, args2, Env(k_int, 4)), vm.insns_executed)
+            assert k_jit.clock._fs == k_int.clock._fs
+
+    @pytest.mark.parametrize("form", ["alu", "branch", "store", "call"])
+    def test_copy_keeps_its_value_when_the_source_loads(self, form):
+        # r7 copies r6 while r6's value sits in its variable; r6 then loads
+        # a packet byte, and one instruction reads r7 and r6 while r6 stays
+        # live. Reading r6 into its variable must not change what r7 reads.
+        computed = [ldx(6, 1, 12, 2), Insn(Op.ADD_REG, dst=6, src=2)]
+        body = {
+            "alu": computed + [mov_reg(7, 6), ldx(6, 1, 14, 1), Insn(Op.ADD_REG, dst=7, src=6),
+                               Insn(Op.ADD_REG, dst=7, src=6), mov_reg(0, 7), exit_()],
+            "branch": computed + [mov_reg(7, 6), ldx(6, 1, 14, 1), Insn(Op.JGT_REG, dst=7, src=6, off=2),
+                                  mov_reg(0, 6), exit_(), mov_reg(0, 6), Insn(Op.ADD_IMM, dst=0, imm=100), exit_()],
+            # r7 is a packet pointer at a variable offset; the store goes through it
+            "store": [ldx(3, 1, 0, 1), Insn(Op.AND_IMM, dst=3, imm=7), mov_reg(6, 1),
+                      Insn(Op.ADD_REG, dst=6, src=3), mov_reg(7, 6), ldx(6, 1, 14, 1),
+                      stx(7, 6, 0, 1), mov_reg(0, 6), exit_()],
+            # r1 = r6 is bpf_redirect's ifindex argument
+            "call": computed + [mov_reg(7, 1), mov_reg(1, 6), ldx(6, 7, 14, 1), mov_imm(2, 0),
+                                call(HELPER_IDS["redirect"]), mov_reg(0, 6), exit_()],
+        }[form]
+        guard = [Insn(Op.JGE_IMM, dst=2, imm=32, off=2), mov_imm(0, 1), exit_()]
+        program = Program(name="alias-" + form, insns=guard + body, hook="xdp")
+        verify(program)
+        unit, report = compile_program(program)
+        assert unit is not None, report.error
+        frame = bytes((7 * i + 3) % 256 for i in range(64))
+        runs = []
+        for engine in (JitEngine, None):
+            kernel = Kernel("alias-" + form)
+            region, args = frame_args(frame)
+            env = Env(kernel, 4)
+            if engine is None:
+                vm = VM(kernel)
+                outcome = (vm.run(program, args, env), vm.insns_executed)
+            else:
+                outcome = engine(kernel).execute(program, args, env)
+            runs.append((outcome, bytes(region.data), env.redirect_ifindex, kernel.clock._fs))
+        assert runs[0] == runs[1]
 
     def test_dispatcher_compiles(self):
         program = compile_src(
@@ -416,15 +519,71 @@ class TestDeployedPrograms:
         summary = topo.controller.deployer.jit_summary()
         assert summary["eth0"]["stack_locals"] > 0
 
+    @pytest.mark.parametrize("setup,ceiling", [(setup_router, (4, 30)), (setup_gateway, (4, 38))],
+                             ids=["router", "router+iptables"])
+    def test_python_lines_per_forwarded_frame(self, setup, ceiling):
+        # The work the compiled code does per forwarded 64 B frame, counted
+        # as the line events it executes in <jit:...> code: the dispatcher,
+        # then the FPM it tail-calls. The ceilings are the counts of the
+        # block layout with constant folding; a codegen change that
+        # inflates the output again fails here.
+        topo = setup("linuxfp", hook="xdp")
+        _send_bursts(topo, bursts=1, size=4)  # compiles, resolves the next hop
+        frame = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.1.2", topo.flow_destination(100),
+                         sport=2000, dport=9, payload=bytes(22)).to_bytes()
+        assert len(frame) == 64
+        entry = topo.controller.deployer.deployed["eth0"]
+        names = ["<jit:%s>" % p.name for p in (entry.dispatcher.program, entry.current.program)]
+        counts = Counter()
+
+        def tracer(frame_, event, arg):
+            name = frame_.f_code.co_filename
+            if name.startswith("<jit:"):
+                if event == "line":
+                    counts[name] += 1
+                return tracer
+            return None
+
+        delivered = topo.sink_eth.nic.stats.rx_packets
+        sys.settrace(tracer)
+        try:
+            topo.dut_in.nic.receive_from_wire(frame)
+        finally:
+            sys.settrace(None)
+        assert topo.sink_eth.nic.stats.rx_packets == delivered + 1
+        assert set(counts) == set(names)
+        assert counts[names[0]] <= ceiling[0] and counts[names[1]] <= ceiling[1], counts
+
+    @pytest.mark.parametrize("declined,served", [
+        ((), "jit"), (("linuxfp_eth0_xdp",), "jit+interp"), (("linuxfp_eth0_xdp", "linuxfp_dispatch_eth0"), "interp"),
+    ], ids=["jit", "jit+interp", "interp"])
+    def test_trace_names_the_executor(self, monkeypatch, declined, served):
+        # fpmtool trace shows, on each fpm event, what served the run: the
+        # JIT, the interpreter for a program the JIT declined, or both when
+        # the dispatcher's chain resumed in the interpreter.
+        real = engine_mod.compile_program
+
+        def compile_some(program):
+            if program.name in declined:
+                return None, JitReport(status="fallback", error="declined by the test")
+            return real(program)
+
+        monkeypatch.setattr(engine_mod, "compile_program", compile_some)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert fpmtool.main(["--packets", "4", "trace", "--filter", "proto=udp", "--limit", "2"]) == 0
+        events = [line.split("fpm ", 1)[1] for line in out.getvalue().splitlines() if " fpm " in line]
+        assert events and set(events) == {"linuxfp_dispatch_eth0 [%s]" % served}
+
     def test_setup_compiles_nothing_and_each_program_compiles_once(self, monkeypatch):
         compiled = []
-        real = jit_compiler._Compiler.compile
+        real = engine_mod.compile_program
 
-        def counting(self):
-            compiled.append(self.program)
-            return real(self)
+        def counting(program):
+            compiled.append(program)
+            return real(program)
 
-        monkeypatch.setattr(jit_compiler._Compiler, "compile", counting)
+        monkeypatch.setattr(engine_mod, "compile_program", counting)
         topo = setup_router("linuxfp")
         assert compiled == []
         _send_bursts(topo, bursts=2)

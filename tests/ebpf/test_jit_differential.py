@@ -5,8 +5,10 @@ Four layers of proof, from single programs up to the full pipeline:
 1. **Corpus differential** — every FPM template config (the fpmlint matrix
    plus the prog-array dispatcher) runs a seeded mixed corpus (well-formed,
    truncated, garbage frames) through the JIT engine and a twin interpreter;
-   verdicts, output frames, redirect targets, executed-insn counts, and
-   abort types/messages must agree sample for sample.
+   verdicts, output frames, redirect targets, executed-insn counts, abort
+   types/messages, and the exact clock each helper call sees must agree
+   sample for sample (a charge moved across a helper would leave the clock
+   at the end of the run unchanged).
 2. **Cost parity** — the engine must advance the simulated clock by
    *exactly* the interpreter's nanoseconds, per config.
    The JIT amortizes host overhead, never simulated work.
@@ -37,6 +39,7 @@ from repro.netsim.addresses import IPv4Addr, MacAddr
 from repro.netsim.packet import TCP, UDP, Ethernet, IPv4, make_udp
 from repro.testing import faults
 from repro.tools.fpmlint import HOOKS, _configurations
+from tests.ebpf.clocked_helpers import clocked_helpers, forget_units
 
 
 def _udp_frame(rng, ttl):
@@ -146,11 +149,20 @@ def _abort_tolerant_eq(a, b):
 def test_corpus_differential(name, program):
     k_int, k_jit = Kernel("diff-int"), Kernel("diff-jit")
     engine = JitEngine(k_jit)
-    for i, frame in enumerate(CORPUS):
-        ref = _sample_interp(k_int, program, frame)
-        got = _sample_jit(k_jit, engine, program, frame)
-        assert _abort_tolerant_eq(got, ref), f"{name} packet {i}: {got!r} != {ref!r}"
+    calls = 0
+    with clocked_helpers() as seen:
+        forget_units(program)  # compile with the clocked helpers
+        for i, frame in enumerate(CORPUS):
+            del seen[:]
+            ref = _sample_interp(k_int, program, frame)
+            ref_clocks = list(seen)
+            del seen[:]
+            got = _sample_jit(k_jit, engine, program, frame)
+            assert _abort_tolerant_eq(got, ref), f"{name} packet {i}: {got!r} != {ref!r}"
+            assert seen == ref_clocks, f"{name} packet {i}: helper clocks {seen!r} != {ref_clocks!r}"
+            calls += len(seen)
     assert engine.stats["fallbacks"] == 0
+    assert calls > 0
 
 
 @pytest.mark.parametrize("name,program", _all_configs(), ids=lambda v: v if isinstance(v, str) else "")

@@ -15,7 +15,19 @@ null check, and an exit through ``mov r0``, ``bpf_redirect`` or a tail
 call through a prog array into a second random program, which runs on a
 fresh frame and may read slots it never wrote. Before it exits, a program
 folds every slot that holds scalar bytes into its verdict or redirect
-target, so the final stack is observed. Its own kind model joins
+target, so the final stack is observed.
+
+Five cases aim at what the JIT's block layout, constant folding, dead
+stores, fused moves and deferred reads could get wrong: a constant or
+packet pointer spilled to a slot that one branch arm overwrites with a
+different one and that is filled after the join; a MAC-style 2 + 4 byte
+move from a ``bpf_map_read`` out buffer to the packet with the call that
+writes those bytes before the reads or between the reads and the stores;
+a slot stored before a branch that only one successor reads; a copy of a
+register whose source then loads a packet byte, read together with the
+source by one ALU op, branch or ``bpf_trace_printk`` call; and, in one
+program of five, a map whose lookups of any key but the seeded one fail,
+so ``bpf_map_read`` aborts the program mid-run. Its own kind model joins
 branch paths conservatively, so a register that may hold a pointer on one
 path and a scalar on another is only moved, spilled or offset, which the
 verifier accepts on every path. Such mixed operands are what the JIT
@@ -27,10 +39,13 @@ locals for slots only ever accessed whole, and the frame's ``Region`` for
 the bytes a helper can reach or that are accessed piecewise.
 
 Each program runs through :class:`JitEngine` and the interpreter on twin
-kernels: the verdict, the packet bytes, the redirect target, the executed
-instruction count, the charged simulated nanoseconds and the map contents
-must agree, for programs the JIT compiles and for programs it declines
-alike.
+kernels: the verdict (or the abort message), the packet bytes, the
+redirect target, the executed instruction count, the exact simulated clock
+at the end and at every helper call, the ``bpf_trace_printk`` records and
+the map contents must agree, for
+programs the JIT compiles and for programs it declines alike. On an
+aborted run the clock holds the charge for exactly the instructions the
+path counted up to the failing call.
 """
 
 import random
@@ -44,11 +59,12 @@ from repro.ebpf.isa import (
 )
 from repro.ebpf.jit import JitEngine, compile_program
 from repro.ebpf.maps import HashMap, ProgArray
-from repro.ebpf.memory import Pointer, Region
+from repro.ebpf.memory import MemoryError_, Pointer, Region
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import verify
-from repro.ebpf.vm import STACK_SIZE, VM, Env
+from repro.ebpf.vm import STACK_SIZE, VM, Env, VMError
 from repro.kernel import Kernel
+from tests.ebpf.clocked_helpers import clocked_helpers, forget_units
 
 #: The guard proves this many packet bytes before anything touches them.
 MIN_LEN = 32
@@ -148,7 +164,8 @@ class _Writer:
             self.alu_imm, self.alu_reg, self.neg, self.mov, self.mov,
             self.packet_load, self.packet_store, self.stack_store,
             self.stack_load, self.spill, self.pointer_add, self.mixed_add,
-            self.map_call,
+            self.map_call, self.spill_join, self.byte_moves, self.one_arm_reads,
+            self.operand_aliases,
         ]
         if depth < 3:
             actions += [self.branch, self.branch, self.dead_code]
@@ -351,6 +368,159 @@ class _Writer:
         slots[slot] = regs[src]
         return True
 
+    # ------------------------------------------- what the JIT could miss
+
+    def spill_join(self, regs, slots, depth) -> bool:
+        """A slot gets a constant or a packet pointer, a branch arm
+        overwrites it with a different one, and the slot is filled after
+        the join: the fill must see whichever value its path stored."""
+        rnd = self.rnd
+        pkts = self._based(regs, "pkt")
+        pointer = bool(pkts) and rnd.random() < 0.5
+        base, offset = rnd.choice(pkts) if pointer else (None, 0)
+        value = rnd.choice([r for r in WRITABLE if r != base])
+        scalars = [r for r in self.regs_of(regs, SCALAR) if r != value]
+        if not scalars:
+            return False
+        at = rnd.choice(SLOT_BASES) - STACK_SIZE
+        if pointer:
+            first, second = rnd.sample(range(MIN_LEN - 4), 2)
+
+            def put(target):
+                return [mov_reg(value, base), Insn(Op.ADD_IMM, dst=value, imm=target - offset)]
+        else:
+            first, second = rnd.sample(IMMS, 2)
+
+            def put(target):
+                return [mov_imm(value, target)]
+        arm = put(second) + [stx(10, value, at, 8)]
+        fill = rnd.choice(WRITABLE)
+        self.insns += put(first) + [stx(10, value, at, 8)]
+        self.insns.append(Insn(rnd.choice(JMP_IMM), dst=rnd.choice(scalars), imm=rnd.choice(IMMS), off=len(arm)))
+        self.insns += arm + [ldx(fill, 10, at, 8)]
+        if pointer:
+            # the packet pointer's offset differs by path: only moved,
+            # spilled or offset from here on, after one load through it
+            dst = rnd.choice(WRITABLE)
+            self.insns.append(ldx(dst, fill, 0, rnd.choice((1, 2, 4))))
+            regs[value] = regs[fill] = slots[at + STACK_SIZE] = MIXED
+            regs[dst] = SCALAR
+        else:
+            regs[value] = regs[fill] = SCALAR
+            slots.pop(at + STACK_SIZE, None)
+        return True
+
+    def byte_moves(self, regs, slots, depth) -> bool:
+        """A MAC-style move: six bytes of a ``bpf_map_read`` out buffer read
+        as 2 + 4, shifted and ORed into one value, and stored to the packet
+        as 2 + 4, with the call that may write those bytes either before the
+        reads or between the reads and the stores."""
+        rnd = self.rnd
+        pkts = self._based(regs, "pkt")
+        value_size = self.hmap.value_size
+        bases = [
+            b for b in SLOT_BASES
+            if b + value_size <= STACK_SIZE
+            and all(slots.get(s, SCALAR) == SCALAR for s in SLOT_BASES if s < b + value_size and b < s + 8)
+        ]
+        if not pkts or not bases:
+            return False
+        base, offset = rnd.choice(pkts)
+        value_at = rnd.choice(bases)
+        src = value_at + rnd.randint(0, value_size - 6) - STACK_SIZE
+        to = rnd.randint(0, MIN_LEN - 6) - offset
+        key_at = rnd.choice(SLOT_BASES[1:])  # room for a 12-byte key
+        prelude = [mov_reg(9, base), Insn(Op.ST_IMM, dst=10, src=8, off=value_at - STACK_SIZE, imm=rnd.choice(IMMS))]
+        zero_key = rnd.random() < 0.5
+        if zero_key:  # an all-zero key: the read hits and writes the buffer
+            prelude += [Insn(Op.ST_IMM, dst=10, src=8, off=key_at - STACK_SIZE, imm=0),
+                        Insn(Op.ST_IMM, dst=10, src=4, off=key_at + 8 - STACK_SIZE, imm=0)]
+        reads = [ldx(6, 10, src, 2), Insn(Op.LSH_IMM, dst=6, imm=32), ldx(7, 10, src + 2, 4),
+                 Insn(Op.OR_REG, dst=6, src=7)]
+        read_call = [
+            Insn(Op.LD_MAP, dst=1, imm=0),
+            mov_reg(2, 10), Insn(Op.ADD_IMM, dst=2, imm=key_at - STACK_SIZE),
+            mov_reg(3, 10), Insn(Op.ADD_IMM, dst=3, imm=value_at - STACK_SIZE),
+            call(HELPER_IDS["map_read"]),
+        ]
+        stores = [mov_reg(8, 6), Insn(Op.RSH_IMM, dst=8, imm=32), stx(9, 8, to, 2),
+                  Insn(Op.AND_IMM, dst=6, imm=0xFFFFFFFF), stx(9, 6, to + 2, 4)]
+        middle = reads + read_call if rnd.random() < 0.5 else read_call + reads
+        self.insns += prelude + middle + stores
+        for reg in (1, 2, 3, 4, 5):
+            regs[reg] = None  # clobbered by the call
+        regs[0] = regs[6] = regs[7] = regs[8] = SCALAR
+        regs[9] = ("pkt", offset)
+        for slot in SLOT_BASES:
+            if slot < value_at + value_size and value_at < slot + 8 or zero_key and key_at <= slot < key_at + 12:
+                slots.pop(slot, None)
+        return True
+
+    def one_arm_reads(self, regs, slots, depth) -> bool:
+        """A slot stored before a branch is read on one arm only and is
+        overwritten after the join: the store is live on one successor."""
+        rnd = self.rnd
+        scalars = self.regs_of(regs, SCALAR)
+        if not scalars:
+            return False
+        slot, keep = rnd.sample(SLOT_BASES, 2)
+        reader = rnd.choice(WRITABLE)
+        self.insns += [
+            stx(10, rnd.choice(scalars), slot - STACK_SIZE, 8),
+            Insn(rnd.choice(JMP_IMM), dst=rnd.choice(scalars), imm=rnd.choice(IMMS), off=2),
+            ldx(reader, 10, slot - STACK_SIZE, 8),
+            stx(10, reader, keep - STACK_SIZE, 8),  # observed at exit
+            Insn(Op.ST_IMM, dst=10, src=8, off=slot - STACK_SIZE, imm=rnd.choice(IMMS)),
+        ]
+        regs[reader] = _join(regs.get(reader), SCALAR)
+        slots.pop(slot, None)
+        slots[keep] = _join(slots.get(keep, SCALAR), SCALAR)
+        if slots[keep] == SCALAR:
+            del slots[keep]
+        return True
+
+    def operand_aliases(self, regs, slots, depth) -> bool:
+        """A register copies a computed value, the source then loads a
+        packet byte at a constant offset, and one instruction reads both
+        while the source stays live: an ALU op, a branch, or a
+        ``bpf_trace_printk`` call with the copy as an argument. The copy
+        must still read the computed value, not the byte."""
+        rnd = self.rnd
+        form = rnd.choice(("alu", "branch", "call"))
+        source = rnd.choice((6, 7, 8, 9))
+        pkts = [(r, off) for r, off in self._based(regs, "pkt") if r != source]
+        if not pkts:
+            return False
+        base, offset = rnd.choice(pkts)
+        copy = rnd.choice([r for r in ((2, 3) if form == "call" else WRITABLE) if r not in (source, base)])
+        self.insns += [
+            ldx(source, base, rnd.randint(0, MIN_LEN - 2) - offset, 2),
+            Insn(Op.ADD_IMM, dst=source, imm=rnd.choice(IMMS)),  # in source's variable
+            mov_reg(copy, source),
+            ldx(source, base, rnd.randint(0, MIN_LEN - 1) - offset, 1),
+        ]
+        kept = rnd.sample(SLOT_BASES, 2)
+        if form == "alu":
+            self.insns.append(Insn(rnd.choice(ALU_REG), dst=copy, src=source))
+        elif form == "branch":
+            self.insns += [Insn(rnd.choice(JMP_REG), dst=copy, src=source, off=1),
+                           Insn(Op.ADD_IMM, dst=copy, imm=rnd.choice(IMMS))]
+        else:
+            self.insns += [mov_imm(1, rnd.choice(IMMS)), mov_imm(5 - copy, rnd.choice(IMMS)),
+                           call(HELPER_IDS["trace_printk"])]
+            for reg in (1, 2, 3, 4, 5):
+                regs[reg] = None  # clobbered by the call
+            regs[0] = SCALAR
+            kept = kept[1:]
+        if form != "call":
+            self.insns.append(stx(10, copy, kept[0] - STACK_SIZE, 8))  # observed at exit
+            regs[copy] = SCALAR
+        self.insns.append(stx(10, source, kept[-1] - STACK_SIZE, 8))  # observed at exit
+        regs[source] = SCALAR
+        for slot in kept:
+            slots.pop(slot, None)
+        return True
+
     # ----------------------------------------------------------- helpers
 
     def map_call(self, regs, slots, depth) -> bool:
@@ -388,10 +558,22 @@ class _Writer:
         return True
 
 
+class _FaultyMap(HashMap):
+    """A hash map whose lookups of any key but the seeded all-zero one
+    fail, so a ``bpf_map_read`` of such a key aborts the program."""
+
+    def lookup(self, key):
+        if any(key):
+            raise MemoryError_("faulty map: key %s" % key.hex())
+        return super().lookup(key)
+
+
 def build_program(rnd) -> Program:
     """A random program whose prog array's slot 0 holds a second one; both
-    share one hash map with random key and value sizes."""
-    hmap = HashMap("hmap", rnd.choice((4, 8, 12)), rnd.choice((8, 12, 16)))
+    share one hash map with random key and value sizes, a faulty one in
+    one program of five."""
+    kind = _FaultyMap if rnd.random() < 0.2 else HashMap
+    hmap = kind("hmap", rnd.choice((4, 8, 12)), rnd.choice((8, 12, 16)))
     jmp = ProgArray("jmp")
     jmp.set_prog(0, _Writer(rnd, hmap).build())
     return _Writer(rnd, hmap, jmp).build()
@@ -405,13 +587,19 @@ def _run(program, frame, interpreter):
     region = Region("pkt", bytearray(frame))
     args = [Pointer(region, 0), len(frame), 4]
     env = Env(kernel, 4)
-    if interpreter:
-        vm = VM(kernel)
-        verdict, executed = vm.run(program, args, env), vm.insns_executed
-    else:
-        verdict, executed = JitEngine(kernel).execute(program, args, env)
+    with clocked_helpers() as seen:
+        try:
+            if interpreter:
+                vm = VM(kernel)
+                outcome = (vm.run(program, args, env), vm.insns_executed)
+            else:
+                forget_units(program)  # compile with the clocked helpers
+                outcome = JitEngine(kernel).execute(program, args, env)
+        except VMError as exc:
+            outcome = ("abort", str(exc))
     contents = sorted(hmap._data.items())
-    return verdict, bytes(region.data), env.redirect_ifindex, executed, kernel.clock.now_ns, contents
+    return (outcome, bytes(region.data), env.redirect_ifindex, kernel.clock._fs, tuple(seen),
+            tuple(env.trace), contents)
 
 
 frames = st.one_of(
@@ -433,9 +621,13 @@ class TestRandomVerifiedPrograms:
         # A fixed sweep beside the Hypothesis search: every one of these
         # programs gets past its length guard.
         frame = bytes(range(MIN_LEN + 16))
+        aborted = 0
         for seed in range(300):
             program = build_program(random.Random(seed))
-            assert _run(program, frame, interpreter=False) == _run(program, frame, interpreter=True), seed
+            got = _run(program, frame, interpreter=False)
+            assert got == _run(program, frame, interpreter=True), seed
+            aborted += got[0][0] == "abort"
+        assert aborted > 0  # the faulty map's aborts are compared too
 
     def test_most_programs_compile_and_the_rest_decline(self):
         # The writer's mixed operands (and pointer null checks) are what
@@ -445,6 +637,7 @@ class TestRandomVerifiedPrograms:
         compiled = declined = 0
         targets = {True: 0, False: 0}
         storage = {"locals": 0, "region": 0}
+        passes = {"folded": 0, "dead_stores": 0, "fused_moves": 0, "guards": 0}
         for seed in range(300):
             program = build_program(random.Random(seed))
             for prog in (program, program.maps[1].get_prog(0)):
@@ -461,7 +654,10 @@ class TestRandomVerifiedPrograms:
                 else:
                     storage["locals"] += report.stack_locals > 0
                     storage["region"] += "_stk = _Region(" in unit.source
+                    for name in passes:
+                        passes[name] += getattr(report, name) > 0
         assert compiled >= 0.8 * 300
         assert declined >= 0.05 * 300
         assert targets[True] >= 0.8 * 300 and targets[False] > 0
         assert storage["locals"] > 0 and storage["region"] > 0
+        assert all(passes.values()), passes

@@ -307,4 +307,6 @@ class TestFpmtoolProgList:
         assert rc == 0
         assert out.splitlines()[0].split()[-1] == "jit"
         lines = [l for l in out.splitlines() if l.startswith("eth")]
-        assert lines and all(re.search(r"compiled\(\d+ inline, [1-9]\d* locals\)$", l.rstrip()) for l in lines)
+        pattern = (r"compiled\(\d+ inline, [1-9]\d* locals, [1-9]\d* blocks, \d+ guards, [1-9]\d* folded, "
+                   r"\d+ dead stores, \d+ fused moves\)$")
+        assert lines and all(re.search(pattern, l.rstrip()) for l in lines)
