@@ -14,8 +14,8 @@ only in files under ``src/repro``:
   ``benchmark`` whose ``pedantic`` just calls the function and a ``report``
   that writes nothing (pytest-benchmark clears the trace function around
   timed code, and the real ``report`` rewrites the results files);
-- the ``fpmtool`` scorecards, ``fpmlint -v``, every example and
-  ``python -m repro``.
+- the ``fpmtool`` scorecards and packet tracer, ``fpmlint -v``, every
+  example and ``python -m repro``.
 
 A file's executable lines are the lines of its code objects (``co_lines``).
 Writes ``reach.json`` at the checkout root (per file: executable and
@@ -46,6 +46,7 @@ FPMTOOL = {
     "fpmtool-metrics-json": ["--scenario", "gateway", "metrics", "--format", "json"],
     "fpmtool-drops-self-check": ["drops", "--self-check"],
     "fpmtool-reliability": ["--packets", "2000", "reliability", "--seed", "7"],
+    "fpmtool-trace": ["--scenario", "gateway", "trace"],
 }
 
 

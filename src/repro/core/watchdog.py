@@ -4,10 +4,11 @@ The synthesized fast path is supposed to be observationally equivalent to
 the plain kernel pipeline. The watchdog checks that property *in
 production*: every Nth packet on an accelerated interface is handled by the
 plain kernel (authoritative — so sampling can never itself change
-behaviour), while the fast path runs only as a **shadow prediction**. The
-prediction's verdict and output frame are compared against what the kernel
-actually did, via the stack's transmit taps. The prediction goes through
-the hook's attachment like any other run.
+behaviour), while the fast path's run on it counts only as a **shadow
+prediction**. The stack hands the watchdog that run (in a burst, the run
+from the burst's program phase), so the watchdog never runs a program
+itself. The prediction's verdict and output frame are compared against
+what the kernel actually did, via the stack's transmit taps.
 
 A mismatch means the deployed FPM computes something the kernel would not —
 a synthesis bug, a stale view, a corrupted program. The response is
@@ -60,15 +61,14 @@ class Watchdog:
         self._counter += 1
         return self._counter % self.every == 0
 
-    def sample(self, stack, dev, frame: bytes, queue: int = 0) -> None:
+    def sample(self, stack, dev, frame: bytes, queue: int, prediction) -> None:
         """Differentially check one XDP-hook packet.
 
-        The fast path runs as a shadow to obtain its *prediction*; the plain
+        ``prediction`` is the fast path's own run on the frame; the plain
         kernel pipeline then handles the packet for real. Output frames are
         captured with a transmit tap and compared against the prediction.
         """
         self.sampled += 1
-        prediction = dev.xdp_prog.run_xdp(stack.kernel, dev, frame)
         captured = self._run_reference(stack, dev, frame, queue)
         if prediction.verdict == XDP_PASS:
             self.punts += 1  # the fast path declined; no claim to check
@@ -76,10 +76,10 @@ class Watchdog:
         mismatch = self._judge_xdp(dev, prediction, captured)
         self._conclude(dev, mismatch)
 
-    def sample_tc(self, stack, dev, skb, frame: bytes, queue: int = 0) -> None:
-        """Differentially check one TC-ingress packet."""
+    def sample_tc(self, stack, dev, skb, prediction) -> None:
+        """Differentially check one TC-ingress packet against the fast
+        path's run on it (``prediction``)."""
         self.sampled += 1
-        prediction = dev.tc_ingress_prog.run_tc(stack.kernel, dev, skb)
         captured: List[Tuple[int, bytes]] = []
         stack.tx_taps.append(lambda ifindex, out: captured.append((ifindex, out)))
         try:

@@ -23,7 +23,7 @@ at the XDP or TC hook. This package reproduces that whole chain:
 
 from repro.ebpf.isa import Insn, Op
 from repro.ebpf.program import Program
-from repro.ebpf.maps import ArrayMap, DevMap, HashMap, LpmTrieMap, ProgArray
+from repro.ebpf.maps import ArrayMap, HashMap, LpmTrieMap, ProgArray
 from repro.ebpf.vm import VM, VMError
 from repro.ebpf.verifier import VerifierError, verify
 from repro.ebpf.loader import Loader
@@ -33,7 +33,6 @@ __all__ = [
     "Op",
     "Program",
     "ArrayMap",
-    "DevMap",
     "HashMap",
     "LpmTrieMap",
     "ProgArray",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.ebpf.maps import BpfMap, DevMap, MapError
+from repro.ebpf.maps import BpfMap, MapError
 from repro.ebpf.memory import MemoryError_, Pointer
 from repro.kernel.interfaces import BridgeDevice, DeviceError
 from repro.kernel.netfilter import ACCEPT, DROP, FORWARD, HELPER, INPUT, OUTPUT
@@ -75,33 +75,6 @@ def _as_map(value: object, what: str) -> BpfMap:
 
 # --------------------------------------------------------------- map helpers
 
-def _charge_shared_map_write(env: "Env", bpf_map: BpfMap) -> None:
-    """The contention model: mutating a shared map from a multi-core data
-    path bounces the bucket's cacheline/lock between CPUs, so each such
-    write is charged ``cross_cpu_lock`` on the executing CPU. Reads stay
-    free under RCU.
-    """
-    kernel = env.kernel
-    if kernel.cpus.num_cpus > 1 and kernel.cpus.current_cpu is not None:
-        kernel.costs_charge("cross_cpu_lock")
-
-
-def bpf_map_lookup_elem(env: "Env", args: List[object]) -> int:
-    """(map, key_ptr) → 1 if present else 0; value copied to env scratch.
-
-    Divergence note: real eBPF returns a value pointer; our mini-C uses the
-    companion ``bpf_map_read`` convention instead (copy into a buffer), so
-    this predicate form is what synthesized code needs.
-    """
-    env.kernel.costs_charge("ebpf_map_lookup")
-    bpf_map = _as_map(args[0], "map_lookup")
-    key = _as_ptr(args[1], "map_lookup key").region.read_bytes(args[1].offset, bpf_map.key_size)
-    try:
-        return 1 if bpf_map.lookup(key) is not None else 0
-    except (MapError, NotImplementedError):
-        return 0  # bad key shape / non-readable map type: report a miss
-
-
 def bpf_map_read(env: "Env", args: List[object]) -> int:
     """(map, key_ptr, out_ptr) → 1 and copy value to out, or 0 on miss."""
     bpf_map = _as_map(args[0], "map_read")
@@ -129,7 +102,6 @@ def bpf_map_update_elem(env: "Env", args: List[object]) -> int:
     """
     env.kernel.costs_charge("ebpf_map_update")
     bpf_map = _as_map(args[0], "map_update")
-    _charge_shared_map_write(env, bpf_map)
     key_ptr = _as_ptr(args[1], "map_update key")
     value_ptr = _as_ptr(args[2], "map_update value")
     key = key_ptr.region.read_bytes(key_ptr.offset, bpf_map.key_size)
@@ -144,25 +116,6 @@ def bpf_map_update_elem(env: "Env", args: List[object]) -> int:
         bpf_map.update_errors += 1
         return 1
     return 0
-
-
-def bpf_map_delete_elem(env: "Env", args: List[object]) -> int:
-    """(map, key_ptr) → 0 on success, 1 on a rejected delete."""
-    env.kernel.costs_charge("ebpf_map_update")
-    bpf_map = _as_map(args[0], "map_delete")
-    _charge_shared_map_write(env, bpf_map)
-    key_ptr = _as_ptr(args[1], "map_delete key")
-    try:
-        bpf_map.delete(key_ptr.region.read_bytes(key_ptr.offset, bpf_map.key_size))
-    except (MapError, NotImplementedError, faults.InjectedFault):
-        bpf_map.update_errors += 1
-        return 1
-    return 0
-
-
-def bpf_ktime_get_ns(env: "Env", args: List[object]) -> int:
-    """() → simulated clock ns."""
-    return env.kernel.clock.now_ns
 
 
 # ----------------------------------------------------------- kernel helpers
@@ -354,18 +307,6 @@ def bpf_redirect(env: "Env", args: List[object]) -> int:
     return env.redirect_verdict
 
 
-def bpf_redirect_map(env: "Env", args: List[object]) -> int:
-    """(devmap, slot, flags) → REDIRECT verdict, or flags on empty slot."""
-    devmap = _as_map(args[0], "redirect_map")
-    if not isinstance(devmap, DevMap):
-        raise HelperError("redirect_map needs a devmap")
-    ifindex = devmap.get_dev(_as_int(args[1], "redirect_map slot"))
-    if ifindex is None:
-        return _as_int(args[2], "redirect_map flags")
-    env.redirect_ifindex = ifindex
-    return env.redirect_verdict
-
-
 def pcn_classify(env: "Env", args: List[object]) -> int:
     """(classifier_map, pkt_ptr, pkt_len) → 0 ACCEPT / 1 DROP.
 
@@ -440,17 +381,13 @@ _BYTE_MAP = ArgSpec("map", byte_addressable=True)
 _KEY_PTR = ArgSpec("ptr", size="map_key")
 
 HELPER_SIGS: Dict[int, HelperSig] = {
-    1: HelperSig("map_lookup", (_BYTE_MAP, _KEY_PTR), ret=(0, 1)),
     2: HelperSig("map_read", (_BYTE_MAP, _KEY_PTR, ArgSpec("ptr", size="map_value", writes=True)), ret=(0, 1)),
     3: HelperSig("map_update", (_BYTE_MAP, _KEY_PTR, ArgSpec("ptr", size="map_value")), ret=(0, 1)),
-    4: HelperSig("map_delete", (_BYTE_MAP, _KEY_PTR), ret=(0, 1)),
-    5: HelperSig("ktime_get_ns", ()),
     6: HelperSig("fib_lookup", (_SCALAR, ArgSpec("ptr", size=FIB_OUT_SIZE, writes=True)), ret=(0, 2)),
     7: HelperSig("fdb_lookup", (_SCALAR,) * 5),
     8: HelperSig("ipt_lookup", (_SCALAR, ArgSpec("ptr", size_from=2), _SCALAR, _SCALAR, _SCALAR), ret=(0, 2)),
     9: HelperSig("conntrack_lookup", (_SCALAR,) * 4 + (ArgSpec("ptr", size=CT_OUT_SIZE, writes=True),), ret=(0, 1)),
     10: HelperSig("redirect", (_SCALAR, _SCALAR)),
-    11: HelperSig("redirect_map", (ArgSpec("map", map_types=("devmap",)), _SCALAR, _SCALAR)),
     12: HelperSig("trace_printk", (ArgSpec("any"),) * 3, ret=(0, 0)),
     13: HelperSig("pcn_classify", (ArgSpec("map", map_types=("pcn_classifier",)), ArgSpec("ptr", size_from=2), _SCALAR)),
 }
@@ -459,17 +396,13 @@ HELPER_SIGS: Dict[int, HelperSig] = {
 # ------------------------------------------------------------------ registry
 
 HELPERS: Dict[int, Tuple[str, HelperFn]] = {
-    1: ("map_lookup", bpf_map_lookup_elem),
     2: ("map_read", bpf_map_read),
     3: ("map_update", bpf_map_update_elem),
-    4: ("map_delete", bpf_map_delete_elem),
-    5: ("ktime_get_ns", bpf_ktime_get_ns),
     6: ("fib_lookup", bpf_fib_lookup),
     7: ("fdb_lookup", bpf_fdb_lookup),
     8: ("ipt_lookup", bpf_ipt_lookup),
     9: ("conntrack_lookup", bpf_conntrack_lookup),
     10: ("redirect", bpf_redirect),
-    11: ("redirect_map", bpf_redirect_map),
     12: ("trace_printk", bpf_trace_printk),
     13: ("pcn_classify", pcn_classify),
 }
@@ -482,8 +415,6 @@ HELPER_IDS: Dict[str, int] = {name: hid for hid, (name, __) in HELPERS.items()}
 # registered helper belongs to exactly one of these sets (a unit-tested
 # invariant); ``BASELINE_HELPERS`` holds the Polycube-baseline machinery that
 # models platform code rather than a kernel helper.
-MAINLINE_HELPERS = {"map_lookup", "map_read", "map_update", "map_delete",
-                    "ktime_get_ns", "fib_lookup", "redirect", "redirect_map",
-                    "trace_printk"}
+MAINLINE_HELPERS = {"map_read", "map_update", "fib_lookup", "redirect", "trace_printk"}
 LINUXFP_HELPERS = {"fdb_lookup", "ipt_lookup", "conntrack_lookup"}
 BASELINE_HELPERS = {"pcn_classify"}

@@ -31,9 +31,7 @@ from repro.testing import faults
 
 
 def _observe_fpm(kernel, name: str, elapsed_ns: int) -> None:
-    obs = getattr(kernel, "observability", None)
-    if obs is None:
-        return
+    obs = kernel.observability
     obs.record_fpm(name, elapsed_ns)
     if obs.tracer.recording:
         # which executor served the run: jit, interp, or jit+interp
@@ -91,8 +89,7 @@ class TcAttachment:
     def run_tc(self, kernel, dev, skb) -> TcResult:
         env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
         self.invocations += 1
-        wire = getattr(skb, "wire_frame", None)
-        frame = wire() if wire is not None else skb.pkt.to_bytes()
+        frame = skb.wire_frame()
         region = Region("pkt", bytearray(frame))
         args = [Pointer(region, 0), len(frame), skb.ifindex]
         t0 = kernel.clock.now_ns

@@ -9,7 +9,7 @@ loss window this implies by swapping through a prog-array tail call instead
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 from repro.ebpf.hooks import TcAttachment, XdpAttachment
 from repro.ebpf.program import HOOK_XDP, Program
@@ -38,15 +38,12 @@ class Loader:
     def __init__(self, kernel, model_reset_loss: bool = False) -> None:
         self.kernel = kernel
         self.model_reset_loss = model_reset_loss
-        self.loaded: Dict[str, Union[XdpAttachment, TcAttachment]] = {}
 
     def load(self, program: Program) -> Union[XdpAttachment, TcAttachment]:
         """Verify and wrap a program; returns the attachable handle."""
         faults.fire("load", program.name)
         verify(program)
-        attachment = XdpAttachment(program) if program.hook == HOOK_XDP else TcAttachment(program)
-        self.loaded[program.name] = attachment
-        return attachment
+        return XdpAttachment(program) if program.hook == HOOK_XDP else TcAttachment(program)
 
     def attach_xdp(self, dev_name: str, attachment: XdpAttachment) -> None:
         if not isinstance(attachment, XdpAttachment):

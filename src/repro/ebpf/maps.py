@@ -1,11 +1,11 @@
-"""eBPF maps: hash, array, LPM trie, prog array, and devmap.
+"""eBPF maps: hash, array, LPM trie and prog array.
 
 Keys and values are fixed-size byte strings, as in real eBPF. The LinuxFP
 design deliberately avoids using maps for *kernel state* (state is reached
 through helpers), so no synthesized fast path owns a data map; maps remain
 for the dispatch machinery (prog arrays for atomic fast-path swaps and
-tail-call chains, devmaps for redirects) and for the Polycube baseline,
-which keeps its own map-based state.
+tail-call chains) and for the Polycube baseline, which keeps its own
+map-based state.
 
 Every rejected fast-path update is counted in ``update_errors``, so
 overload is visible rather than silent.
@@ -27,8 +27,8 @@ class BpfMap:
     """Base class: fixed key/value sizes, bounded entry count."""
 
     map_type = "generic"
-    #: Whether the generic byte-oriented map helpers (``map_lookup`` /
-    #: ``map_read`` / ``map_update`` / ``map_delete``) may touch this map.
+    #: Whether the generic byte-oriented map helpers (``map_read`` /
+    #: ``map_update``) may touch this map.
     #: Prog arrays and classifier handles hold control-plane objects, not
     #: byte values — the verifier rejects generic access to them statically.
     byte_addressable = True
@@ -192,39 +192,3 @@ class ProgArray(BpfMap):
 
     def update(self, key: bytes, value: bytes) -> None:
         raise MapError("use set_prog() for prog arrays")
-
-    def delete(self, key: bytes) -> None:
-        self._check_key(key)
-        self.clear(int.from_bytes(key, "little"))
-
-
-class DevMap(BpfMap):
-    """Redirect map: slot index → ifindex."""
-
-    map_type = "devmap"
-
-    def __init__(self, name: str, max_entries: int = 64) -> None:
-        super().__init__(name, 4, 4, max_entries)
-        self._slots: Dict[int, int] = {}
-
-    def set_dev(self, index: int, ifindex: int) -> None:
-        if not 0 <= index < self.max_entries:
-            raise MapError(f"{self.name}: index {index} out of range")
-        self._slots[index] = ifindex
-
-    def get_dev(self, index: int) -> Optional[int]:
-        return self._slots.get(index)
-
-    def lookup(self, key: bytes) -> Optional[bytes]:
-        self._check_key(key)
-        ifindex = self._slots.get(int.from_bytes(key, "little"))
-        return None if ifindex is None else ifindex.to_bytes(4, "little")
-
-    def update(self, key: bytes, value: bytes) -> None:
-        self._check_key(key)
-        self._check_value(value)
-        self.set_dev(int.from_bytes(key, "little"), int.from_bytes(value, "little"))
-
-    def delete(self, key: bytes) -> None:
-        self._check_key(key)
-        self._slots.pop(int.from_bytes(key, "little"), None)

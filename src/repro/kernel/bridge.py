@@ -140,9 +140,6 @@ class Bridge:
             is_static=static,
         )
 
-    def fdb_delete(self, mac: MacAddr, vlan: int) -> None:
-        self.fdb.pop((mac, vlan), None)
-
     def age_fdb(self) -> int:
         """Expire dynamic entries past the ageing time; returns count removed."""
         now = self.kernel.clock.now_ns

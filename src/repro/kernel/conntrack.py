@@ -81,28 +81,13 @@ class ConntrackFull(RuntimeError):
 
 
 class Conntrack:
-    """The conntrack table for one kernel, sharded per data-plane CPU.
+    """The conntrack table for one kernel: one table shared by every CPU,
+    like Linux's global ``nf_conntrack_hash``. Capacity is
+    ``nf_conntrack_max``."""
 
-    Shard choice uses the *symmetric* flow hash — the same one RPS steering
-    uses to pick a CPU (:mod:`repro.netsim.rss`) — so with ``num_shards ==
-    num_cpus`` every data-plane access is shard-local: the CPU processing a
-    flow only ever touches its own shard, and both directions of a
-    connection land in one shard (the hash is direction-insensitive, which
-    is what keeps the bidirectional ``lookup`` shard-local too). Capacity
-    (``nf_conntrack_max``) stays a *global* budget across shards, like the
-    kernel's.
-    """
-
-    def __init__(self, clock: Clock, max_entries: Optional[int] = None, num_shards: int = 1) -> None:
-        if num_shards < 1:
-            raise ValueError("conntrack needs at least one shard")
+    def __init__(self, clock: Clock, max_entries: Optional[int] = None) -> None:
         self._clock = clock
-        self.num_shards = num_shards
-        self._shards: List[Dict[ConnTuple, ConnEntry]] = [{} for _ in range(num_shards)]
-        # Hash-slot → shard indirection. Normally the identity map; CPU
-        # hotplug repoints a dead CPU's slot at a live shard so lookups for
-        # its flows keep resolving (see merge_shard / split_shard).
-        self._shard_map: List[int] = list(range(num_shards))
+        self._table: Dict[ConnTuple, ConnEntry] = {}
         #: ``nf_conntrack_max``; None = unlimited.
         self.max_entries = max_entries
         #: Entries evicted early (closing/unreplied) to admit new flows.
@@ -110,71 +95,23 @@ class Conntrack:
         #: Advisory insertions refused because the table was full.
         self.insert_failed = 0
 
-    def shard_of(self, tup: ConnTuple) -> int:
-        """The shard index for a tuple (same for both flow directions)."""
-        if self.num_shards == 1:
-            return 0
-        from repro.netsim.rss import symmetric_flow_hash
-
-        slot = symmetric_flow_hash(
-            tup.src.value, tup.dst.value, tup.proto, tup.sport, tup.dport
-        ) % self.num_shards
-        return self._shard_map[slot]
-
-    def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self._shards]
-
-    def merge_shard(self, dead: int, target: int) -> int:
-        """CPU hotplug: rehome the ``dead`` CPU's shard into ``target``.
-
-        Moves every entry and repoints all hash slots that resolved to
-        ``dead`` (its own slot plus any earlier-merged ones) at ``target``,
-        so both directions of every flow keep resolving. Returns entries
-        moved.
-        """
-        if dead == target:
-            raise ValueError("cannot merge a shard into itself")
-        moved = len(self._shards[dead])
-        self._shards[target].update(self._shards[dead])
-        self._shards[dead] = {}
-        for slot, shard in enumerate(self._shard_map):
-            if shard == dead:
-                self._shard_map[slot] = target
-        return moved
-
-    def split_shard(self, cpu: int) -> int:
-        """CPU back online: restore its hash slot and pull home the entries
-        that hash there (the inverse of :meth:`merge_shard`). Returns
-        entries moved."""
-        self._shard_map[cpu] = cpu
-        moved = 0
-        for index, shard in enumerate(self._shards):
-            misplaced = [tup for tup in shard if self.shard_of(tup) != index]
-            for tup in misplaced:
-                self._shards[self.shard_of(tup)][tup] = shard.pop(tup)
-                moved += 1
-        return moved
-
     def _has_room(self) -> bool:
         """True once there is room for one more entry, early-dropping a
         closing or unreplied victim if the table is at capacity.
 
         Mirrors nf_conntrack's early_drop(): ESTABLISHED entries are never
         victims; among the rest, CLOSED flows go before unreplied NEW ones,
-        oldest (least-recently updated) first. The victim scan walks every
-        shard — the global ``nf_conntrack_max`` budget is shared, so a full
-        table must be relievable from any shard.
+        oldest (least-recently updated) first.
         """
         if self.max_entries is None or len(self) < self.max_entries:
             return True
         victim = None
-        for shard in self._shards:
-            for entry in shard.values():
-                if entry.state == CT_ESTABLISHED:
-                    continue
-                rank = (0 if entry.state == CT_CLOSED else 1, entry.updated_ns)
-                if victim is None or rank < victim[0]:
-                    victim = (rank, entry)
+        for entry in self._table.values():
+            if entry.state == CT_ESTABLISHED:
+                continue
+            rank = (0 if entry.state == CT_CLOSED else 1, entry.updated_ns)
+            if victim is None or rank < victim[0]:
+                victim = (rank, entry)
         if victim is None:
             return False
         self.remove(victim[1].tuple)
@@ -182,12 +119,11 @@ class Conntrack:
         return len(self) < self.max_entries
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._table)
 
     def lookup(self, tup: ConnTuple) -> Optional[ConnEntry]:
         """Find the entry for a tuple in either direction, expiring stale ones."""
-        shard = self._shards[self.shard_of(tup)]
-        entry = shard.get(tup) or shard.get(tup.reversed())
+        entry = self._table.get(tup) or self._table.get(tup.reversed())
         if entry is None:
             return None
         if self._clock.now_ns - entry.updated_ns > entry.timeout_ns():
@@ -210,7 +146,7 @@ class Conntrack:
                 self.insert_failed += 1
                 return None
             entry = ConnEntry(tuple=tup, created_ns=now, updated_ns=now)
-            self._shards[self.shard_of(tup)][tup] = entry
+            self._table[tup] = entry
         else:
             # A packet in the reverse direction confirms the connection.
             if entry.state == CT_NEW and tup == entry.tuple.reversed():
@@ -236,24 +172,20 @@ class Conntrack:
             )
         now = self._clock.now_ns
         entry = ConnEntry(tuple=tup, created_ns=now, updated_ns=now)
-        self._shards[self.shard_of(tup)][tup] = entry
+        self._table[tup] = entry
         return entry
 
     def remove(self, tup: ConnTuple) -> None:
-        shard = self._shards[self.shard_of(tup)]
-        shard.pop(tup, None)
-        shard.pop(tup.reversed(), None)
+        self._table.pop(tup, None)
+        self._table.pop(tup.reversed(), None)
 
     def gc(self) -> int:
         """Expire timed-out entries; returns count removed."""
         now = self._clock.now_ns
-        count = 0
-        for shard in self._shards:
-            expired = [t for t, e in shard.items() if now - e.updated_ns > e.timeout_ns()]
-            for tup in expired:
-                del shard[tup]
-            count += len(expired)
-        return count
+        expired = [t for t, e in self._table.items() if now - e.updated_ns > e.timeout_ns()]
+        for tup in expired:
+            del self._table[tup]
+        return len(expired)
 
     def entries(self) -> List[ConnEntry]:
-        return [entry for shard in self._shards for entry in shard.values()]
+        return list(self._table.values())

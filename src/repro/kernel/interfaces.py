@@ -213,9 +213,6 @@ class VxlanDevice(NetDevice):
     def fdb_add(self, mac: MacAddr, remote: IPv4Addr) -> None:
         self.vtep_fdb[mac] = remote
 
-    def fdb_del(self, mac: MacAddr) -> None:
-        self.vtep_fdb.pop(mac, None)
-
     def transmit(self, frame: bytes) -> None:
         self.tx_packets += 1
         if len(frame) < ETH_HDR_LEN:

@@ -93,7 +93,7 @@ class Kernel:
         self.neighbors = NeighborTable(self.clock)
         self.ipsets = IpsetRegistry()
         self.netfilter = Netfilter(self)
-        self.conntrack = Conntrack(self.clock, num_shards=num_cores)
+        self.conntrack = Conntrack(self.clock)
         self.ipvs = Ipvs(self.conntrack)
         self.sysctl = Sysctl()
         self.sockets = SocketTable(self)
@@ -476,36 +476,28 @@ class Kernel:
 
         Ordering matters for conservation: the CPU's backlog is drained
         *while it is still online* (``dev_cpu_dead`` replays the dead CPU's
-        queue), so no queued frame is lost; then steering, RSS indirection
-        and the conntrack shard are all retargeted at the surviving CPUs.
+        queue), so no queued frame is lost; then steering and RSS
+        indirection are retargeted at the surviving CPUs.
         The controller hears about it via a ``CPU_OFFLINE`` notification and
         records an incident.
         """
         self.softirq.drain_cpu(cpu)
         self.cpus.offline(cpu)  # raises on the last online CPU / mid-execution
-        target = self._hotplug_target(cpu)
         self._retarget_rss()
-        self.conntrack.merge_shard(cpu % self.conntrack.num_shards, target % self.conntrack.num_shards)
         self.bus.notify(
             msg.GRP_CPU,
             NetlinkMsg(msg.CPU_OFFLINE, {"cpu": cpu, "num_online": self.cpus.num_online}),
         )
 
     def cpu_online(self, cpu: int) -> None:
-        """Bring a hot-unplugged CPU back: restore its conntrack shard and
-        the default RSS spread, and announce ``CPU_ONLINE``."""
+        """Bring a hot-unplugged CPU back: restore the default RSS spread and
+        announce ``CPU_ONLINE``."""
         self.cpus.online(cpu)
-        self.conntrack.split_shard(cpu % self.conntrack.num_shards)
         self._retarget_rss()
         self.bus.notify(
             msg.GRP_CPU,
             NetlinkMsg(msg.CPU_ONLINE, {"cpu": cpu, "num_online": self.cpus.num_online}),
         )
-
-    def _hotplug_target(self, dead: int) -> int:
-        """The surviving CPU that inherits a dead CPU's sharded state."""
-        online = self.cpus.online_cpus()
-        return online[dead % len(online)]
 
     def _retarget_rss(self) -> None:
         """Point every physical NIC's RSS indirection table at queues whose

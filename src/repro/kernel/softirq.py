@@ -5,8 +5,7 @@ NIC RX queue is owned by one logical CPU (``queue % num_cpus`` — the
 "one queue per CPU" IRQ-affinity configuration, remapped onto the *online*
 CPUs after a hotplug event), and every frame is then RPS-steered by a
 *symmetric* flow hash so all packets of a flow — in both directions — are
-processed on a single CPU. That invariant is what lets the conntrack table
-shard per CPU without cross-CPU locking on the fast path.
+processed on a single CPU.
 A one-CPU kernel has nowhere to steer to and does not steer.
 
 Overload semantics mirror ``enqueue_to_backlog``: each CPU has a bounded

@@ -125,12 +125,11 @@ class Stack:
         """
         info = drop_reason(reason)
         self.drops[reason] += 1
-        obs = getattr(self.kernel, "observability", None)
-        if obs is not None:
-            obs.drops.record(info, dev.name if dev is not None else None)
-            if obs.tracer.recording:
-                obs.tracer.event("kfree_skb", reason)
-                obs.tracer.set_outcome(f"drop:{reason}")
+        obs = self.kernel.observability
+        obs.drops.record(info, dev.name if dev is not None else None)
+        if obs.tracer.recording:
+            obs.tracer.event("kfree_skb", reason)
+            obs.tracer.set_outcome(f"drop:{reason}")
         if terminal and self._settle(skb):
             self.dropped += 1
             self.dropped_by_cpu[self._ledger_cpu()] += 1
@@ -145,9 +144,9 @@ class Stack:
         consumed). Counted once per packet: re-finishing an already-settled
         skb (a fragment piece, a drained neighbor-queue entry) is a no-op
         for the ledger."""
-        obs = getattr(self.kernel, "observability", None)
-        if obs is not None and obs.tracer.recording:
-            obs.tracer.set_outcome(outcome)
+        tracer = self.kernel.observability.tracer
+        if tracer.recording:
+            tracer.set_outcome(outcome)
         if self._settle(skb):
             self.outcomes[outcome] += 1
 
@@ -170,9 +169,19 @@ class Stack:
         return sum(len(e.queued) for e in self.kernel.neighbors.entries())
 
     def _trace_event(self, stage: str, detail: str = "") -> None:
-        obs = getattr(self.kernel, "observability", None)
-        if obs is not None and obs.tracer.recording:
-            obs.tracer.event(stage, detail)
+        tracer = self.kernel.observability.tracer
+        if tracer.recording:
+            tracer.event(stage, detail)
+
+    @staticmethod
+    def _begin_rx_trace(tracer, dev: NetDevice, frame: bytes):
+        """Open a trace for a received frame when the armed filter matches
+        it; returns the trace or None."""
+        try:
+            pkt = Packet.from_bytes(frame)
+        except PacketError:
+            pkt = None
+        return tracer.begin("rx", dev.name, pkt)
 
     # ------------------------------------------------------------------ RX
 
@@ -188,20 +197,15 @@ class Stack:
     def receive(self, dev: NetDevice, frame: bytes, queue: int = 0) -> None:
         """Entry point for a frame arriving on ``dev``."""
         self.account_rx()
-        obs = getattr(self.kernel, "observability", None)
+        tracer = self.kernel.observability.tracer
         token = None
-        if obs is not None and obs.tracer.armed:
-            pkt = None
-            try:
-                pkt = Packet.from_bytes(frame)
-            except PacketError:
-                pass
-            token = obs.tracer.begin("rx", dev.name, pkt)
+        if tracer.armed:
+            token = self._begin_rx_trace(tracer, dev, frame)
         try:
             self._receive(dev, frame, queue)
         finally:
             if token is not None:
-                obs.tracer.end(token)
+                tracer.end(token)
 
     def _receive(self, dev: NetDevice, frame: bytes, queue: int) -> None:
         kernel = self.kernel
@@ -210,23 +214,23 @@ class Stack:
 
         # --- XDP hook (driver level, raw frame, no sk_buff yet) ---
         if dev.xdp_prog is not None:
-            watchdog = kernel.watchdog
-            if watchdog is not None and watchdog.hook == "xdp" and watchdog.should_sample(dev):
-                # Differential sampling: the fast path only *predicts*; the
-                # plain kernel pipeline handles the packet authoritatively.
-                watchdog.sample(self, dev, frame, queue)
-                return
             result = dev.xdp_prog.run_xdp(kernel, dev, frame)
-            self._xdp_dispatch(dev, result, queue)
+            self._xdp_dispatch(dev, frame, result, queue)
             return
 
         self.receive_after_xdp(dev, frame, queue)
 
-    def _xdp_dispatch(self, dev: NetDevice, result, queue: int) -> None:
-        """Route one XDP verdict into the rest of the pipeline. Shared by
-        the per-frame path (:meth:`_receive`) and batched delivery
+    def _xdp_dispatch(self, dev: NetDevice, frame: bytes, result, queue: int) -> None:
+        """Route one frame's XDP verdict into the rest of the pipeline.
+        Shared by the per-frame path (:meth:`_receive`) and batched delivery
         (:meth:`receive_batch`)."""
         kernel = self.kernel
+        watchdog = kernel.watchdog
+        if watchdog is not None and watchdog.hook == "xdp" and watchdog.should_sample(dev):
+            # Differential sampling: the fast path's run only *predicts*;
+            # the plain kernel pipeline handles the packet authoritatively.
+            watchdog.sample(self, dev, frame, queue, result)
+            return
         self.xdp_actions[result.verdict] += 1
         self._trace_event("xdp", XDP_ACTION_NAMES.get(result.verdict, str(result.verdict)))
         if result.verdict == XDP_DROP:
@@ -253,10 +257,14 @@ class Stack:
         """Batched driver entry: the GRO / ``xdp_do_flush`` analogue.
 
         Accounts and charges driver work once for the whole burst and runs
-        the XDP program over all frames before dispatching any verdict, so
-        the per-frame bookkeeping (ledger attribution, driver charge)
-        amortizes over the batch. A device without an XDP program, a
-        differential watchdog, or an armed tracer forces the per-frame path.
+        the XDP program over all frames before dispatching any verdict, as
+        Linux runs XDP over a NAPI poll while GRO holds the passed skbs
+        (``gro_normal_batch``); the per-frame bookkeeping (ledger
+        attribution, driver charge) amortizes over the batch. Only a device
+        without an XDP program takes the per-frame path: observers keep the
+        order, so a sampled frame's run is the watchdog's prediction, and
+        with the tracer armed each frame's trace is current while its
+        program runs and again while its verdict is dispatched.
 
         Running every program first is not always what per-frame delivery
         would do: a verdict dispatched early in the burst can change state
@@ -264,12 +272,7 @@ class Stack:
         neighbor the next frame is routed to).
         """
         kernel = self.kernel
-        obs = getattr(kernel, "observability", None)
-        if (
-            dev.xdp_prog is None
-            or kernel.watchdog is not None
-            or (obs is not None and obs.tracer.armed)
-        ):
+        if dev.xdp_prog is None:
             for frame in frames:
                 self.receive(dev, frame, queue)
             return
@@ -277,15 +280,34 @@ class Stack:
         self.account_rx(n)
         if isinstance(dev, PhysicalDevice):
             kernel.charge_ns(kernel.costs.driver_rx * n)
-        results = dev.xdp_prog.run_xdp_burst(kernel, dev, frames, queue)
-        for result in results:
-            self._xdp_dispatch(dev, result, queue)
+        tracer = kernel.observability.tracer
+        if not tracer.armed:
+            results = dev.xdp_prog.run_xdp_burst(kernel, dev, frames, queue)
+            for frame, result in zip(frames, results):
+                self._xdp_dispatch(dev, frame, result, queue)
+            return
+        runs = []
+        for frame in frames:
+            trace = self._begin_rx_trace(tracer, dev, frame)
+            try:
+                runs.append((trace, dev.xdp_prog.run_xdp(kernel, dev, frame)))
+            finally:
+                if trace is not None:
+                    tracer.set_aside(trace)
+        for frame, (trace, result) in zip(frames, runs):
+            if trace is not None:
+                tracer.resume(trace)
+            try:
+                self._xdp_dispatch(dev, frame, result, queue)
+            finally:
+                if trace is not None:
+                    tracer.end(trace)
 
     def receive_after_xdp(self, dev: NetDevice, frame: bytes, queue: int = 0) -> None:
         """The pipeline from sk_buff allocation onward (no XDP fast path).
 
         Split out so the watchdog can run a sampled frame through the plain
-        kernel while predicting separately with the fast path.
+        kernel while the fast path's run stands as its prediction.
         """
         kernel = self.kernel
 
@@ -300,15 +322,15 @@ class Stack:
 
         # --- TC ingress hook ---
         if dev.tc_ingress_prog is not None:
+            result = dev.tc_ingress_prog.run_tc(kernel, dev, skb)
             watchdog = kernel.watchdog
             if watchdog is not None and watchdog.hook == "tc" and watchdog.should_sample(dev):
-                watchdog.sample_tc(self, dev, skb, frame, queue)
+                watchdog.sample_tc(self, dev, skb, result)
                 return
-            result = dev.tc_ingress_prog.run_tc(kernel, dev, skb)
             self.tc_actions[result.verdict] += 1
             self._trace_event("tc", TC_ACTION_NAMES.get(result.verdict, str(result.verdict)))
             if result.verdict == TC_ACT_SHOT:
-                if getattr(result, "aborted", False):
+                if result.aborted:
                     self.drop("tc_aborted", dev, skb)
                 else:
                     self.drop("tc_shot", dev, skb)
@@ -577,15 +599,15 @@ class Stack:
             l4=l4,
             payload=payload,
         )
-        obs = getattr(kernel, "observability", None)
+        tracer = kernel.observability.tracer
         token = None
-        if obs is not None and obs.tracer.armed:
-            token = obs.tracer.begin("tx", None, pkt)
+        if tracer.armed:
+            token = tracer.begin("tx", None, pkt)
         try:
             self._send_ip(pkt)
         finally:
             if token is not None:
-                obs.tracer.end(token)
+                tracer.end(token)
 
     def _send_ip(self, pkt: Packet) -> None:
         kernel = self.kernel

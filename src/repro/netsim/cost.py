@@ -86,8 +86,6 @@ class CostModel:
     # --- multi-core data plane (Documentation/networking/scaling.rst) ---
     rps_steer: int = 30               # get_rps_cpu: flow hash + table lookup
     rps_ipi: int = 120                # cross-CPU backlog enqueue + IPI wakeup
-    cross_cpu_lock: int = 90          # contended cacheline bounce on a shared
-                                      # (non-per-CPU) map mutation
 
     # --- Polycube-style platform (custom maps, tail-call chaining) ---
     polycube_classifier: int = 95         # bitvector classification (rule-count ~flat)

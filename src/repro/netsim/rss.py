@@ -8,8 +8,8 @@ indirection table whose entries store RX queue numbers.
 
 The kernel half (RPS-style flow steering onto CPUs) lives in
 :mod:`repro.kernel.softirq`; it uses the *symmetric* variant below so both
-directions of a flow steer to the same CPU — which the sharded conntrack
-relies on (an IDS-style symmetric-RSS configuration, per scaling.rst).
+directions of a flow steer to the same CPU (an IDS-style symmetric-RSS
+configuration, per scaling.rst).
 """
 
 from __future__ import annotations
@@ -87,12 +87,11 @@ def l2_input(frame: bytes) -> bytes:
 
 
 def symmetric_flow_hash(src: int, dst: int, proto: int, sport: int, dport: int) -> int:
-    """A direction-insensitive flow hash for RPS steering and shard choice.
+    """A direction-insensitive flow hash for RPS steering.
 
     Canonicalizes the (addr, port) endpoint pair by sorting before hashing,
     so a flow and its reply traffic produce the same value — both directions
-    of a connection are processed on one CPU and land in one conntrack
-    shard.
+    of a connection are processed on one CPU.
     """
     a = (src & 0xFFFFFFFF, sport & 0xFFFF)
     b = (dst & 0xFFFFFFFF, dport & 0xFFFF)

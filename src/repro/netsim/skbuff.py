@@ -54,16 +54,3 @@ class SKBuff:
     def invalidate_wire(self) -> None:
         """Drop the memoized wire image (call after any ``pkt`` mutation)."""
         self._wire = None
-
-    def clone(self) -> "SKBuff":
-        return SKBuff(
-            pkt=self.pkt.clone(),
-            ifindex=self.ifindex,
-            rx_queue=self.rx_queue,
-            vlan_tci=self.vlan_tci,
-            bridge_port=self.bridge_port,
-            conntrack=self.conntrack,
-            mark=self.mark,
-            priority=self.priority,
-            cb=dict(self.cb),
-        )

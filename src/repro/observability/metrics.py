@@ -80,7 +80,6 @@ class MetricsRegistry:
                 "rx_by_cpu": {str(c): n for c, n in sorted(stack.rx_by_cpu.items())},
                 "settled_by_cpu": {str(c): n for c, n in sorted(stack.settled_by_cpu.items())},
                 "dropped_by_cpu": {str(c): n for c, n in sorted(stack.dropped_by_cpu.items())},
-                "conntrack_shard_sizes": kernel.conntrack.shard_sizes(),
             },
             "drops_by_device": {
                 f"{device}/{reason}": count
@@ -114,9 +113,7 @@ class MetricsRegistry:
             "fpm_latency": obs.fpm_latency.as_dict(),
             "tracer": obs.tracer.summary(),
         }
-        engine = getattr(kernel, "jit", None)
-        if engine is not None:
-            data["jit_engine"] = engine.summary()
+        data["jit_engine"] = kernel.jit.summary()
         if self.controller is not None:
             ctl = self.controller
             data["controller"] = {
@@ -236,10 +233,6 @@ class MetricsRegistry:
         sample("linuxfp_conntrack_early_drops_total", kernel.conntrack.early_drops)
         family("linuxfp_conntrack_insert_failed_total", "counter", "Tracking refusals: table full and early-drop found no victim.")
         sample("linuxfp_conntrack_insert_failed_total", kernel.conntrack.insert_failed)
-        if kernel.conntrack.num_shards > 1:
-            family("linuxfp_conntrack_shard_entries", "gauge", "Conntrack occupancy per CPU shard.")
-            for shard, count in enumerate(kernel.conntrack.shard_sizes()):
-                sample("linuxfp_conntrack_shard_entries", count, shard=str(shard))
 
         self._prom_histograms(lines, family, sample)
 
@@ -266,14 +259,12 @@ class MetricsRegistry:
                 family("linuxfp_watchdog_samples_total", "counter", "Differential watchdog samples by verdict.")
                 for key in ("agreements", "mismatches", "punts"):
                     sample("linuxfp_watchdog_samples_total", wd[key], verdict=key)
-            engine = getattr(self.kernel, "jit", None)
-            if engine is not None:
-                stats = engine.summary()
-                family("linuxfp_jit_engine_runs_total", "counter", "FPM invocations served by compiled code vs the interpreter.")
-                sample("linuxfp_jit_engine_runs_total", stats["jit_runs"], mode="jit")
-                sample("linuxfp_jit_engine_runs_total", stats["interp_runs"], mode="interpreter")
-                family("linuxfp_jit_engine_fallbacks_total", "counter", "Programs the JIT declined to compile (interpreter serves them).")
-                sample("linuxfp_jit_engine_fallbacks_total", stats["fallbacks"])
+            stats = self.kernel.jit.summary()
+            family("linuxfp_jit_engine_runs_total", "counter", "FPM invocations served by compiled code vs the interpreter.")
+            sample("linuxfp_jit_engine_runs_total", stats["jit_runs"], mode="jit")
+            sample("linuxfp_jit_engine_runs_total", stats["interp_runs"], mode="interpreter")
+            family("linuxfp_jit_engine_fallbacks_total", "counter", "Programs the JIT declined to compile (interpreter serves them).")
+            sample("linuxfp_jit_engine_fallbacks_total", stats["fallbacks"])
             jit = ctl.deployer.jit_summary()
             if jit:
                 family("linuxfp_jit_status", "gauge", "Serving-program JIT outcome (1 for the active status label).")

@@ -42,15 +42,6 @@ class DropMonitor:
         rows.sort(key=lambda row: (-row[2], row[0], row[1]))
         return rows
 
-    def device_table(self) -> List[Tuple[str, str, int]]:
-        """(device, reason, count) rows sorted by device then count."""
-        rows = [
-            (device, name, count)
-            for (device, name), count in self.by_device.items()
-        ]
-        rows.sort(key=lambda row: (row[0], -row[2], row[1]))
-        return rows
-
 
 class Observability:
     """One per kernel: drop counters, the packet tracer, and latency

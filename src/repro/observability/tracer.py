@@ -244,6 +244,15 @@ class PacketTracer:
         if self._active and self._active[-1].outcome is None:
             self._active[-1].outcome = outcome
 
+    def set_aside(self, trace: PacketTrace) -> None:
+        """Take an in-flight trace off the stack until :meth:`resume`; a
+        burst runs every frame's program before it dispatches a verdict."""
+        self._active.remove(trace)
+
+    def resume(self, trace: PacketTrace) -> None:
+        """Make a trace set aside by :meth:`set_aside` current again."""
+        self._active.append(trace)
+
     def end(self, trace: PacketTrace) -> None:
         """Close a trace and commit it to the ring."""
         if trace not in self._active:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import shlex
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.netlink.bus import NetlinkSocket
 from repro.netlink.messages import NLM_F_DUMP, NLM_F_REQUEST, NetlinkMsg
@@ -36,23 +36,3 @@ class NetlinkTool:
 
 def split_args(command: str) -> List[str]:
     return shlex.split(command)
-
-
-def take_pairs(args: List[str], keywords: Dict[str, str]) -> Dict[str, str]:
-    """Parse iproute2-style ``keyword value`` pairs; flags map to 'true'."""
-    out: Dict[str, str] = {}
-    i = 0
-    while i < len(args):
-        word = args[i]
-        if word not in keywords:
-            raise ToolError(f"unknown argument {word!r}")
-        kind = keywords[word]
-        if kind == "flag":
-            out[word] = "true"
-            i += 1
-        else:
-            if i + 1 >= len(args):
-                raise ToolError(f"{word!r} requires a value")
-            out[word] = args[i + 1]
-            i += 2
-    return out

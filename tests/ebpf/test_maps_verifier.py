@@ -1,17 +1,13 @@
 """Tests for eBPF maps and the static verifier."""
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ebpf.helpers import _charge_shared_map_write
 from repro.ebpf.isa import Insn, Op, call, exit_, ldx, mov_imm, mov_reg, stx
-from repro.ebpf.maps import ArrayMap, DevMap, HashMap, LpmTrieMap, MapError, ProgArray
+from repro.ebpf.maps import ArrayMap, HashMap, LpmTrieMap, MapError, ProgArray
 from repro.ebpf.program import Program, ProgramError
 from repro.ebpf.verifier import MAX_INSNS, VerifierError, verify
-from repro.kernel.kernel import Kernel
 from repro.netsim.addresses import IPv4Addr
 
 
@@ -92,36 +88,6 @@ class TestArrayMapNullOnOutOfRange:
             m.delete((2).to_bytes(4, "little"))
 
 
-class TestSharedMapContentionCharge:
-    """The modeled cross-CPU cost: mutating a shared map from a multi-core
-    data path pays ``cross_cpu_lock``."""
-
-    def charge_ns(self, kernel, bpf_map, cpu=None):
-        env = SimpleNamespace(kernel=kernel)
-        before = kernel.cpus.total_busy_ns
-        if cpu is None:
-            _charge_shared_map_write(env, bpf_map)
-        else:
-            with kernel.cpus.on(cpu):
-                _charge_shared_map_write(env, bpf_map)
-        return kernel.cpus.total_busy_ns - before
-
-    def test_write_pays_on_multicore_data_path(self):
-        kernel = Kernel("dut", num_cores=4)
-        shared = HashMap("ct", 4, 8, max_entries=8)
-        assert self.charge_ns(kernel, shared, cpu=2) == kernel.costs.cross_cpu_lock
-
-    def test_control_plane_pays_nothing(self):
-        kernel = Kernel("dut", num_cores=4)
-        shared = HashMap("ct", 4, 8, max_entries=8)
-        assert self.charge_ns(kernel, shared, cpu=None) == 0
-
-    def test_single_core_kernel_pays_nothing(self):
-        kernel = Kernel("dut", num_cores=1)
-        shared = HashMap("ct", 4, 8, max_entries=8)
-        assert self.charge_ns(kernel, shared, cpu=0) == 0
-
-
 class TestLpmTrie:
     def test_longest_prefix_wins(self):
         m = LpmTrieMap("lpm", value_size=4)
@@ -198,14 +164,6 @@ class TestProgArrayDevMap:
         pa = ProgArray("jmp")
         with pytest.raises(MapError):
             pa.lookup(b"\x00" * 4)
-
-    def test_devmap(self):
-        dm = DevMap("tx", max_entries=4)
-        dm.set_dev(1, 42)
-        assert dm.get_dev(1) == 42
-        assert dm.lookup((1).to_bytes(4, "little")) == (42).to_bytes(4, "little")
-        dm.delete((1).to_bytes(4, "little"))
-        assert dm.get_dev(1) is None
 
 
 def prog(insns, maps=None):
@@ -307,7 +265,7 @@ class TestVerifier:
 
         insns = [
             mov_imm(1, 1),
-            call(HELPER_IDS["ktime_get_ns"]),
+            call(HELPER_IDS["trace_printk"]),
             mov_reg(0, 1),  # r1 no longer initialized
             exit_(),
         ]
@@ -365,7 +323,7 @@ class TestHelperRegistry:
     def test_ret_ranges_are_sound_for_map_helpers(self):
         from repro.ebpf.helpers import HELPER_SIGS
 
-        for hid in (1, 2, 3, 4):
+        for hid in (2, 3):
             assert HELPER_SIGS[hid].ret == (0, 1)
 
 
@@ -547,20 +505,20 @@ class TestMapHelperFailSoft:
         assert bpf_map_update_elem(self._env(), [m, self._buf(b"a"), self._buf(b"y")]) == 0
 
     def test_array_index_out_of_range_fails_soft(self):
-        from repro.ebpf.helpers import bpf_map_lookup_elem, bpf_map_update_elem
+        from repro.ebpf.helpers import bpf_map_read, bpf_map_update_elem
 
         m = ArrayMap("a", 4, 4)
         big = (99).to_bytes(4, "little")
-        assert bpf_map_lookup_elem(self._env(), [m, self._buf(big)]) == 0
+        assert bpf_map_read(self._env(), [m, self._buf(big), self._buf(b"\x00" * 4)]) == 0
         assert bpf_map_update_elem(self._env(), [m, self._buf(big), self._buf(b"\x00" * 4)]) == 1
 
     def test_bad_lpm_prefix_fails_soft(self):
-        from repro.ebpf.helpers import bpf_map_delete_elem, bpf_map_read
+        from repro.ebpf.helpers import bpf_map_read, bpf_map_update_elem
 
         m = LpmTrieMap("lpm", 4)
         bad_key = (77).to_bytes(4, "little") + b"\x0a\x00\x00\x01"  # prefix 77 > 32
         assert bpf_map_read(self._env(), [m, self._buf(bad_key), self._buf(b"\x00" * 4)]) == 0
-        assert bpf_map_delete_elem(self._env(), [m, self._buf(bad_key)]) == 1
+        assert bpf_map_update_elem(self._env(), [m, self._buf(bad_key), self._buf(b"\x00" * 4)]) == 1
 
     def test_fault_injection_absorbed_by_helper(self):
         # inside a program, an injected map fault is an error *code* (the

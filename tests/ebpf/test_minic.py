@@ -232,8 +232,8 @@ class TestCodegenExecution:
             compile_c("u32 main() { u64 big[100]; return 0; }")
 
     def test_helper_call(self, kernel):
-        kernel.clock.advance(777)
-        src = "u32 main() { u64 t = ktime_get_ns(); return t >= 777; }"
+        # run_c's Env gives the hook's redirect verdict as 4
+        src = "u32 main() { u64 v = redirect(7, 0); return v == 4; }"
         assert run_c(kernel, src) == 1
 
     def test_tail_call(self, kernel):

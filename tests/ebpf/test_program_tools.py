@@ -45,13 +45,6 @@ class TestDisassembly:
 
 
 class TestLoaderBookkeeping:
-    def test_loaded_registry(self):
-        kernel = Kernel("ld")
-        kernel.add_physical("eth0")
-        loader = Loader(kernel)
-        attachment = loader.load(compile_c("u32 main() { return 2; }", name="p1"))
-        assert loader.loaded["p1"] is attachment
-
     def test_tc_egress_attach_detach(self):
         kernel = Kernel("ld")
         kernel.add_physical("eth0")

@@ -295,16 +295,9 @@ class TestHelpersViaVM:
         from repro.ebpf.helpers import HELPER_IDS
 
         insns = [
-            call(HELPER_IDS["ktime_get_ns"]),
+            call(HELPER_IDS["trace_printk"]),
             mov_reg(0, 1),  # r1 was clobbered by the call
             exit_(),
         ]
         with pytest.raises(VMError):
             run(kernel, insns, args=[0])
-
-    def test_ktime_returns_clock(self, kernel):
-        from repro.ebpf.helpers import HELPER_IDS
-
-        kernel.clock.advance(5000)
-        result = run(kernel, [call(HELPER_IDS["ktime_get_ns"]), exit_()])
-        assert result >= 5000

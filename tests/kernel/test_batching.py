@@ -1,10 +1,10 @@
 """Tests for NAPI-budget batched backlog draining.
 
 Covers the budget bound, same-(dev, queue) run coalescing, per-CPU FIFO
-ordering, the conservative fallbacks that route a batch back through
-per-frame ``receive()``, the flow cache serving bursts, the one known way
-a burst differs from per-frame delivery, and overflow accounting under
-burst arrival.
+ordering, the fallback that routes a batch back through per-frame
+``receive()``, observers (the packet tracer, the watchdog) that leave a
+burst's outcomes as they are, the one known way a burst differs from
+per-frame delivery, and overflow accounting under burst arrival.
 """
 
 from collections import Counter
@@ -17,6 +17,7 @@ from repro.kernel.hooks_api import XDP_PASS, XDP_REDIRECT
 from repro.kernel.softirq import NAPI_BUDGET
 from repro.measure.topology import LineTopology
 from repro.netsim.packet import make_arp_request, make_udp
+from repro.observability.tracer import TraceFilter
 
 
 def udp_frame(i, dport=9):
@@ -126,8 +127,7 @@ class TestDrain:
 
 class TestReceiveBatchFallbacks:
     """receive_batch must route back through per-frame receive() when the
-    device has no XDP program or per-frame machinery (a watchdog, an armed
-    tracer) is live."""
+    device has no XDP program."""
 
     def _count_singles(self, kernel, monkeypatch):
         calls = {"n": 0}
@@ -145,15 +145,6 @@ class TestReceiveBatchFallbacks:
         calls = self._count_singles(kernel, monkeypatch)
         kernel.stack.receive_batch(dev, [udp_frame(i) for i in range(3)])
         assert calls["n"] == 3
-
-    def test_armed_tracer_falls_back(self, kernel, monkeypatch):
-        from repro.observability.tracer import TraceFilter
-
-        dev = kernel.devices.by_name("eth0")
-        kernel.observability.tracer.arm(TraceFilter(), capacity=16)
-        calls = self._count_singles(kernel, monkeypatch)
-        kernel.stack.receive_batch(dev, [udp_frame(i) for i in range(2)])
-        assert calls["n"] == 2
 
     def test_ledger_balances_after_batched_rx(self, kernel):
         dev = kernel.devices.by_name("eth0")
@@ -208,6 +199,77 @@ class TestAcceleratedBursts:
         assert stack.settled == twin_stack.settled == stack.rx_packets == 64
 
 
+def arp_then_udp(topo):
+    """An ARP request from the unresolved 10.0.1.2, then a UDP frame to it:
+    the burst whose outcome depends on run-then-dispatch order."""
+    arp = make_arp_request(topo.src_eth.mac, "10.0.1.2", "10.0.1.1").to_bytes()
+    udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.2.2", "10.0.1.2").to_bytes()
+    return [arp, udp]
+
+
+class TestObservedBursts:
+    """An armed tracer, or a watchdog that samples none of a burst's frames,
+    does not change how the burst is forwarded."""
+
+    @staticmethod
+    def deliver(tracer_filter=None, watchdog_every=None):
+        topo = LineTopology()
+        topo.install_prefixes(4)
+        kwargs = {} if watchdog_every is None else {"watchdog_every": watchdog_every}
+        Controller(topo.dut, hook="xdp", **kwargs).start()
+        if tracer_filter is not None:
+            topo.dut.observability.tracer.arm(tracer_filter)
+        egress = []
+        topo.src_eth.nic.attach(lambda f, q: egress.append(f))
+        topo.dut_in.nic.receive_burst(arp_then_udp(topo))
+        # MACs are unique per kernel (and the ARP reply carries them)
+        macs = {topo.src_eth.mac.to_bytes(): b"S" * 6, topo.dut_in.mac.to_bytes(): b"D" * 6}
+        for mac, alias in macs.items():
+            egress = [f.replace(mac, alias) for f in egress]
+        stack = topo.dut.stack
+        return stack.xdp_actions, stack.outcomes, egress
+
+    def test_tracer_and_watchdog_leave_outcomes_unchanged(self):
+        untraced = self.deliver()
+        assert untraced[0] == Counter({XDP_PASS: 2})
+        assert untraced[1] == Counter({"arp_rx": 1, "tx": 1})
+        assert len(untraced[2]) == 2
+        for observed in (
+            self.deliver(TraceFilter()),
+            self.deliver(TraceFilter(dport=4242)),  # matches no packet
+            self.deliver(watchdog_every=1000),  # samples no packet
+            self.deliver(TraceFilter(), watchdog_every=1000),
+        ):
+            assert observed == untraced
+
+    def test_traced_burst_runs_every_frame_before_dispatching(self, monkeypatch):
+        topo = LineTopology()
+        topo.install_prefixes(4)
+        Controller(topo.dut, hook="xdp").start()
+        tracer = topo.dut.observability.tracer
+        tracer.arm(TraceFilter())
+        singles = Counter()
+        original = topo.dut.stack.receive
+
+        def counting(dev, frame, queue=0):
+            singles["n"] += 1
+            return original(dev, frame, queue)
+
+        monkeypatch.setattr(topo.dut.stack, "receive", counting)
+        topo.dut_in.nic.receive_burst(arp_then_udp(topo))
+
+        assert singles["n"] == 0
+        first, second = tracer.traces()
+        assert first.summary.startswith("arp") and first.outcome == "arp_rx"
+        assert second.summary.startswith("10.0.2.2") and second.outcome == "tx"
+        for trace in (first, second):
+            # each trace keeps its program run and its verdict
+            assert [e.stage for e in trace.events][:2] == ["fpm", "xdp"]
+        # frame 2's program ran before frame 1's verdict was dispatched
+        assert second.events[0].ns <= first.events[1].ns
+        assert not tracer.recording
+
+
 class TestBurstOrdering:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "receive_batch runs every program before dispatching any verdict, so "
@@ -218,9 +280,7 @@ class TestBurstOrdering:
             topo = LineTopology()
             topo.install_prefixes(4)
             Controller(topo.dut, hook="xdp").start()
-            # 10.0.1.2 stays unresolved until its ARP request arrives
-            arp = make_arp_request(topo.src_eth.mac, "10.0.1.2", "10.0.1.1").to_bytes()
-            udp = make_udp(topo.src_eth.mac, topo.dut_in.mac, "10.0.2.2", "10.0.1.2").to_bytes()
+            arp, udp = arp_then_udp(topo)
             if burst:
                 topo.dut_in.nic.receive_burst([arp, udp])
             else:

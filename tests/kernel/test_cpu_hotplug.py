@@ -2,22 +2,18 @@
 
 ``Kernel.cpu_offline`` must leave no orphaned work behind: the dead CPU's
 backlog is drained first (the ``dev_cpu_dead`` analogy), RSS indirection
-and RX-queue affinity re-spread over the online set, the conntrack shard is
-merged into a live one (lookups keep resolving via the hash-slot
-indirection), the flow-cache shard is invalidated, and the controller hears
-about it over netlink, surfacing a ``cpu-offline`` incident. ``cpu_online``
-reverses all of it.
+and RX-queue affinity re-spread over the online set, and the controller
+hears about it over netlink, surfacing a ``cpu-offline`` incident.
+``cpu_online`` reverses all of it.
 """
 
 import pytest
 
 from repro.core import Controller
-from repro.kernel.conntrack import Conntrack, ConnTuple
 from repro.measure.topology import LineTopology
-from repro.netsim.addresses import IPv4Addr
-from repro.netsim.clock import FS_PER_NS, Clock
+from repro.netsim.clock import FS_PER_NS
 from repro.netsim.cpu import CpuSet
-from repro.netsim.packet import IPPROTO_UDP, make_udp
+from repro.netsim.packet import make_udp
 
 NUM_PREFIXES = 8
 
@@ -132,64 +128,6 @@ class TestSteeringAfterHotplug:
         dut.softirq.process_backlogs()
         assert len(delivered) == 32
         assert_ledger_balanced(dut.stack)
-
-
-class TestConntrackShards:
-    def tup(self, i):
-        return ConnTuple(
-            IPv4Addr.parse(f"10.0.{i}.1"), IPv4Addr.parse(f"10.1.{i}.1"),
-            IPPROTO_UDP, 1000 + i, 53,
-        )
-
-    def seeded(self, num_shards=4, entries=64):
-        ct = Conntrack(Clock(), num_shards=num_shards)
-        tuples = [self.tup(i) for i in range(entries)]
-        for tup in tuples:
-            ct.create(tup)
-        return ct, tuples
-
-    def test_merge_empties_the_dead_shard_and_keeps_lookups_resolving(self):
-        ct, tuples = self.seeded()
-        dead_tuples = [t for t in tuples if ct.shard_of(t) == 1]
-        assert dead_tuples  # 64 flows over 4 shards: shard 1 is populated
-        moved = ct.merge_shard(1, 0)
-        assert moved == len(dead_tuples)
-        assert not ct._shards[1]
-        for tup in tuples:
-            assert ct.lookup(tup) is not None  # nothing lost in the merge
-
-    def test_split_rehomes_the_merged_entries_back(self):
-        ct, tuples = self.seeded()
-        ct.merge_shard(1, 0)
-        moved = ct.split_shard(1)
-        assert moved > 0
-        for index, shard in enumerate(ct._shards):
-            for tup in shard:
-                assert ct.shard_of(tup) == index  # invariant restored
-        for tup in tuples:
-            assert ct.lookup(tup) is not None
-
-    def test_merge_into_itself_is_rejected(self):
-        ct, _ = self.seeded()
-        with pytest.raises(ValueError):
-            ct.merge_shard(2, 2)
-
-    def test_kernel_offline_merges_and_online_splits(self):
-        topo, _ = build(num_queues=4)
-        dut = topo.dut
-        ct = dut.conntrack
-        for i in range(64):
-            ct.create(self.tup(i))
-        populated = len(ct._shards[1])
-        assert populated > 0
-        total = sum(len(s) for s in ct._shards)
-        dut.cpu_offline(1)
-        assert not ct._shards[1]
-        assert sum(len(s) for s in ct._shards) == total  # merged, not lost
-        dut.cpu_online(1)
-        for index, shard in enumerate(ct._shards):
-            for tup in shard:
-                assert ct.shard_of(tup) == index
 
 
 class TestAcceleratedOffline:

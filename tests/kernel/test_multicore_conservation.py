@@ -108,8 +108,7 @@ class TestPressureAtFourCpus:
         assert drive_flows(slow, slow_out, 64) == drive_flows(fast, fast_out, 64)
         for topo in (slow, fast):
             ct = topo.dut.conntrack
-            assert ct.num_shards == NUM_CPUS
-            assert sum(ct.shard_sizes()) == len(ct) <= 8
+            assert len(ct) <= 8
             assert ct.early_drops > 0  # the pressure is visible, not fatal
             assert_conserved_per_cpu(topo.dut.stack)
 

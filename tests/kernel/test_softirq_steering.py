@@ -1,9 +1,8 @@
 """RPS flow steering: flow→CPU affinity and per-flow ordering.
 
-The Hypothesis property is the invariant the sharded conntrack relies on:
-for any packet stream, every packet of one flow — in *both* directions — is
-processed on exactly one CPU, and per-flow packet order is preserved end to
-end.
+The Hypothesis property is the steering invariant: for any packet stream,
+every packet of one flow — in *both* directions — is processed on exactly
+one CPU, and per-flow packet order is preserved end to end.
 """
 
 import pytest
