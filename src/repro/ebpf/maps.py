@@ -58,9 +58,6 @@ class BpfMap:
     def update(self, key: bytes, value: bytes) -> None:
         raise NotImplementedError
 
-    def delete(self, key: bytes) -> None:
-        raise NotImplementedError
-
 
 class HashMap(BpfMap):
     map_type = "hash"
@@ -80,10 +77,6 @@ class HashMap(BpfMap):
         if key not in self._data and len(self._data) >= self.max_entries:
             raise MapError(f"{self.name}: map full ({self.max_entries})")  # -E2BIG
         self._data[key] = value
-
-    def delete(self, key: bytes) -> None:
-        self._check_key(key)
-        self._data.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -116,9 +109,6 @@ class ArrayMap(BpfMap):
         faults.fire("map_update", self.name)
         self._check_value(value)
         self._slots[self._index(key)] = value
-
-    def delete(self, key: bytes) -> None:
-        self._slots[self._index(key)] = b"\x00" * self.value_size
 
 
 class LpmTrieMap(BpfMap):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import MacAddr
-from repro.netsim.packet import Packet
+from repro.netsim.packet import VlanTag
 from repro.netsim.skbuff import SKBuff
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -214,7 +214,6 @@ class Bridge:
 
         # Traffic addressed to the bridge itself continues up the stack.
         if dst == self.device.mac:
-            skb.bridge_port = ingress.ifindex
             skb.ifindex = self.device.ifindex
             return skb
 
@@ -222,7 +221,6 @@ class Bridge:
             self.flood(skb, vlan, exclude_ifindex=ingress.ifindex)
             # Broadcast/multicast is also delivered locally (e.g. ARP requests
             # for an IP configured on the bridge interface).
-            skb.bridge_port = ingress.ifindex
             skb.ifindex = self.device.ifindex
             return skb
 
@@ -235,7 +233,6 @@ class Bridge:
                 stack.drop("bridge_flood_empty", ingress, skb)
             return None
         if entry.is_local:
-            skb.bridge_port = ingress.ifindex
             skb.ifindex = self.device.ifindex
             return skb
         if entry.port_ifindex != ingress.ifindex:
@@ -274,10 +271,12 @@ class Bridge:
         return sent
 
     def transmit_from_upper(self, frame: bytes) -> None:
-        """IP output on the bridge interface: FDB-forward or flood."""
-        skb = SKBuff(pkt=Packet.from_bytes(frame), ifindex=self.device.ifindex)
+        """IP output on the bridge interface: FDB-forward or flood. The
+        destination MAC is read from the frame, which is parsed only when
+        it does not round-trip or vlan filtering reads its tag."""
+        skb = SKBuff.lazy(frame, self.device.ifindex, self.kernel.stack.skb_stats)
         vlan = 1
-        dst = skb.pkt.eth.dst
+        dst = MacAddr.from_bytes(frame[0:6])
         entry = self.fdb_lookup(dst, vlan) if not dst.is_multicast else None
         if entry is not None and not entry.is_local:
             self.forward(skb, vlan, entry.port_ifindex)
@@ -285,19 +284,20 @@ class Bridge:
             self.flood(skb, vlan)
 
     def _egress_frame(self, skb: SKBuff, vlan: int, port: BridgePort) -> bytes:
-        pkt = skb.pkt
+        """The frame ``port`` sends: the skb's wire image, unless vlan
+        filtering tags or untags it."""
         if self.vlan_filtering:
+            pkt = skb.pkt
             if vlan == port.pvid:
                 if pkt.vlan is not None:
                     pkt = pkt.clone()
                     pkt.vlan = None
-            else:
-                if pkt.vlan is None or pkt.vlan.vid != vlan:
-                    from repro.netsim.packet import VlanTag
-
-                    pkt = pkt.clone()
-                    pkt.vlan = VlanTag(vid=vlan)
-        return pkt.to_bytes()
+                    return pkt.to_bytes()
+            elif pkt.vlan is None or pkt.vlan.vid != vlan:
+                pkt = pkt.clone()
+                pkt.vlan = VlanTag(vid=vlan)
+                return pkt.to_bytes()
+        return skb.wire_frame()
 
     # --- simplified spanning tree ---
 

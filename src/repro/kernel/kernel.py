@@ -58,7 +58,7 @@ from repro.netsim.addresses import (
     ipv4,
     prefix as parse_prefix,
 )
-from repro.netsim.clock import Clock
+from repro.netsim.clock import Clock, to_fs
 from repro.netsim.cost import CostModel
 from repro.netsim.profiler import Profiler
 
@@ -139,16 +139,25 @@ class Kernel:
     # ----------------------------------------------------------- accounting
 
     def costs_charge(self, name: str) -> None:
-        """Charge one named operation's cost to the simulated clock."""
-        self.charge_ns(getattr(self.costs, name))
+        """Charge one named operation's cost, as :meth:`charge_ns` does."""
+        fs = to_fs(getattr(self.costs, name))
+        self.clock._fs += fs
+        cpus = self.cpus
+        if cpus._active:
+            cpus._busy_fs[cpus._active[-1]] += fs
 
     def charge_ns(self, ns: float) -> None:
         """Charge ``ns`` of work: the global clock always advances (it
         orders timeouts across the simulation); the busy time additionally
         lands on whichever of this kernel's CPUs is executing, which is what
-        multi-core throughput is measured from. The clock converts ``ns``
-        to whole femtoseconds once, and the CPU is charged the same fs."""
-        self.cpus.charge_fs(self.clock.advance(ns))
+        multi-core throughput is measured from. ``ns`` converts to whole
+        femtoseconds once, and both are charged the same fs, added here
+        rather than through a call on each."""
+        fs = to_fs(ns)
+        self.clock._fs += fs
+        cpus = self.cpus
+        if cpus._active:
+            cpus._busy_fs[cpus._active[-1]] += fs
 
     # ------------------------------------------------------------- devices
 

@@ -347,6 +347,14 @@ class Netfilter:
         if ip is None:
             self.verdicts[chain_name][ACCEPT] += 1
             return ACCEPT, 0
+        if not self._compiled_chain(chain_name).rules:
+            # an empty chain gives its policy. The counters move as a scan
+            # moves them: it adds 0 to the two rule counts, creating their keys
+            self.scans[chain_name][SLOW] += 1
+            self.rules_scanned[chain_name].setdefault(SLOW, 0)
+            self.rules_tested[chain_name].setdefault(SLOW, 0)
+            self.verdicts[chain_name][chain.policy] += 1
+            return chain.policy, 0
         rule, scanned, ipset_scanned = self.scan(
             chain_name, SLOW, (ip.src.value, ip.dst.value, ip.proto), lambda: skb, in_name, out_name
         )

@@ -46,14 +46,17 @@ from repro.netsim.packet import (
     ICMP_ECHO_REQUEST,
     IPPROTO_ICMP,
     IPPROTO_UDP,
+    Ethernet,
     IPv4,
     Packet,
     PacketError,
     UDP,
+    VlanTag,
     make_arp_reply,
     make_arp_request,
+    with_ttl,
 )
-from repro.netsim.skbuff import SKBuff
+from repro.netsim.skbuff import SKBuff, SkbStats
 from repro.observability.drop_reasons import drop_reason
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,6 +96,8 @@ class Stack:
         self.tx_local_by_cpu: Counter = Counter()
         self.settled_by_cpu: Counter = Counter()
         self.dropped_by_cpu: Counter = Counter()
+        # parses and wire images of this kernel's skbs
+        self.skb_stats = SkbStats()
         # Transmit observation taps: called as tap(ifindex, frame) for every
         # slow-path transmit. The differential watchdog installs one to
         # capture the plain kernel's output for a sampled packet.
@@ -160,6 +165,8 @@ class Stack:
             if skb.accounted:
                 return False
             skb.accounted = True
+            if skb.unparsed:
+                self.skb_stats.freed_unparsed += 1
         self.settled += 1
         self.settled_by_cpu[self._ledger_cpu()] += 1
         return True
@@ -310,19 +317,25 @@ class Stack:
         kernel while the fast path's run stands as its prediction.
         """
         kernel = self.kernel
+        stats = self.skb_stats
 
         # --- sk_buff allocation + parse ---
+        # A TC program reads the wire image: a frame that round-trips is
+        # its own, and stays unparsed until a header is read.
         kernel.costs_charge("skb_alloc")
+        tc_prog = dev.tc_ingress_prog
         try:
-            pkt = Packet.from_bytes(frame)
+            if tc_prog is None:
+                skb = SKBuff.parse(frame, dev.ifindex, stats)
+            else:
+                skb = SKBuff.lazy(frame, dev.ifindex, stats)
         except PacketError:
             self.drop("malformed", dev)
             return
-        skb = SKBuff(pkt=pkt, ifindex=dev.ifindex, rx_queue=queue)
 
         # --- TC ingress hook ---
-        if dev.tc_ingress_prog is not None:
-            result = dev.tc_ingress_prog.run_tc(kernel, dev, skb)
+        if tc_prog is not None:
+            result = tc_prog.run_tc(kernel, dev, skb)
             watchdog = kernel.watchdog
             if watchdog is not None and watchdog.hook == "tc" and watchdog.should_sample(dev):
                 watchdog.sample_tc(self, dev, skb, result)
@@ -344,7 +357,7 @@ class Stack:
                 return
             if result.frame != frame:
                 try:
-                    skb = SKBuff(pkt=Packet.from_bytes(result.frame), ifindex=dev.ifindex, rx_queue=queue)
+                    skb = SKBuff.parse(result.frame, dev.ifindex, stats)
                 except PacketError:
                     self.drop("malformed", dev)
                     return
@@ -491,8 +504,11 @@ class Stack:
 
         with kernel.profiler.frame("ip_forward"):
             kernel.costs_charge("ip_forward")
-            skb.pkt.ip = ip.decrement_ttl()
-            skb.invalidate_wire()
+            # the wire image before the TTL changes, patched to match
+            wire = skb.wire_frame()
+            skb.pkt.ip = forwarded = ip.decrement_ttl()
+            l3 = Ethernet.HDR_LEN if skb.pkt.vlan is None else Ethernet.HDR_LEN + VlanTag.HDR_LEN
+            skb.set_wire(with_ttl(wire, l3, forwarded.header_len, forwarded.ttl))
         self.forwarded += 1
         self.ip_finish_output(skb, route)
 
@@ -521,9 +537,11 @@ class Stack:
                     self.drop("neigh_queue_full", out_dev, skb)
                 return
 
-            skb.pkt.eth.src = out_dev.mac
-            skb.pkt.eth.dst = mac
-            skb.invalidate_wire()
+            wire = skb.wire_frame()
+            eth = skb.pkt.eth
+            eth.src = out_dev.mac
+            eth.dst = mac
+            skb.set_wire(mac.to_bytes() + out_dev.mac.to_bytes() + wire[12:])
             self._xmit(out_dev, skb)
 
     def _xmit(self, out_dev: NetDevice, skb: SKBuff) -> None:
@@ -545,7 +563,7 @@ class Stack:
             # accounted so their transmits/drops don't settle again
             self.finish("fragmented", out_dev, skb)
             for piece in pieces:
-                piece_skb = SKBuff(pkt=piece, ifindex=skb.ifindex)
+                piece_skb = SKBuff(piece, skb.ifindex, stats=self.skb_stats)
                 piece_skb.accounted = True
                 self._xmit_frame(out_dev, piece_skb)
             return
@@ -611,7 +629,7 @@ class Stack:
 
     def _send_ip(self, pkt: Packet) -> None:
         kernel = self.kernel
-        skb = SKBuff(pkt=pkt)
+        skb = SKBuff(pkt, stats=self.skb_stats)
         ip = pkt.ip
         with kernel.profiler.frame("nf_hook_slow[OUTPUT]"):
             verdict, __ = kernel.netfilter.evaluate("OUTPUT", skb)
@@ -760,7 +778,5 @@ class Stack:
 
 
 def _placeholder_eth():
-    from repro.netsim.packet import Ethernet
-
     zero = MacAddr(0)
     return Ethernet(dst=zero, src=zero, ethertype=ETH_P_IP)

@@ -8,12 +8,22 @@ synthesis/compile/load pipeline.
 
 Time counts whole femtoseconds. Every cost is a whole number of fs, so the
 clock is an exact integer sum: the same charges give the same clock in any
-grouping.
+grouping. :func:`to_fs` is the one ns → fs rule. A kernel's charges
+(:meth:`~repro.kernel.kernel.Kernel.charge_ns`) add its result to ``_fs``,
+and the profiler's stage frames read ``_fs``, without a call.
 """
 
 from __future__ import annotations
 
 FS_PER_NS = 1_000_000
+
+
+def to_fs(ns: float) -> int:
+    """The whole femtoseconds in ``ns`` of time: an int multiplies exactly,
+    and only a fraction is rounded."""
+    if ns < 0:
+        raise ValueError(f"cannot advance clock by negative time: {ns}")
+    return ns * FS_PER_NS if ns.__class__ is int else round(ns * FS_PER_NS)
 
 
 class Clock:
@@ -35,17 +45,14 @@ class Clock:
         return self._fs / 1_000_000_000_000_000
 
     def advance(self, ns: float) -> int:
-        """Advance simulated time by ``ns``; returns the whole fs added
-        (an int multiplies exactly, and only a fraction is rounded)."""
-        if ns < 0:
-            raise ValueError(f"cannot advance clock by negative time: {ns}")
-        fs = ns * FS_PER_NS if ns.__class__ is int else round(ns * FS_PER_NS)
+        """Advance simulated time by ``ns``; returns the whole fs added."""
+        fs = to_fs(ns)
         self._fs += fs
         return fs
 
     def advance_to(self, ns: float) -> None:
         """Jump forward to an absolute timestamp (no-op if already past it)."""
-        fs = round(ns * FS_PER_NS)
+        fs = to_fs(ns)
         if fs > self._fs:
             self._fs = fs
 

@@ -6,7 +6,11 @@ that CPU's busy-time counter, and a multi-core run's throughput is the
 packet count divided by the *bottleneck* CPU's busy time. The shared
 :class:`~repro.netsim.clock.Clock` still advances for every charge — it
 orders timeouts and expiry globally — but per-CPU busy time is what scales
-with parallelism. Like the clock, busy time sums whole femtoseconds.
+with parallelism. Like the clock, busy time sums whole femtoseconds:
+:meth:`~repro.kernel.kernel.Kernel.charge_ns` adds each charge to the
+innermost active CPU's ``_busy_fs`` itself. Charges outside any context are
+control-plane work, scale with none of the data-plane CPUs, and land on
+none.
 
 The simulation is single-threaded, so "which CPU is executing right now" is
 a simple context stack, one per kernel's CpuSet: a frame processed on DUT
@@ -105,16 +109,6 @@ class CpuSet:
         running in host/control context)."""
         active = self._active
         return active[-1] if active else None
-
-    def charge_fs(self, fs: int) -> None:
-        """Account ``fs`` of work to this set's innermost active CPU.
-
-        Charges outside any context are control-plane work and scale with
-        none of the data-plane CPUs, so they are not accumulated here.
-        """
-        active = self._active
-        if active:
-            self._busy_fs[active[-1]] += fs
 
     @property
     def busy_ns(self) -> List[float]:

@@ -479,6 +479,65 @@ def ipv4_fields(frame: bytes) -> Optional[Tuple[int, int, int]]:
     return src, dst, proto
 
 
+# total length, flags/fragment offset and header checksum of an untagged
+# IPv4 frame
+_IPV4_REST = struct.Struct("!16xH2xH2xH")
+
+
+def round_trips(frame: bytes) -> bool:
+    """True when ``Packet.from_bytes(frame).to_bytes() == frame``, judged
+    from the bytes alone.
+
+    Accepts only what :func:`ipv4_fields` reads that serialises back
+    unchanged: a whole, unpadded, unfragmented UDP or TCP datagram whose IP
+    and L4 checksums verify and are the ones :meth:`IPv4.pack`,
+    :meth:`UDP.pack` and :meth:`TCP.pack` compute. Of a checksum's two
+    encodings of zero, those write 0x0000 (0xFFFF for UDP), so the other
+    is declined, as are a UDP length or checksum of 0, TCP options,
+    reserved bits and an urgent pointer, which ``pack`` recomputes or
+    drops. The L4 checksum costs as much as a parse, so callers run this
+    only where it saves a parse or a serialisation.
+    """
+    fields = ipv4_fields(frame)
+    if fields is None:
+        return False
+    total, flags_frag, ip_sum = _IPV4_REST.unpack_from(frame)
+    proto = fields[2]
+    if len(frame) != 14 + total or flags_frag & 0x3FFF or ip_sum == 0xFFFF:
+        return False
+    if proto == IPPROTO_UDP:
+        length = frame[38] << 8 | frame[39]
+        if not length or frame[40:42] == b"\x00\x00":
+            return False
+    elif proto == IPPROTO_TCP:
+        if frame[46] != 0x50 or frame[50:52] == b"\xff\xff" or frame[52:54] != b"\x00\x00":
+            return False
+        length = total - IPv4.HDR_LEN
+    else:
+        return False
+    # the one's-complement sum of 16-bit words is the sum modulo 0xFFFF of
+    # the integers the byte strings spell (2**16 == 1 mod 0xFFFF), so the
+    # pseudo header and segment add up without being joined
+    segment = int.from_bytes(frame[34:], "big")
+    if total & 1:
+        segment <<= 8
+    return (int.from_bytes(frame[26:34], "big") + proto + length + segment) % 0xFFFF == 0
+
+
+def with_ttl(frame: bytes, offset: int, header_len: int, ttl: int) -> bytes:
+    """``frame`` with ``ttl`` and the header checksum :meth:`IPv4.pack`
+    computes written into its IPv4 header of ``header_len`` bytes at
+    ``offset``. No L4 checksum covers the TTL."""
+    end = offset + header_len
+    header = bytearray(frame[offset:end])
+    header[8] = ttl
+    header[10] = header[11] = 0
+    checksum = internet_checksum(header)
+    header[10] = checksum >> 8
+    header[11] = checksum & 0xFF
+    return frame[:offset] + header + frame[end:]
+
+
 def make_udp(
     src_mac: Union[str, MacAddr],
     dst_mac: Union[str, MacAddr],

@@ -1,14 +1,20 @@
 """Call-frame profiler for flame graphs (paper Fig 1).
 
 The simulated kernel pipeline wraps each processing stage in
-``profiler.frame(name)``, a slotted context object. Every frame reports its
-stage to a recording packet tracer and its elapsed simulated time to the
-stage observer, which the kernel always wires to its per-stage latency
-histograms. When enabled, the profiler also records one *sample* per
-completed packet: the multiset of stacks that were active while the packet
-was processed, weighted by the simulated nanoseconds spent in each frame.
-``collapsed()`` emits Brendan-Gregg-style collapsed stack lines suitable for
-flame graph rendering.
+``profiler.frame(name)``, which returns the one cached context object of
+that stage name. Every frame reports its stage to a recording packet tracer
+and its elapsed simulated time to the stage observer, which the kernel
+always wires to its per-stage latency histograms. The elapsed time is
+``now_ns`` at the exit minus ``now_ns`` at the entry, both floored to whole
+ns. A stage may run inside itself (a vxlan-decapsulated frame re-enters
+``__netif_receive_skb_core`` and ``ip_rcv`` inside the outer frame's), so
+each frame keeps a stack of start times.
+
+When enabled, the profiler also records one *sample* per completed packet:
+the multiset of stacks that were active while the packet was processed,
+weighted by the simulated nanoseconds spent in each frame. ``collapsed()``
+emits Brendan-Gregg-style collapsed stack lines suitable for flame graph
+rendering.
 """
 
 from __future__ import annotations
@@ -16,19 +22,20 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.netsim.clock import Clock
+from repro.netsim.clock import FS_PER_NS, Clock
 
 
 class _Frame:
-    """One stage's frame: a slotted context manager, because a
-    generator-based one costs a generator per stage on the per-packet
-    path."""
+    """One stage name's frame: a slotted context manager, built once per
+    name, because building one per stage entry costs an object per stage
+    on the per-packet path."""
 
-    __slots__ = ("_profiler", "_name", "_start")
+    __slots__ = ("_profiler", "_name", "_starts")
 
     def __init__(self, profiler: "Profiler", name: str) -> None:
         self._profiler = profiler
         self._name = name
+        self._starts: List[int] = []
 
     def __enter__(self) -> None:
         profiler = self._profiler
@@ -37,14 +44,14 @@ class _Frame:
             tracer.event("stage", self._name)
         if profiler.enabled:
             profiler._stack.append(self._name)
-        self._start = profiler.clock.now_ns
+        self._starts.append(profiler.clock._fs // FS_PER_NS)
 
     def __exit__(self, *exc) -> bool:
         profiler = self._profiler
         name = self._name
+        elapsed = profiler.clock._fs // FS_PER_NS - self._starts.pop()
         stack = profiler._stack
         own_top = profiler.enabled and stack and stack[-1] == name
-        elapsed = profiler.clock.now_ns - self._start
         if elapsed > 0:
             if own_top:
                 profiler._samples[tuple(stack)] += elapsed
@@ -64,6 +71,8 @@ class Profiler:
         self.enabled = enabled
         self._stack: List[str] = []
         self._samples: Counter = Counter()  # tuple(stack) -> weight_ns
+        # one frame per stage name; the kernel names a fixed set of stages
+        self._frames: Dict[str, _Frame] = {}
         # Observability taps, wired by the kernel: the packet tracer records
         # stage names on traced packets; the stage observer feeds the per-stage
         # latency histograms. Both run regardless of `enabled` (flame-graph
@@ -75,7 +84,10 @@ class Profiler:
         """Push ``name`` for the duration of the block, charging elapsed ns:
         a stage event to a recording tracer, a flame-graph sample when
         enabled, and the elapsed time to the stage observer."""
-        return _Frame(self, name)
+        frame = self._frames.get(name)
+        if frame is None:
+            frame = self._frames[name] = _Frame(self, name)
+        return frame
 
     def reset(self) -> None:
         """Drop recorded samples. Safe mid-packet: the live frame chain is

@@ -32,11 +32,15 @@ class Log2Histogram:
         self.total = 0
 
     def record(self, value: int) -> None:
-        value = int(value)
-        index = 0 if value <= 0 else min(value.bit_length(), _MAX_BUCKETS - 1)
+        if value > 0:
+            index = value.bit_length()
+            if index >= _MAX_BUCKETS:
+                index = _MAX_BUCKETS - 1
+            self.total += value
+        else:
+            index = 0
         self.buckets[index] += 1
         self.count += 1
-        self.total += max(0, value)
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -1,9 +1,9 @@
 """The unified metrics registry: one snapshot over everything observable.
 
-Collects the stack's packet ledger and drop counters, netfilter per-chain
-verdicts and scan counters, conntrack occupancy, the latency histograms,
-tracer state, and — when a controller is attached — control plane health,
-incidents, and watchdog verdicts.
+Collects the stack's packet ledger, skb parse and wire-image counters and
+drop counters, netfilter per-chain verdicts and scan counters, conntrack
+occupancy, the latency histograms, tracer state, and — when a controller is
+attached — control plane health, incidents, and watchdog verdicts.
 Exported two ways: Prometheus text exposition (``to_prometheus``) for
 scrape-style tooling and JSON (``to_json``) for scripts.
 """
@@ -62,6 +62,7 @@ class MetricsRegistry:
                 "outcomes": dict(stack.outcomes),
                 "drops": dict(stack.drops),
             },
+            "skb": stack.skb_stats.as_dict(),
             "cpus": {
                 "num_cpus": kernel.cpus.num_cpus,
                 "num_online": kernel.cpus.num_online,
@@ -154,6 +155,15 @@ class MetricsRegistry:
         sample("linuxfp_forwarded_packets_total", stack.forwarded)
         family("linuxfp_delivered_local_total", "counter", "Packets delivered to a local socket or ICMP handler.")
         sample("linuxfp_delivered_local_total", stack.delivered_local)
+
+        skb = stack.skb_stats
+        family("linuxfp_skb_parsed_total", "counter", "Slow-path skbs whose frame was parsed, at allocation or on the first header read.")
+        sample("linuxfp_skb_parsed_total", skb.parsed)
+        family("linuxfp_skb_freed_unparsed_total", "counter", "Skbs that settled never parsed: a TC program redirected or dropped the frame.")
+        sample("linuxfp_skb_freed_unparsed_total", skb.freed_unparsed)
+        family("linuxfp_skb_wire_images_total", "counter", "Skb wire images by source: the bytes the frame arrived with (sent with the stack's TTL and MAC rewrites patched in) or a serialisation of the parsed packet.")
+        sample("linuxfp_skb_wire_images_total", skb.wire_reused, source="received")
+        sample("linuxfp_skb_wire_images_total", skb.wire_serialised, source="serialised")
 
         family("linuxfp_cpu_busy_ns_total", "counter", "Simulated busy time per data-plane CPU.")
         for cpu, busy in enumerate(kernel.cpus.busy_ns):

@@ -95,6 +95,3 @@ class ClassifierMap(BpfMap):
 
     def update(self, key: bytes, value: bytes) -> None:
         raise NotImplementedError("classifier maps are compiled by the control plane")
-
-    def delete(self, key: bytes) -> None:
-        raise NotImplementedError("classifier maps are compiled by the control plane")

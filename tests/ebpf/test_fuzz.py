@@ -231,6 +231,20 @@ class TestHostileFramesAcceleratedVsPlain:
 
         _agree(frames)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the router FPM forwards a frame with a loopback source, which ip_rcv "
+        "drops as martian_source (_is_martian_source) under the default "
+        "rp_filter; a guard in the template would move the simulated clock"))
+    def test_loopback_source_agrees(self):
+        def frames(topo):
+            loopback = make_udp(
+                topo.src_eth.mac, topo.dut_in.mac, "127.0.0.1",
+                topo.flow_destination(0, 4), sport=1234, dport=53, ttl=32,
+            ).to_bytes()
+            return [loopback, loopback]
+
+        _agree(frames)
+
 
 class TestProgramConstruction:
     def test_empty_program_rejected(self):

@@ -201,3 +201,70 @@ class TestTransparentAcceleration:
         assert backend_a.kernel.sockets.delivered == 2
         assert backend_b.kernel.sockets.delivered == 2
         assert "ipvs" in str(cluster.workers[0].controller.deployed_summary())
+
+
+class TestStageLatency:
+    """A vxlan round trip's per-stage histograms. Decapsulation re-enters
+    ``__netif_receive_skb_core`` and ``ip_rcv`` inside the outer frame's
+    stages, so each stage's elapsed time must come from its own entry."""
+
+    # (count, sum ns) per stage on node2 and node3 for three inter-node
+    # TCP_RR transactions, the first resolving ARP; node1 sees one ARP frame
+    PINNED = {
+        False: {
+            "node2": {
+                "__netif_receive_skb_core": (11, 68050), "arp_rcv": (2, 22980),
+                "br_handle_frame": (4, 2000), "dev_queue_xmit": (9, 58940),
+                "fib_table_lookup": (6, 720), "ip_forward": (6, 360), "ip_output": (10, 70750),
+                "ip_rcv": (9, 42630), "neigh_resolve": (10, 500),
+                "nf_hook_slow[FORWARD]": (6, 300), "nf_hook_slow[OUTPUT]": (3, 150),
+            },
+            "node3": {
+                "__netif_receive_skb_core": (11, 77300), "arp_rcv": (2, 16710),
+                "br_handle_frame": (4, 2000), "dev_queue_xmit": (9, 39360),
+                "fib_table_lookup": (6, 720), "ip_forward": (6, 360), "ip_output": (10, 48270),
+                "ip_rcv": (9, 58150), "neigh_resolve": (10, 500),
+                "nf_hook_slow[FORWARD]": (6, 300), "nf_hook_slow[OUTPUT]": (3, 150),
+            },
+        },
+        True: {
+            "node2": {
+                "__netif_receive_skb_core": (8, 35455), "arp_rcv": (2, 22185),
+                "br_handle_frame": (1, 500), "dev_queue_xmit": (6, 29341),
+                "fib_table_lookup": (3, 360), "ip_forward": (3, 180), "ip_output": (7, 40827),
+                "ip_rcv": (6, 12450), "neigh_resolve": (7, 350),
+                "nf_hook_slow[FORWARD]": (3, 150), "nf_hook_slow[OUTPUT]": (3, 150),
+            },
+            "node3": {
+                "__netif_receive_skb_core": (8, 60845), "arp_rcv": (2, 16173),
+                "br_handle_frame": (1, 500), "dev_queue_xmit": (6, 27955),
+                "fib_table_lookup": (3, 360), "ip_forward": (3, 180), "ip_output": (7, 36233),
+                "ip_rcv": (6, 43852), "neigh_resolve": (7, 350),
+                "nf_hook_slow[FORWARD]": (3, 150), "nf_hook_slow[OUTPUT]": (3, 150),
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_counts_and_sums_are_pinned(self, accelerate):
+        cluster = Cluster(workers=2)
+        client, server = cluster.pod_pair(intra=False)
+        if accelerate:
+            cluster.accelerate()
+        tcp_rr_server(server.kernel, 5201)
+        answers = []
+        client.kernel.sockets.bind(IPPROTO_TCP, 40000, lambda k, skb: answers.append(skb))
+        for node in cluster.nodes:
+            node.kernel.observability.stage_latency.hists.clear()
+        for i in range(3):
+            client.kernel.send_ip(
+                IPv4(src=ipv4(client.ip), dst=ipv4(server.ip), proto=IPPROTO_TCP),
+                TCP(sport=40000, dport=5201, flags=TCP.ACK | TCP.PSH),
+                b"ping%d" % i,
+            )
+        assert len(answers) == 3
+        seen = {}
+        for node in cluster.nodes:
+            hists = node.kernel.observability.stage_latency
+            seen[node.name] = {name: (hists[name].count, hists[name].total) for name in hists.names()}
+        assert seen == {"node1": {"__netif_receive_skb_core": (1, 40)}, **self.PINNED[accelerate]}

@@ -10,8 +10,8 @@ hears about it over netlink, surfacing a ``cpu-offline`` incident.
 import pytest
 
 from repro.core import Controller
+from repro.kernel import Kernel
 from repro.measure.topology import LineTopology
-from repro.netsim.clock import FS_PER_NS
 from repro.netsim.cpu import CpuSet
 from repro.netsim.packet import make_udp
 
@@ -53,28 +53,31 @@ class TestCpuSet:
             cpus.offline(1)
 
     def test_on_refuses_an_offline_cpu(self):
-        cpus = CpuSet(2)
+        kernel = Kernel("k", num_cores=2)
+        cpus = kernel.cpus
         cpus.offline(1)
         with pytest.raises(ValueError, match="offline"):
             with cpus.on(1):
                 pass  # pragma: no cover - must not execute
         cpus.online(1)
         with cpus.on(1):
-            cpus.charge_fs(5 * FS_PER_NS)
+            kernel.charge_ns(5)
         assert cpus.busy_ns[1] == 5
 
     def test_nested_sets_report_their_own_innermost_cpu(self):
         """A frame on DUT CPU 2 crossing into the sink's softirq on CPU 0:
         each kernel's charges land on its own innermost CPU."""
-        dut, sink = CpuSet(4), CpuSet(1)
+        dut_kernel, sink_kernel = Kernel("dut", num_cores=4), Kernel("sink")
+        dut, sink = dut_kernel.cpus, sink_kernel.cpus
         with dut.on(2):
             with sink.on(0):
                 assert (dut.current_cpu, sink.current_cpu) == (2, 0)
-                dut.charge_fs(3 * FS_PER_NS)
-                sink.charge_fs(7 * FS_PER_NS)
+                dut_kernel.charge_ns(3)
+                sink_kernel.costs_charge("nf_rule_cost")  # 2 ns
+                sink_kernel.charge_ns(5)
                 with dut.on(3):  # a nested softirq on another DUT CPU
                     assert (dut.current_cpu, sink.current_cpu) == (3, 0)
-                    dut.charge_fs(1 * FS_PER_NS)
+                    dut_kernel.charge_ns(1)
                 with pytest.raises(ValueError, match="executing"):
                     dut.offline(2)
                 dut.offline(0)  # the sink's CPU 0 executes, not the DUT's

@@ -310,6 +310,38 @@ class TestScanOracle:
                 assert state(new) == state(ref)
 
 
+class TestEmptyChain:
+    """An empty chain returns its policy without the index walk, and leaves
+    the clock, the busy time and every counter as the walk leaves them."""
+
+    @pytest.mark.parametrize("policy", [ACCEPT, DROP])
+    @pytest.mark.parametrize("chain", BUILTIN_CHAINS)
+    def test_matches_the_reference_and_the_scan(self, chain, policy):
+        new, ref, scanned = (make_kernel(CostModel()) for __ in range(3))
+        spec = {"proto": IPPROTO_TCP, "src": IPv4Addr.parse("10.0.0.1").value,
+                "dst": IPv4Addr.parse("10.0.0.2").value, "sport": 80, "dport": 443,
+                "in_name": "eth0", "out_name": None, "ct_state": None}
+        frame = build_packet(spec).to_bytes()
+        for kernel in (new, ref, scanned):
+            kernel.netfilter.set_policy(chain, policy)
+            # a rule appended and deleted leaves the chain empty at a new gen
+            rule = kernel.netfilter.append_rule(chain, Rule(target=DROP, proto=IPPROTO_UDP))
+            kernel.netfilter.delete_rule(chain, rule.handle)
+        for __ in range(2):
+            assert lookup_slow(new, BUILTIN_CHAINS.index(chain), spec, frame, new.netfilter.evaluate) == (
+                (policy, 0), 50, 50.0
+            ) == lookup_slow(ref, BUILTIN_CHAINS.index(chain), spec, frame,
+                             lambda *a: reference_evaluate(ref.netfilter, *a))
+            assert state(new) == state(ref)
+            # the walk the empty chain skips, counted as evaluate counts it
+            scanned.netfilter.scan(chain, "slow", (spec["src"], spec["dst"], IPPROTO_TCP),
+                                   lambda: None, "eth0", None)
+        for counters in ("compiles", "scans", "rules_scanned", "rules_tested"):
+            assert getattr(new.netfilter, counters) == getattr(scanned.netfilter, counters), counters
+        assert new.netfilter.scans[chain] == {"slow": 2}
+        assert new.netfilter.rules_scanned[chain] == {"slow": 0}
+
+
 # ----------------------------------------------------------- charge count
 
 class TestOneCharge:

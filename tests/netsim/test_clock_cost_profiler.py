@@ -161,6 +161,38 @@ class TestProfiler:
             clock.advance(1)
         assert prof.samples[("next",)] == 1
 
+    def test_one_frame_per_stage_name(self):
+        prof = Profiler(Clock())
+        assert prof.frame("ip_rcv") is prof.frame("ip_rcv")
+        assert prof.frame("ip_rcv") is not prof.frame("ip_forward")
+
+    def test_a_stage_nested_in_itself(self):
+        """A decapsulated frame re-enters a stage inside its outer frame's
+        entry: each exit reports the time since its own entry."""
+        clock = Clock()
+        prof = Profiler(clock, enabled=True)
+        observed = []
+        prof.stage_observer = lambda name, ns: observed.append((name, ns))
+        with prof.frame("ip_rcv"):
+            clock.advance(10)
+            with prof.frame("ip_rcv"):
+                clock.advance(5)
+            clock.advance(1)
+        assert observed == [("ip_rcv", 5), ("ip_rcv", 16)]
+        assert prof.samples == {("ip_rcv",): 16, ("ip_rcv", "ip_rcv"): 5}
+
+    def test_elapsed_is_the_difference_of_floored_readings(self):
+        clock = Clock()
+        prof = Profiler(clock)
+        observed = []
+        prof.stage_observer = lambda name, ns: observed.append((name, ns))
+        clock.advance(0.6)
+        with prof.frame("fpm"):
+            clock.advance(0.6)  # 0.6 ns → 1.2 ns: now_ns reads 0, then 1
+        with prof.frame("fpm"):
+            clock.advance(0.6)  # 1.2 ns → 1.8 ns: both read 1, no record
+        assert observed == [("fpm", 1)]
+
     def test_nested_frames(self):
         clock = Clock()
         prof = Profiler(clock, enabled=True)

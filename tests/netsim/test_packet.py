@@ -30,6 +30,7 @@ from repro.netsim.packet import (
     make_arp_request,
     make_tcp,
     make_udp,
+    round_trips,
 )
 
 SRC_MAC = MacAddr.parse("02:00:00:00:00:01")
@@ -315,3 +316,239 @@ class TestIpv4Fields:
             pkt = Packet.from_bytes(frame)  # must not raise
             assert pkt.vlan is None
             assert fields == (pkt.ip.src.value, pkt.ip.dst.value, pkt.ip.proto)
+
+
+# ------------------------------------------------------------- round trips
+
+def _sum16(data: bytes) -> int:
+    """The one's-complement sum of ``data``'s 16-bit words, mod 0xFFFF."""
+    return int.from_bytes(bytes(data) + b"\x00" * (len(data) % 2), "big") % 0xFFFF
+
+
+def _l4_span(frame: bytearray):
+    """(IP header offset, IHL bytes, L4 offset, end of the datagram)."""
+    l3 = 18 if frame[12:14] == b"\x81\x00" else 14
+    ihl = (frame[l3] & 0x0F) * 4
+    total = int.from_bytes(frame[l3 + 2:l3 + 4], "big")
+    return l3, ihl, l3 + ihl, min(l3 + total, len(frame))
+
+
+def _pseudo_sum(frame: bytearray, l3: int, proto: int, length: int) -> int:
+    return _sum16(frame[l3 + 12:l3 + 20]) + proto + length
+
+
+def _fix_ip_checksum(frame: bytearray) -> None:
+    l3, ihl, __, __ = _l4_span(frame)
+    frame[l3 + 10:l3 + 12] = b"\x00\x00"
+    frame[l3 + 10:l3 + 12] = internet_checksum(bytes(frame[l3:l3 + ihl])).to_bytes(2, "big")
+
+
+def _fix_l4_checksum(frame: bytearray) -> None:
+    """Recompute a UDP or TCP checksum the way ``pack`` does, over the
+    datagram's own bytes (the UDP length field in the pseudo header)."""
+    l3, __, l4, end = _l4_span(frame)
+    proto = frame[l3 + 9]
+    if proto == IPPROTO_UDP and end - l4 >= 8:
+        frame[l4 + 6:l4 + 8] = b"\x00\x00"
+        length = int.from_bytes(frame[l4 + 4:l4 + 6], "big")
+        total = (_pseudo_sum(frame, l3, proto, length) + _sum16(frame[l4:end])) % 0xFFFF
+        frame[l4 + 6:l4 + 8] = ((~total & 0xFFFF) or 0xFFFF).to_bytes(2, "big")
+    elif proto == IPPROTO_TCP and end - l4 >= 20:
+        frame[l4 + 16:l4 + 18] = b"\x00\x00"
+        total = (_pseudo_sum(frame, l3, proto, end - l4) + _sum16(frame[l4:end])) % 0xFFFF
+        frame[l4 + 16:l4 + 18] = (~total & 0xFFFF if total else 0).to_bytes(2, "big")
+
+
+def _zero_l4_sum(frame: bytearray) -> None:
+    """Rewrite the last whole payload word so the L4 sum without the
+    checksum field is 0 mod 0xFFFF: the checksum then has two encodings
+    of zero (0x0000 and 0xFFFF), and ``pack`` writes one of them."""
+    l3, __, l4, end = _l4_span(frame)
+    proto = frame[l3 + 9]
+    hdr = {IPPROTO_UDP: 8, IPPROTO_TCP: 20}.get(proto)
+    if hdr is None or end - l4 < hdr + 2:
+        return
+    at = l4 + hdr + ((end - l4 - hdr) // 2 - 1) * 2  # an even offset in the segment
+    field = l4 + (6 if proto == IPPROTO_UDP else 16)
+    frame[field:field + 2] = frame[at:at + 2] = b"\x00\x00"
+    length = int.from_bytes(frame[l4 + 4:l4 + 6], "big") if proto == IPPROTO_UDP else end - l4
+    rest = (_pseudo_sum(frame, l3, proto, length) + _sum16(frame[l4:end])) % 0xFFFF
+    frame[at:at + 2] = ((0xFFFF - rest) % 0xFFFF).to_bytes(2, "big")
+
+
+def _zero_ip_sum(frame: bytearray) -> None:
+    """Rewrite the IP ident so the header sum without the checksum is 0
+    mod 0xFFFF (the IP checksum then has two encodings of zero)."""
+    l3, ihl, __, __ = _l4_span(frame)
+    frame[l3 + 4:l3 + 6] = frame[l3 + 10:l3 + 12] = b"\x00\x00"
+    rest = _sum16(frame[l3:l3 + ihl])
+    frame[l3 + 4:l3 + 6] = ((0xFFFF - rest) % 0xFFFF).to_bytes(2, "big")
+
+
+@st.composite
+def hostile_frames(draw):
+    """Frames near the round-trip boundary: a canonical frame of some kind,
+    then edits that ``Packet.to_bytes`` would undo."""
+    kind = draw(st.sampled_from(["udp", "tcp", "icmp", "gre", "arp", "lldp"]))
+    src = IPv4Addr(draw(st.integers(0, 0xFFFFFFFF)))
+    dst = IPv4Addr(draw(st.integers(0, 0xFFFFFFFF)))
+    payload = draw(st.binary(max_size=40))
+    vlan = VlanTag(vid=draw(st.integers(0, 4095))) if draw(st.integers(0, 3)) == 0 else None
+    options = draw(st.sampled_from([b"", b"", b"", b"\x01\x01\x01\x00"]))
+    ip = IPv4(src=src, dst=dst, ttl=draw(st.integers(1, 255)), tos=draw(st.integers(0, 255)),
+              ident=draw(st.integers(0, 0xFFFF)), flags=draw(st.sampled_from([0, 2])), options=options)
+    if kind == "arp":
+        pkt = make_arp_request(SRC_MAC, src, dst)
+        pkt.vlan = vlan
+    elif kind == "lldp":
+        pkt = Packet(eth=Ethernet(DST_MAC, SRC_MAC, 0x88CC), vlan=vlan, payload=payload)
+    else:
+        ip.proto = {"udp": IPPROTO_UDP, "tcp": IPPROTO_TCP, "icmp": IPPROTO_ICMP, "gre": 47}[kind]
+        l4 = {
+            "udp": lambda: UDP(draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF))),
+            "tcp": lambda: TCP(draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)),
+                               seq=draw(st.integers(0, 0xFFFFFFFF)), flags=draw(st.integers(0, 255))),
+            "icmp": lambda: ICMP(draw(st.integers(0, 255))),
+            "gre": lambda: None,
+        }[kind]()
+        pkt = Packet(eth=Ethernet(DST_MAC, SRC_MAC), vlan=vlan, ip=ip, l4=l4, payload=payload)
+    frame = bytearray(pkt.to_bytes())
+    if pkt.ip is None:
+        return bytes(frame) + bytes(draw(st.integers(0, 3)))
+    l3, __, l4, __ = _l4_span(frame)
+    edits = draw(st.lists(st.sampled_from([
+        "l4-zero-sum", "ip-zero-sum", "udp-length-0", "tcp-options", "tcp-reserved", "tcp-urgent",
+        "more-fragments", "fragment-offset",
+    ]), max_size=3, unique=True))
+    if "udp-length-0" in edits and kind == "udp":
+        frame[l4 + 4:l4 + 6] = b"\x00\x00"
+    if kind == "tcp":
+        if "tcp-options" in edits and len(payload) >= 4:
+            frame[l4 + 12] = 0x60
+        if "tcp-reserved" in edits:
+            frame[l4 + 12] |= draw(st.integers(1, 15))
+        if "tcp-urgent" in edits:
+            frame[l4 + 18:l4 + 20] = draw(st.integers(1, 0xFFFF)).to_bytes(2, "big")
+    if "more-fragments" in edits:
+        frame[l3 + 6] |= 0x20
+    if "fragment-offset" in edits:
+        frame[l3 + 7] = draw(st.integers(1, 255))
+    if "l4-zero-sum" in edits:
+        _zero_l4_sum(frame)
+    _fix_l4_checksum(frame)
+    if "ip-zero-sum" in edits:
+        _zero_ip_sum(frame)
+    _fix_ip_checksum(frame)
+    # a checksum field (IP, ICMP, UDP or TCP) set to either encoding of
+    # zero, valid or not
+    if draw(st.booleans()):
+        at = draw(st.sampled_from([l3 + 10, l4 + 2, l4 + 6, l4 + 16]))
+        if at + 2 <= len(frame):
+            frame[at:at + 2] = draw(st.sampled_from([b"\x00\x00", b"\xff\xff"]))
+    return bytes(frame) + bytes(draw(st.sampled_from([0, 0, 0, 1, 2, 18])))
+
+
+class TestRoundTrips:
+    """``round_trips`` accepts only frames ``Packet.from_bytes(b).to_bytes()``
+    gives back byte for byte: the slow path sends those bytes unparsed."""
+
+    UDP53 = make_udp(SRC_MAC, DST_MAC, "10.0.0.1", "10.0.9.9", sport=4000, dport=53, payload=b"q" * 13)
+    TCP80 = make_tcp(SRC_MAC, DST_MAC, "172.16.0.5", "10.0.9.9", sport=4000, dport=80, payload=b"GET /")
+
+    @settings(max_examples=1500, deadline=None)
+    @given(hostile_frames())
+    def test_accepted_frames_round_trip(self, frame):
+        if round_trips(frame):
+            assert Packet.from_bytes(frame).to_bytes() == frame
+
+    @given(
+        st.sampled_from([IPPROTO_UDP, IPPROTO_TCP]),
+        st.integers(0, 0xFFFFFFFF),
+        st.integers(0, 0xFFFF),
+        st.binary(max_size=1500),
+    )
+    def test_canonical_udp_and_tcp_are_accepted(self, proto, dst, port, payload):
+        """Every UDP or TCP frame ``to_bytes`` writes is accepted, so the
+        check declines only what would not round-trip."""
+        make = make_udp if proto == IPPROTO_UDP else make_tcp
+        frame = make(SRC_MAC, DST_MAC, "10.0.0.1", IPv4Addr(dst), sport=port, dport=port, payload=payload).to_bytes()
+        assert round_trips(frame)
+
+    @pytest.mark.parametrize("layer", ["ip", "udp", "tcp"])
+    def test_the_other_encoding_of_zero_is_declined(self, layer):
+        """Where a checksum field may hold 0x0000 or 0xFFFF and verify
+        either way, only the one ``pack`` writes is accepted."""
+        frame = bytearray((self.TCP80 if layer == "tcp" else self.UDP53).to_bytes())
+        if layer == "ip":
+            _zero_ip_sum(frame)
+        else:
+            _zero_l4_sum(frame)
+        _fix_l4_checksum(frame)
+        _fix_ip_checksum(frame)
+        assert round_trips(bytes(frame)) and Packet.from_bytes(bytes(frame)).to_bytes() == frame
+        at = {"ip": 24, "udp": 40, "tcp": 50}[layer]
+        written = {"ip": b"\x00\x00", "udp": b"\xff\xff", "tcp": b"\x00\x00"}[layer]
+        assert frame[at:at + 2] == written
+        frame[at:at + 2] = bytes(a ^ 0xFF for a in written)  # still verifies
+        assert internet_checksum(frame[14:34]) == 0
+        assert not round_trips(bytes(frame))
+        assert Packet.from_bytes(bytes(frame)).to_bytes() != frame
+
+    def test_udp_length_0_is_declined(self):
+        """``UDP.pack`` writes a length of 0 back as the real one."""
+        frame = bytearray(self.UDP53.to_bytes())
+        frame[38:40] = b"\x00\x00"
+        _fix_l4_checksum(frame)  # verifies over a pseudo header length of 0
+        assert not round_trips(bytes(frame))
+        assert Packet.from_bytes(bytes(frame)).to_bytes() != frame
+
+    def test_icmp_is_declined(self):
+        """Only UDP and TCP are judged; an ICMP frame is left to a parse."""
+        frame = Packet(
+            eth=Ethernet(DST_MAC, SRC_MAC, ETH_P_IP),
+            ip=IPv4(src=IPv4Addr.parse("10.0.0.1"), dst=IPv4Addr.parse("10.0.0.2"), proto=IPPROTO_ICMP),
+            l4=ICMP(ICMP_ECHO_REQUEST, ident=7, seq=3),
+            payload=b"ping",
+        ).to_bytes()
+        assert not round_trips(frame)
+        assert not round_trips(frame[:36] + b"\x00\x00" + frame[38:])  # a bad checksum
+
+    @pytest.mark.parametrize("name, base, offset, data", [
+        ("padding", "udp", None, b"\x00" * 18),
+        ("udp-checksum-0", "udp", 40, b"\x00\x00"),
+        ("tcp-options", "tcp", 46, b"\x60"),
+        ("tcp-reserved-bits", "tcp", 46, b"\x51"),
+        ("tcp-urgent-pointer", "tcp", 52, b"\x00\x01"),
+    ])
+    def test_declines_what_pack_rewrites(self, name, base, offset, data):
+        """Each edit leaves checksums that verify, and a frame that does
+        not round-trip."""
+        frame = bytearray((self.UDP53 if base == "udp" else self.TCP80).to_bytes())
+        if offset is None:
+            frame += data
+        else:
+            frame[offset:offset + len(data)] = data
+        if name != "udp-checksum-0":
+            _fix_l4_checksum(frame)
+        _fix_ip_checksum(frame)
+        assert not round_trips(bytes(frame))
+        assert Packet.from_bytes(bytes(frame)).to_bytes() != frame
+
+    @pytest.mark.parametrize("name, offset, data", [
+        ("more-fragments", 20, b"\x20"),
+        ("fragment-offset", 21, b"\x01"),
+        ("ip-options", 14, b"\x46"),
+    ])
+    def test_declines_outside_its_class(self, name, offset, data):
+        """Fragments and IP options are declined whether or not they round-trip."""
+        frame = bytearray(self.UDP53.to_bytes())
+        frame[offset:offset + len(data)] = data
+        _fix_ip_checksum(frame)
+        Packet.from_bytes(bytes(frame))  # parses
+        assert not round_trips(bytes(frame))
+
+    def test_declines_vlan_and_arp(self):
+        tagged = make_udp(SRC_MAC, DST_MAC, "10.0.0.1", "10.0.9.9", dport=53, vlan=7).to_bytes()
+        assert Packet.from_bytes(tagged).to_bytes() == tagged
+        assert not round_trips(tagged)
+        assert not round_trips(make_arp_request(SRC_MAC, "10.0.0.1", "10.0.0.2").to_bytes())
