@@ -138,12 +138,12 @@ def bpf_fib_lookup(env: "Env", args: List[object]) -> int:
     route = kernel.fib.lookup(dst)
     if route is None:
         return FIB_LKUP_RET_NOT_FWDED
-    next_hop = route.next_hop or dst
-    mac = kernel.neighbors.resolved(route.oif, next_hop)
+    oif = route.oif
+    mac = kernel.neighbors.resolved(oif, route.gateway or dst)
     if mac is None:
         return FIB_LKUP_RET_NO_NEIGH
-    out_dev = kernel.devices.by_index(route.oif)
-    payload = route.oif.to_bytes(4, "big") + out_dev.mac.to_bytes() + mac.to_bytes()
+    out_dev = kernel.devices.by_index(oif)
+    payload = ((oif << 96) | (out_dev.mac.value << 48) | mac.value).to_bytes(FIB_OUT_SIZE, "big")
     out.region.write_bytes(out.offset, payload)
     return FIB_LKUP_RET_SUCCESS
 

@@ -27,6 +27,7 @@ from repro.kernel.hooks_api import (
     XDP_REDIRECT,
     XdpResult,
 )
+from repro.netsim.clock import FS_PER_NS
 from repro.testing import faults
 
 
@@ -58,11 +59,12 @@ class XdpAttachment:
     def _invoke(self, kernel, dev, frame) -> XdpResult:
         # Shared by both entry points, so a burst stays one hook call
         # rather than calling run_xdp once per frame.
-        env = Env(kernel, redirect_verdict=XDP_REDIRECT)
+        env = Env(kernel, XDP_REDIRECT)
         self.invocations += 1
         region = Region("pkt", bytearray(frame))
         args = [Pointer(region, 0), len(frame), dev.ifindex]
-        t0 = kernel.clock.now_ns
+        clock = kernel.clock
+        t0 = clock._fs // FS_PER_NS
         try:
             verdict, __ = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
@@ -70,9 +72,9 @@ class XdpAttachment:
             # helper layer doesn't absorb; treated exactly like a runtime
             # abort so nothing ever escapes the hook.
             self.aborts += 1
-            _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
+            _observe_fpm(kernel, self.program.name, clock._fs // FS_PER_NS - t0)
             return XdpResult(XDP_ABORTED, frame, aborted=True)
-        _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
+        _observe_fpm(kernel, self.program.name, clock._fs // FS_PER_NS - t0)
         return XdpResult(int(verdict), bytes(region.data), env.redirect_ifindex)
 
 
@@ -87,17 +89,18 @@ class TcAttachment:
         self.aborts = 0
 
     def run_tc(self, kernel, dev, skb) -> TcResult:
-        env = Env(kernel, redirect_verdict=TC_ACT_REDIRECT)
+        env = Env(kernel, TC_ACT_REDIRECT)
         self.invocations += 1
         frame = skb.wire_frame()
         region = Region("pkt", bytearray(frame))
         args = [Pointer(region, 0), len(frame), skb.ifindex]
-        t0 = kernel.clock.now_ns
+        clock = kernel.clock
+        t0 = clock._fs // FS_PER_NS
         try:
             verdict, __ = kernel.jit.execute(self.program, args, env)
         except (VMError, faults.InjectedFault):
             self.aborts += 1
-            _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
+            _observe_fpm(kernel, self.program.name, clock._fs // FS_PER_NS - t0)
             return TcResult(TC_ACT_SHOT, frame, aborted=True)
-        _observe_fpm(kernel, self.program.name, kernel.clock.now_ns - t0)
+        _observe_fpm(kernel, self.program.name, clock._fs // FS_PER_NS - t0)
         return TcResult(int(verdict), bytes(region.data), env.redirect_ifindex)

@@ -61,7 +61,7 @@ moves fuse** into one slice, as hXDP's 6-byte MAC moves do. A deferred read
 is forced before anything writes its bytes, and before every helper call.
 
 **Flush rule.** The interpreter counts an instruction before executing it
-and charges ``(executed - charged) * insn_cost`` before every helper call
+and charges ``(executed - charged) * insn_fs`` before every helper call
 (helpers read the clock) and at exit; the compiled code charges the same
 counts at the same calls, at every exit and at every tail call, with the
 counts compiled in as literals wherever the path from the last join fixes
@@ -121,8 +121,9 @@ class JitReport:
 class CompiledUnit:
     """One program's compiled executor.
 
-    ``fn(env, args, charge_ns, insn_cost)`` runs the program on a fresh
-    frame for the hook ABI ``args`` and returns a 4-tuple
+    ``fn(env, args, charge_fs, insn_fs)`` runs the program on a fresh
+    frame for the hook ABI ``args``, charging each flush of n instructions
+    as ``charge_fs(n * insn_fs)``, and returns a 4-tuple
     ``(tag, value, executed, tail_msg)``: ``TAG_EXIT`` with the r0
     verdict, or ``TAG_TAIL`` with the prog-array slot to chain into
     (``tail_msg`` is the pre-baked limit-exceeded message for that call

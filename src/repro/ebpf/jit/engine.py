@@ -12,7 +12,17 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
   tail-call counters hand over;
 - records in :attr:`JitEngine.served` what served the latest run
   (``jit``, ``interp``, or ``jit+interp`` when a chain resumed in the
-  interpreter), which the packet tracer's ``fpm`` event reports.
+  interpreter), which the packet tracer's ``fpm`` event reports;
+- charges a run in whole femtoseconds through
+  :meth:`~repro.kernel.kernel.Kernel.charge_fs`: it converts
+  ``costs.ebpf_insn`` with :func:`~repro.netsim.clock.to_fs` once per
+  run and hands the compiled code ``charge_fs`` and that count, so a
+  flush of n instructions charges ``n * insn_fs``, as the interpreter
+  does; the entry and tail-call costs take the same ``to_fs`` rule.
+
+A run pays for little besides the program: one inline check of the hook
+ABI, one :meth:`JitEngine.unit_for` per program of the chain, and no
+``charge_ns`` call.
 
 The engine is fail-closed at every decision point: compilation failure,
 an unexpected entry ABI, or an uncompilable tail target all land back on
@@ -26,6 +36,7 @@ from typing import Dict, Optional, Tuple
 from repro.ebpf.jit.compiler import CompiledUnit, JitReport, compile_program
 from repro.ebpf.memory import Pointer
 from repro.ebpf.vm import TAIL_CALL_LIMIT, VM, VMError
+from repro.netsim.clock import to_fs
 
 __all__ = ["JitEngine"]
 
@@ -60,24 +71,13 @@ class JitEngine:
 
     def unit_for(self, program) -> Optional[CompiledUnit]:
         """The compiled unit, compiling on first sight; None on fallback."""
-        return self._record(program)[0]
+        record = program.jit
+        return (record if record is not None else self._record(program))[0]
 
     def report_for(self, program) -> JitReport:
         return self._record(program)[1]
 
     # ----------------------------------------------------------- executor
-
-    def _abi_ok(self, args) -> bool:
-        # The verifier's proof (and thus every dropped bounds check)
-        # assumes the hook ABI: r1 = base packet pointer, r2 = its length.
-        return (
-            len(args) == 3
-            and isinstance(args[0], Pointer)
-            and args[0].offset == 0
-            and type(args[1]) is int
-            and type(args[2]) is int
-            and args[1] == len(args[0].region.data)
-        )
 
     def execute(self, program, args, env) -> Tuple[int, int]:
         """Run ``program`` like ``VM.run`` would; returns (verdict, executed).
@@ -89,7 +89,16 @@ class JitEngine:
         """
         kernel = self.kernel
         unit = self.unit_for(program)
-        if unit is None or not self._abi_ok(args):
+        # The verifier's proof (and thus every dropped bounds check)
+        # assumes the hook ABI: r1 = base packet pointer, r2 = its length.
+        if unit is None or not (
+            len(args) == 3
+            and isinstance(args[0], Pointer)
+            and args[0].offset == 0
+            and type(args[1]) is int
+            and type(args[2]) is int
+            and args[1] == len(args[0].region.data)
+        ):
             self.stats["interp_runs"] += 1
             self.served = "interp"
             vm = VM(kernel)
@@ -99,12 +108,14 @@ class JitEngine:
         self.stats["jit_runs"] += 1
         self.served = "jit"
         costs = kernel.costs
-        kernel.charge_ns(costs.ebpf_prog_entry)
+        charge_fs = kernel.charge_fs
+        insn_fs = to_fs(costs.ebpf_insn)
+        charge_fs(to_fs(costs.ebpf_prog_entry))
         executed = 0
         tail_calls = 0
         current = unit
         while True:
-            tag, value, n, tail_msg = current.fn(env, args, kernel.charge_ns, costs.ebpf_insn)
+            tag, value, n, tail_msg = current.fn(env, args, charge_fs, insn_fs)
             executed += n
             if tag == CompiledUnit.TAG_EXIT:
                 return value, executed
@@ -112,8 +123,8 @@ class JitEngine:
             tail_calls += 1
             if tail_calls > TAIL_CALL_LIMIT:
                 raise VMError(tail_msg)
-            kernel.charge_ns(costs.ebpf_tail_call)
-            target = value.program if hasattr(value, "program") else value
+            charge_fs(to_fs(costs.ebpf_tail_call))
+            target = getattr(value, "program", value)
             nxt = self.unit_for(target)
             if nxt is not None:
                 current = nxt

@@ -5,11 +5,15 @@ the real verifier tracks their provenance statically. Our VM carries the
 provenance at runtime in :class:`Pointer` values and enforces bounds on
 every access — out-of-bounds access aborts the program, which the hook
 layer converts into a packet drop (``XDP_ABORTED`` semantics).
+
+Compiled code keeps pointers as integer offsets, so a run builds a
+:class:`Pointer` only for the hook's packet argument, for a helper's
+pointer argument and for a spill into a ``Region``-resident stack slot;
+much of this module runs only under the interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 MASK64 = (1 << 64) - 1
@@ -86,12 +90,18 @@ class Region:
         self.data[offset : offset + len(payload)] = payload
 
 
-@dataclass(frozen=True)
 class Pointer:
-    """A region-tagged pointer; arithmetic only adjusts the offset."""
+    """A region-tagged pointer; arithmetic only adjusts the offset.
 
-    region: Region
-    offset: int
+    A plain slotted class, because every program run builds at least one
+    (the hook's packet argument) and nothing compares, hashes or mutates a
+    pointer: :meth:`advanced` returns a new one."""
+
+    __slots__ = ("region", "offset")
+
+    def __init__(self, region: Region, offset: int) -> None:
+        self.region = region
+        self.offset = offset
 
     def advanced(self, delta: int) -> "Pointer":
         return Pointer(self.region, self.offset + delta)

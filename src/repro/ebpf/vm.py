@@ -33,6 +33,7 @@ from repro.ebpf.isa import (
 from repro.ebpf.maps import ProgArray
 from repro.ebpf.memory import MemoryError_, Pointer, Region, Word
 from repro.ebpf.program import Program
+from repro.netsim.clock import to_fs
 
 STACK_SIZE = 512
 TAIL_CALL_LIMIT = 33
@@ -62,7 +63,9 @@ def _entry_regs(entry_args: List[Word]) -> List[Optional[Word]]:
 class Env:
     """Per-invocation environment shared with helpers: the kernel, the
     hook's redirect verdict and target, and ``bpf_trace_printk``'s
-    records."""
+    records. Slotted: every program run builds one."""
+
+    __slots__ = ("kernel", "redirect_verdict", "redirect_ifindex", "trace")
 
     def __init__(self, kernel, redirect_verdict: int) -> None:
         self.kernel = kernel
@@ -111,7 +114,7 @@ class VM:
         entry_args = list(args)
 
         if not _entry_charged:
-            kernel.charge_ns(costs.ebpf_prog_entry)
+            kernel.charge_fs(to_fs(costs.ebpf_prog_entry))
 
         regs = _entry_regs(entry_args)
 
@@ -120,11 +123,11 @@ class VM:
         pc = 0
         executed = _executed
         tail_calls = _tail_calls
-        insn_cost = costs.ebpf_insn
+        insn_fs = to_fs(costs.ebpf_insn)
         budget = self.insn_limit
 
-        # Instruction costs accrue and flush as one ``charge_ns(k *
-        # insn_cost)`` before every helper call, because helpers read the
+        # Instruction costs accrue and flush as one ``charge_fs(k *
+        # insn_fs)`` before every helper call, because helpers read the
         # clock, and at exit and abort (the ``finally`` catches every abort
         # path). A tail call carries the pending count along.
         charged = executed
@@ -214,7 +217,7 @@ class VM:
                     call_args = [regs[R1 + i] for i in range(5)]
                     if executed > charged:
                         # flush before the helper runs: helpers read the clock
-                        kernel.charge_ns((executed - charged) * insn_cost)
+                        kernel.charge_fs((executed - charged) * insn_fs)
                         charged = executed
                     try:
                         regs[R0] = fn(env, call_args)
@@ -237,9 +240,8 @@ class VM:
                     tail_calls += 1
                     if tail_calls > TAIL_CALL_LIMIT:
                         raise VMError(f"{program.name}@{pc}: tail call limit exceeded")
-                    kernel.charge_ns(costs.ebpf_tail_call)
-                    target_prog = target.program if hasattr(target, "program") else target
-                    program = target_prog
+                    kernel.charge_fs(to_fs(costs.ebpf_tail_call))
+                    program = getattr(target, "program", target)
                     insns = program.insns
                     maps = program.maps
                     regs = _entry_regs(entry_args)
@@ -247,7 +249,7 @@ class VM:
                     continue
                 elif op is Op.EXIT:
                     if executed > charged:
-                        kernel.charge_ns((executed - charged) * insn_cost)
+                        kernel.charge_fs((executed - charged) * insn_fs)
                         charged = executed
                     result = regs[R0]
                     if result is None:
@@ -262,7 +264,7 @@ class VM:
         finally:
             # abort paths land here with accrued, unflushed instructions
             if executed > charged:
-                kernel.charge_ns((executed - charged) * insn_cost)
+                kernel.charge_fs((executed - charged) * insn_fs)
 
     # ------------------------------------------------------------- internals
 

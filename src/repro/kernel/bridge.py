@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import MacAddr
-from repro.netsim.packet import VlanTag
+from repro.netsim.packet import PacketError, VlanTag
 from repro.netsim.skbuff import SKBuff
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -271,10 +271,20 @@ class Bridge:
         return sent
 
     def transmit_from_upper(self, frame: bytes) -> None:
-        """IP output on the bridge interface: FDB-forward or flood. The
-        destination MAC is read from the frame, which is parsed only when
-        it does not round-trip or vlan filtering reads its tag."""
-        skb = SKBuff.lazy(frame, self.device.ifindex, self.kernel.stack.skb_stats)
+        """IP output on the bridge interface: FDB-forward or flood by the
+        destination MAC read from the frame, as ``br_dev_xmit`` does.
+        Without vlan filtering the frame leaves as it is, never parsed. With
+        it, the bridge parses the frame to read its tag, and drops one that
+        does not parse as ``malformed``; the sender settles the packet."""
+        stats = self.kernel.stack.skb_stats
+        if self.vlan_filtering:
+            try:
+                skb = SKBuff.lazy(frame, self.device.ifindex, stats)
+            except PacketError:
+                self.device.drop("malformed")
+                return
+        else:
+            skb = SKBuff.raw(frame, self.device.ifindex, stats)
         vlan = 1
         dst = MacAddr.from_bytes(frame[0:6])
         entry = self.fdb_lookup(dst, vlan) if not dst.is_multicast else None

@@ -102,7 +102,7 @@ class Fib:
 
     def lookup(self, dst: AddrLike) -> Optional[Route]:
         """Longest-prefix match; returns the best (lowest-metric) route."""
-        routes = self._table.longest(ipv4(dst).value)
+        routes = self._table.longest((dst if dst.__class__ is IPv4Addr else ipv4(dst)).value)
         return None if routes is None else routes[0]
 
     def routes(self) -> List[Route]:

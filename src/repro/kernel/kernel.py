@@ -147,13 +147,18 @@ class Kernel:
             cpus._busy_fs[cpus._active[-1]] += fs
 
     def charge_ns(self, ns: float) -> None:
-        """Charge ``ns`` of work: the global clock always advances (it
-        orders timeouts across the simulation); the busy time additionally
-        lands on whichever of this kernel's CPUs is executing, which is what
-        multi-core throughput is measured from. ``ns`` converts to whole
-        femtoseconds once, and both are charged the same fs, added here
-        rather than through a call on each."""
-        fs = to_fs(ns)
+        """Charge ``ns`` of work, converted to whole femtoseconds once, as
+        :meth:`charge_fs` charges them."""
+        self.charge_fs(to_fs(ns))
+
+    def charge_fs(self, fs: int) -> None:
+        """Charge ``fs`` whole femtoseconds of work: the global clock always
+        advances (it orders timeouts across the simulation); the busy time
+        additionally lands on whichever of this kernel's CPUs is executing,
+        which is what multi-core throughput is measured from. Both get the
+        same fs, added here rather than through a call on each. The eBPF
+        executors charge instruction counts here, each count times the
+        run's ``to_fs(costs.ebpf_insn)``."""
         self.clock._fs += fs
         cpus = self.cpus
         if cpus._active:

@@ -44,7 +44,7 @@ class NeighborTable:
         self._entries: Dict[Tuple[int, IPv4Addr], NeighborEntry] = {}
 
     def lookup(self, ifindex: int, ip: AddrLike) -> Optional[NeighborEntry]:
-        entry = self._entries.get((ifindex, ipv4(ip)))
+        entry = self._entries.get((ifindex, ip if ip.__class__ is IPv4Addr else ipv4(ip)))
         if entry is None:
             return None
         if (

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Fallback when the sysctl holds a non-numeric value (Linux default).
 DEFAULT_MAX_BACKLOG = 1000
+MAX_BACKLOG_SYSCTL = "net.core.netdev_max_backlog"
 
 #: Frames one CPU may process per softirq round before yielding to the
 #: next CPU (the NAPI poll budget; ``net/core/dev.c`` uses 64 too).
@@ -104,18 +105,27 @@ class SoftirqSet:
         # re-entrancy latch: process_backlogs() must not recurse when a
         # drained frame's processing triggers another enqueue+drain
         self._draining = False
+        sysctl = kernel.sysctl
+        #: ``net.core.netdev_max_backlog``, parsed on every write rather
+        #: than on every enqueue
+        self.max_backlog = self._parse_backlog(sysctl.get(MAX_BACKLOG_SYSCTL))
+        sysctl.add_listener(self._on_sysctl)
 
     # ------------------------------------------------------------ tunables
 
-    @property
-    def max_backlog(self) -> int:
-        """``net.core.netdev_max_backlog`` (live; non-numeric writes fall
-        back to the Linux default)."""
+    @staticmethod
+    def _parse_backlog(value: str) -> int:
+        """The backlog bound a sysctl value sets: a non-numeric or
+        non-positive value falls back to the Linux default."""
         try:
-            value = int(self.kernel.sysctl.get("net.core.netdev_max_backlog"))
-        except (KeyError, ValueError):
+            bound = int(value)
+        except ValueError:
             return DEFAULT_MAX_BACKLOG
-        return value if value > 0 else DEFAULT_MAX_BACKLOG
+        return bound if bound > 0 else DEFAULT_MAX_BACKLOG
+
+    def _on_sysctl(self, name: str, value: str) -> None:
+        if name == MAX_BACKLOG_SYSCTL:
+            self.max_backlog = self._parse_backlog(value)
 
     def backlog_depths(self) -> List[int]:
         return [len(q) for q in self.backlogs]

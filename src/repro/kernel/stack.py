@@ -238,22 +238,25 @@ class Stack:
             # the plain kernel pipeline handles the packet authoritatively.
             watchdog.sample(self, dev, frame, queue, result)
             return
-        self.xdp_actions[result.verdict] += 1
-        self._trace_event("xdp", XDP_ACTION_NAMES.get(result.verdict, str(result.verdict)))
-        if result.verdict == XDP_DROP:
+        verdict = result.verdict
+        self.xdp_actions[verdict] += 1
+        tracer = kernel.observability.tracer
+        if tracer.recording:
+            tracer.event("xdp", XDP_ACTION_NAMES.get(verdict, str(verdict)))
+        if verdict == XDP_DROP:
             self.drop("xdp_drop", dev)
             return
-        if result.verdict == XDP_TX:
+        if verdict == XDP_TX:
             dev.transmit(result.frame)
             self.finish("xdp_tx", dev)
             return
-        if result.verdict == XDP_REDIRECT:
+        if verdict == XDP_REDIRECT:
             kernel.costs_charge("xdp_redirect")
             target = kernel.devices.by_index(result.redirect_ifindex)
             target.transmit(result.frame)
             self.finish("xdp_redirect", target)
             return
-        if result.verdict == XDP_PASS:
+        if verdict == XDP_PASS:
             kernel.costs_charge("xdp_pass_to_stack")
             self.receive_after_xdp(dev, result.frame, queue)
             return

@@ -9,8 +9,11 @@ synthesis/compile/load pipeline.
 Time counts whole femtoseconds. Every cost is a whole number of fs, so the
 clock is an exact integer sum: the same charges give the same clock in any
 grouping. :func:`to_fs` is the one ns → fs rule. A kernel's charges
-(:meth:`~repro.kernel.kernel.Kernel.charge_ns`) add its result to ``_fs``,
-and the profiler's stage frames read ``_fs``, without a call.
+(:meth:`~repro.kernel.kernel.Kernel.charge_ns`) add its result to ``_fs``.
+The eBPF executors convert the per-instruction cost once per run and charge
+whole fs, ``n * to_fs(costs.ebpf_insn)`` for n instructions, through
+:meth:`~repro.kernel.kernel.Kernel.charge_fs`, which converts nothing. The
+profiler's stage frames and the hooks read ``_fs`` without a call.
 """
 
 from __future__ import annotations

@@ -21,10 +21,30 @@ CPU 2 — each kernel's charges land on that kernel's innermost active CPU.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.netsim.clock import FS_PER_NS
+
+
+class _CpuContext:
+    """``with cpus.on(cpu)``: one slotted context object per CPU, built
+    once, because a generator-based context costs a generator per use on
+    the per-frame path. Entering pushes the CPU on its set's stack of
+    active CPUs and exiting pops it, so the same CPU nests."""
+
+    __slots__ = ("_active", "_cpu")
+
+    def __init__(self, active: List[int], cpu: int) -> None:
+        self._active = active
+        self._cpu = cpu
+
+    def __enter__(self) -> int:
+        self._active.append(self._cpu)
+        return self._cpu
+
+    def __exit__(self, *exc) -> bool:
+        self._active.pop()
+        return False
 
 
 class CpuSet:
@@ -48,6 +68,7 @@ class CpuSet:
         self._online: List[bool] = [True] * num_cpus
         #: this set's active CPU contexts, innermost last
         self._active: List[int] = []
+        self._contexts = [_CpuContext(self._active, cpu) for cpu in range(num_cpus)]
 
     # ------------------------------------------------------------- hotplug
 
@@ -89,19 +110,16 @@ class CpuSet:
             raise ValueError(f"no CPU {cpu} in a {self.num_cpus}-CPU set")
         self._online[cpu] = True
 
-    @contextmanager
-    def on(self, cpu: int):
+    def on(self, cpu: int) -> _CpuContext:
         """Execute the body on ``cpu``: charges to the owning kernel land in
-        ``busy_ns[cpu]`` until the context exits (contexts nest)."""
+        ``busy_ns[cpu]`` until the context exits (contexts nest). Returns
+        the CPU's cached context, after the checks that it exists and is
+        online."""
         if not 0 <= cpu < self.num_cpus:
             raise ValueError(f"no CPU {cpu} in a {self.num_cpus}-CPU set")
         if not self._online[cpu]:
             raise ValueError(f"CPU {cpu} is offline")
-        self._active.append(cpu)
-        try:
-            yield cpu
-        finally:
-            self._active.pop()
+        return self._contexts[cpu]
 
     @property
     def current_cpu(self) -> Optional[int]:

@@ -17,10 +17,13 @@ and MAC header in place, an skb keeps the bytes it arrived with:
   first :meth:`SKBuff.wire_frame` runs the round-trip check on them and
   serialises ``pkt`` only when the check declines, so a frame the stack
   consumes never pays the check.
+- :meth:`SKBuff.raw` keeps any frame unparsed, for a bridge that forwards
+  it by destination MAC alone.
 - :meth:`SKBuff.set_wire` installs the stack's own in-place rewrite of the
   wire image after it changed ``pkt`` to match.
 
-Whatever the route, ``wire_frame() == pkt.to_bytes()``.
+Whatever the route, ``wire_frame() == pkt.to_bytes()`` wherever ``pkt``
+is read.
 """
 
 from __future__ import annotations
@@ -105,6 +108,15 @@ class SKBuff:
             pkt = Packet.from_bytes(frame)
             stats.parsed += 1
             return cls(pkt, ifindex, stats=stats)
+        return cls.raw(frame, ifindex, stats)
+
+    @classmethod
+    def raw(cls, frame: bytes, ifindex: int, stats: SkbStats = DETACHED) -> "SKBuff":
+        """An unparsed skb whose wire image is ``frame`` as it is, for a
+        layer that reads only the Ethernet header from the bytes, as a
+        bridge without vlan filtering forwards by destination MAC
+        (``br_dev_xmit``). :meth:`lazy` makes one for a frame that
+        round-trips; for any other frame, nothing may read ``pkt``."""
         stats.wire_reused += 1
         skb = cls.__new__(cls)
         skb.ifindex = ifindex

@@ -9,10 +9,11 @@ mid-tail-chain, the fresh stack frame of every tail-call target,
 tail-call-limit parity, and the burst hook entry point; then the deployed
 system: every template family runs compiled with no silent fallback and
 keeps stack slots in Python locals, a router burst spills nothing through
-the stack region, the Python lines one forwarded frame executes stay under
-a pinned ceiling, the packet tracer names the executor that served each
-run, set-up compiles nothing, each program compiles once and is analyzed
-once, and a retired program is freed by reference counting alone.
+the stack region and calls ``charge_ns`` only for its driver, the Python
+lines one forwarded frame executes stay under a pinned ceiling, the
+packet tracer names the executor that served each run, set-up compiles
+nothing, each program compiles once and is analyzed once, and a retired
+program is freed by reference counting alone.
 """
 
 import contextlib
@@ -518,6 +519,28 @@ class TestDeployedPrograms:
         assert counts["Pointer"] <= 2 * 64
         summary = topo.controller.deployer.jit_summary()
         assert summary["eth0"]["stack_locals"] > 0
+
+    def test_router_burst_calls_charge_ns_once(self, monkeypatch):
+        # A 64-frame burst charges the driver once through charge_ns. Every
+        # program run charges its entry, its instruction counts and its
+        # tail call as whole fs through charge_fs, so none pays charge_ns's
+        # ns -> fs conversion (the parent called charge_ns 385 times).
+        topo = setup_router("linuxfp", hook="xdp")
+        _send_bursts(topo, bursts=1, size=64)  # resolves the next hop
+        calls = Counter()
+        real_charge_ns = Kernel.charge_ns
+
+        def charge_ns(self, ns):
+            calls[self.hostname] += 1
+            real_charge_ns(self, ns)
+
+        monkeypatch.setattr(Kernel, "charge_ns", charge_ns)
+        sent = topo.sink_eth.nic.stats.rx_packets
+        runs = topo.dut.jit.stats["jit_runs"]
+        _send_bursts(topo, bursts=1, size=64)
+        assert topo.sink_eth.nic.stats.rx_packets - sent == 64
+        assert topo.dut.jit.stats["jit_runs"] - runs == 64
+        assert calls[topo.dut.hostname] == 1
 
     @pytest.mark.parametrize("setup,ceiling", [(setup_router, (4, 30)), (setup_gateway, (4, 38))],
                              ids=["router", "router+iptables"])

@@ -10,7 +10,8 @@ Four layers of proof, from single programs up to the full pipeline:
    sample for sample (a charge moved across a helper would leave the clock
    at the end of the run unchanged).
 2. **Cost parity** — the engine must advance the simulated clock by
-   *exactly* the interpreter's nanoseconds, per config.
+   *exactly* the interpreter's femtoseconds, per config, also at an
+   instruction cost that is no whole number of fs.
    The JIT amortizes host overhead, never simulated work.
 3. **Property-based** — Hypothesis drives arbitrary byte strings (and
    structured mutations) through both sides of the router fast path and the
@@ -165,23 +166,34 @@ def test_corpus_differential(name, program):
     assert calls > 0
 
 
-@pytest.mark.parametrize("name,program", _all_configs(), ids=lambda v: v if isinstance(v, str) else "")
-def test_cost_parity(name, program):
-    """Acceptance: the JIT charges exactly the interpreter's nanoseconds."""
+def _cost_cases():
+    """Every config at the default instruction cost, and again at 1/3 ns,
+    a cost that is no whole number of fs."""
+    configs = _all_configs()
+    return [pytest.param(name, program, None, id=f"{name}-") for name, program in configs] + [
+        pytest.param(name, program, 1 / 3, id=f"{name}-third-ns") for name, program in configs
+    ]
+
+
+@pytest.mark.parametrize("name,program,insn_ns", _cost_cases())
+def test_cost_parity(name, program, insn_ns):
+    """Acceptance: the JIT charges exactly the interpreter's femtoseconds."""
     k_int, k_jit = Kernel("cost-int"), Kernel("cost-jit")
+    if insn_ns is not None:
+        k_int.costs.ebpf_insn = k_jit.costs.ebpf_insn = insn_ns
     engine = JitEngine(k_jit)
     for i, frame in enumerate(CORPUS):
-        before = (k_int.clock.now_ns, k_jit.clock.now_ns)
+        before = (k_int.clock._fs, k_jit.clock._fs)
         try:
             _sample_interp(k_int, program, frame)
         except faults.InjectedFault:  # pragma: no cover - no faults armed
             pass
         _sample_jit(k_jit, engine, program, frame)
-        charged_int = k_int.clock.now_ns - before[0]
-        charged_jit = k_jit.clock.now_ns - before[1]
+        charged_int = k_int.clock._fs - before[0]
+        charged_jit = k_jit.clock._fs - before[1]
         assert charged_jit == charged_int, (
-            f"{name} packet {i}: jit charged {charged_jit}ns, "
-            f"interpreter {charged_int}ns"
+            f"{name} packet {i}: jit charged {charged_jit}fs, "
+            f"interpreter {charged_int}fs"
         )
     assert engine.stats["jit_runs"] > 0
 

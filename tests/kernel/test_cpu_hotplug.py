@@ -85,6 +85,29 @@ class TestCpuSet:
         assert dut.current_cpu is None
         assert dut.busy_ns == [0, 0, 3, 1] and sink.busy_ns == [7]
 
+    def test_an_exception_in_the_body_pops_the_cpu(self):
+        cpus = CpuSet(2)
+        with pytest.raises(KeyError):
+            with cpus.on(0):
+                with cpus.on(1) as cpu:
+                    assert cpu == 1
+                    raise KeyError("body")
+        assert cpus.current_cpu is None
+        cpus.offline(1)  # not left executing
+
+    def test_the_same_cpu_nested_twice_pops_twice(self):
+        kernel = Kernel("k", num_cores=2)
+        cpus = kernel.cpus
+        with cpus.on(1) as outer:
+            with cpus.on(1) as inner:
+                assert (outer, inner, cpus.current_cpu) == (1, 1, 1)
+                kernel.charge_ns(2)
+            assert cpus.current_cpu == 1
+            kernel.charge_ns(3)
+        assert cpus.current_cpu is None
+        kernel.charge_ns(7)  # control-plane work lands on no CPU
+        assert cpus.busy_ns == [0, 5]
+
 
 class TestSteeringAfterHotplug:
     def test_no_packet_lands_on_an_offline_cpu(self):

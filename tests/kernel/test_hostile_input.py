@@ -85,6 +85,55 @@ class TestAdversarialFrames:
         assert_conserved(topo.dut.stack)
 
 
+class TestRoutedIntoABridge:
+    """The XDP router FPM forwards a frame whose IPv4 header ``ip_rcv``
+    would refuse into a bridge device. The bridge forwards it by
+    destination MAC without parsing L3, as ``br_dev_xmit`` does; with vlan
+    filtering, whose tag needs a parse, it drops the frame as
+    ``malformed``. Either way nothing raises and the packet settles once."""
+
+    @staticmethod
+    def bridged_topo(vlan_filtering):
+        from repro.core import Controller
+
+        topo = LineTopology()
+        dut = topo.dut
+        dut.del_address("eth1", "10.0.2.1")
+        dut.add_bridge("br0")
+        dut.set_link("br0", True)
+        dut.enslave("eth1", "br0")
+        if vlan_filtering:
+            dut.set_bridge_attrs("br0", vlan_filtering=True)
+        dut.add_address("br0", "10.0.2.1/24")
+        topo.install_prefixes(4)
+        dut.neigh_add("br0", "10.0.2.2", topo.sink_eth.mac)
+        Controller(dut, hook="xdp").start()
+        topo.prewarm_neighbors()
+        return topo
+
+    @pytest.mark.parametrize("vlan_filtering", [False, True])
+    def test_a_damaged_header_settles_once(self, vlan_filtering):
+        topo = self.bridged_topo(vlan_filtering)
+        out = []
+        topo.sink_eth.nic.attach(lambda frame, q: out.append(frame))
+        good = valid_frame(topo)
+        topo.dut_in.nic.receive_from_wire(good)
+        assert len(out) == 1
+        damaged = bytearray(good)
+        damaged[24] ^= 0xFF  # the IPv4 header checksum
+        topo.dut_in.nic.receive_from_wire(bytes(damaged))
+        stack = topo.dut.stack
+        assert stack.rx_packets == stack.settled == 2
+        assert stack.outcomes["xdp_redirect"] == 2
+        assert_conserved(stack)
+        if vlan_filtering:
+            assert len(out) == 1
+            assert dict(stack.drops) == {"malformed": 1}
+        else:
+            assert len(out) == 2
+            assert not stack.drops
+
+
 class TestDeviceDropReasons:
     def test_veth_down_peer_emits_dev_link_down(self):
         # Satellite bugfix: this used to be a silent discard.

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.ebpf.vm import DEFAULT_INSN_LIMIT
 from repro.kernel import Kernel
 from repro.measure.k8s_bench import container_cost_model
-from repro.netsim.clock import FS_PER_NS, Clock
+from repro.netsim.clock import FS_PER_NS, Clock, to_fs
 from repro.netsim.cost import CostModel, DEFAULT_COSTS
 from repro.netsim.profiler import Profiler
 
@@ -100,6 +101,18 @@ class TestExactSums:
             readings.append((kernel.clock.now_ns, kernel.cpus.busy_ns))
         exact = sum(count * EXACT[model][name] for name, count in picks)
         assert readings[0] == readings[1] == (math.floor(exact), [float(exact)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from(sorted(COST_MODELS)), n=st.integers(0, DEFAULT_INSN_LIMIT))
+    @example(model="default", n=DEFAULT_INSN_LIMIT)
+    @example(model="container", n=DEFAULT_INSN_LIMIT)
+    def test_instruction_counts_charge_the_rounded_sum(self, model, n):
+        """The executors charge n instructions as ``n * to_fs(ebpf_insn)``.
+        For the cost models in use that is ``to_fs(n * ebpf_insn)``, what
+        one ``charge_ns`` of the count charged, for every count a run can
+        reach."""
+        insn_ns = COST_MODELS[model]().ebpf_insn
+        assert n * to_fs(insn_ns) == to_fs(n * insn_ns)
 
 
 class TestCostModel:
