@@ -146,6 +146,11 @@ def _compile(program: Program) -> Tuple[CompiledUnit, JitReport]:
     # must not trip armed chaos faults.
     try:
         facts = analyze(program)
+        if facts.consts is None:
+            # a served program's engine released the constant facts after
+            # its compile: prove the program afresh
+            program.analysis = None
+            facts = analyze(program)
     except VerifierError as exc:
         raise JitError("verification failed: %s" % (exc,)) from exc
     layout = Layout(program, facts)

@@ -4,7 +4,9 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
 
 - compiles each program once, on its first run, and keeps the unit on the
   program itself (``Program.jit``), so a retired program takes its unit
-  with it;
+  with it. The compile is the only reader of the verifier's constant
+  facts (``Analysis.consts`` and ``Analysis.results``), so the engine
+  releases them once ``Program.jit`` is stored;
 - runs the loop that chains compiled units across tail calls, resuming in
   the interpreter mid-chain when a tail target failed to compile. Every
   program in a chain starts on a fresh zeroed stack frame, compiled or
@@ -14,11 +16,12 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
   (``jit``, ``interp``, or ``jit+interp`` when a chain resumed in the
   interpreter), which the packet tracer's ``fpm`` event reports;
 - charges a run in whole femtoseconds through
-  :meth:`~repro.kernel.kernel.Kernel.charge_fs`: it converts
-  ``costs.ebpf_insn`` with :func:`~repro.netsim.clock.to_fs` once per
-  run and hands the compiled code ``charge_fs`` and that count, so a
-  flush of n instructions charges ``n * insn_fs``, as the interpreter
-  does; the entry and tail-call costs take the same ``to_fs`` rule.
+  :meth:`~repro.kernel.kernel.Kernel.charge_fs`: it reads
+  ``costs.ebpf_insn`` in femtoseconds from the cost model's table
+  (:meth:`~repro.netsim.cost.CostModel.fs`) once per run and hands the
+  compiled code ``charge_fs`` and that count, so a flush of n
+  instructions charges ``n * insn_fs``, as the interpreter does; the
+  entry and tail-call costs come from the same table.
 
 A run pays for little besides the program: one inline check of the hook
 ABI, one :meth:`JitEngine.unit_for` per program of the chain, and no
@@ -36,7 +39,6 @@ from typing import Dict, Optional, Tuple
 from repro.ebpf.jit.compiler import CompiledUnit, JitReport, compile_program
 from repro.ebpf.memory import Pointer
 from repro.ebpf.vm import TAIL_CALL_LIMIT, VM, VMError
-from repro.netsim.clock import to_fs
 
 __all__ = ["JitEngine"]
 
@@ -67,6 +69,11 @@ class JitEngine:
         if record is None:
             record = program.jit = compile_program(program)
             self.stats["compiled" if record[0] is not None else "fallbacks"] += 1
+            analysis = program.analysis
+            if analysis is not None:
+                # only this compile reads the constant facts; lint and
+                # later verifies read the rest of the proof
+                analysis.consts = analysis.results = None
         return record
 
     def unit_for(self, program) -> Optional[CompiledUnit]:
@@ -107,10 +114,10 @@ class JitEngine:
 
         self.stats["jit_runs"] += 1
         self.served = "jit"
-        costs = kernel.costs
+        fs_table = kernel.costs._fs_table
         charge_fs = kernel.charge_fs
-        insn_fs = to_fs(costs.ebpf_insn)
-        charge_fs(to_fs(costs.ebpf_prog_entry))
+        insn_fs = fs_table["ebpf_insn"]
+        charge_fs(fs_table["ebpf_prog_entry"])
         executed = 0
         tail_calls = 0
         current = unit
@@ -123,7 +130,7 @@ class JitEngine:
             tail_calls += 1
             if tail_calls > TAIL_CALL_LIMIT:
                 raise VMError(tail_msg)
-            charge_fs(to_fs(costs.ebpf_tail_call))
+            charge_fs(fs_table["ebpf_tail_call"])
             target = getattr(value, "program", value)
             nxt = self.unit_for(target)
             if nxt is not None:

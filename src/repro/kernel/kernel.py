@@ -139,8 +139,10 @@ class Kernel:
     # ----------------------------------------------------------- accounting
 
     def costs_charge(self, name: str) -> None:
-        """Charge one named operation's cost, as :meth:`charge_ns` does."""
-        fs = to_fs(getattr(self.costs, name))
+        """Charge one named operation's cost, as :meth:`charge_ns` does,
+        in the whole fs the cost model's table holds for it
+        (:meth:`~repro.netsim.cost.CostModel.fs`)."""
+        fs = self.costs._fs_table[name]
         self.clock._fs += fs
         cpus = self.cpus
         if cpus._active:
@@ -157,8 +159,8 @@ class Kernel:
         additionally lands on whichever of this kernel's CPUs is executing,
         which is what multi-core throughput is measured from. Both get the
         same fs, added here rather than through a call on each. The eBPF
-        executors charge instruction counts here, each count times the
-        run's ``to_fs(costs.ebpf_insn)``."""
+        executors charge instruction counts here, each count times
+        ``costs.fs("ebpf_insn")``."""
         self.clock._fs += fs
         cpus = self.cpus
         if cpus._active:

@@ -156,9 +156,11 @@ class Stack:
             self.outcomes[outcome] += 1
 
     def _ledger_cpu(self) -> int:
-        """The CPU this ledger event is attributed to (-1 = host context)."""
-        cpu = self.kernel.cpus.current_cpu
-        return -1 if cpu is None else cpu
+        """The CPU this ledger event is attributed to (-1 = host context):
+        the innermost of the kernel's active CPUs, read as
+        :meth:`~repro.kernel.kernel.Kernel.charge_fs` reads it."""
+        active = self.kernel.cpus._active
+        return active[-1] if active else -1
 
     def _settle(self, skb: Optional[SKBuff]) -> bool:
         if skb is not None:

@@ -47,12 +47,14 @@ _UNSCALED_FIELDS = {
 
 def container_cost_model():
     """The uniformly-scaled cost model used for pod-to-pod experiments."""
+    from dataclasses import fields
+
     from repro.netsim.cost import CostModel
 
     costs = CostModel()
-    for field_name, value in vars(costs).items():
-        if field_name not in _UNSCALED_FIELDS:
-            setattr(costs, field_name, value * CONTAINER_PATH_SCALE)
+    for field in fields(costs):
+        if field.name not in _UNSCALED_FIELDS:
+            setattr(costs, field.name, getattr(costs, field.name) * CONTAINER_PATH_SCALE)
     return costs
 
 

@@ -1,15 +1,18 @@
 """MAC and IPv4 address types used throughout the simulator.
 
-Addresses are small immutable value objects wrapping an integer. They are
-hashable (usable as FIB/FDB keys), render in the conventional textual forms,
-and convert to/from wire bytes. :class:`PrefixTable` is the one
+Addresses are small immutable value objects wrapping an integer, in one
+slot: every frame's headers build several, so they are built without a
+``__dict__`` and, from wire fields or bytes, without a range check. They
+are hashable (usable as FIB/FDB keys), render in the conventional textual
+forms, and convert to/from wire bytes. :class:`PrefixTable` is the one
 longest-prefix-match table: the FIB, the LPM-trie map and ipset store their
 prefixes in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
 from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar, Union
 
 V = TypeVar("V")
@@ -19,17 +22,58 @@ class AddressError(ValueError):
     """Raised for malformed address or prefix input."""
 
 
-@dataclass(frozen=True, order=True)
-class MacAddr:
+@total_ordering
+class _Value:
+    """An immutable value object wrapping one integer, ``value``.
+
+    Behaves as a frozen, ordered dataclass of that one field would, built
+    by hand so that the instance has a slot and no ``__dict__``: instances
+    compare and order by value within one type (NotImplemented across
+    types, so ``<`` raises ``TypeError`` and ``==`` is False), hash as
+    ``hash((value,))``, and refuse assignment and deletion.
+    """
+
+    __slots__ = ("value",)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.value,)
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value < other.value
+        return NotImplemented
+
+
+_new = object.__new__
+#: stores ``value`` past the refusing ``__setattr__``
+_set_value = _Value.value.__set__
+
+
+class MacAddr(_Value):
     """A 48-bit Ethernet MAC address."""
 
-    value: int
+    __slots__ = ()
 
     BROADCAST_VALUE = 0xFFFFFFFFFFFF
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= self.BROADCAST_VALUE:
-            raise AddressError(f"MAC value out of range: {self.value:#x}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value <= self.BROADCAST_VALUE:
+            raise AddressError(f"MAC value out of range: {value:#x}")
+        _set_value(self, value)
 
     @classmethod
     def parse(cls, text: str) -> "MacAddr":
@@ -52,7 +96,9 @@ class MacAddr:
     def from_bytes(cls, data: bytes) -> "MacAddr":
         if len(data) != 6:
             raise AddressError(f"MAC needs 6 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        addr = _new(cls)
+        _set_value(addr, int.from_bytes(data, "big"))  # 6 bytes are in range
+        return addr
 
     @classmethod
     def broadcast(cls) -> "MacAddr":
@@ -84,15 +130,15 @@ class MacAddr:
         return f"MacAddr({str(self)!r})"
 
 
-@dataclass(frozen=True, order=True)
-class IPv4Addr:
+class IPv4Addr(_Value):
     """A 32-bit IPv4 address."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise AddressError(f"IPv4 value out of range: {self.value:#x}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise AddressError(f"IPv4 value out of range: {value:#x}")
+        _set_value(self, value)
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Addr":
@@ -111,7 +157,9 @@ class IPv4Addr:
     def from_bytes(cls, data: bytes) -> "IPv4Addr":
         if len(data) != 4:
             raise AddressError(f"IPv4 needs 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        addr = _new(cls)
+        _set_value(addr, int.from_bytes(data, "big"))  # 4 bytes are in range
+        return addr
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(4, "big")
@@ -133,6 +181,22 @@ class IPv4Addr:
 
     def __repr__(self) -> str:
         return f"IPv4Addr({str(self)!r})"
+
+
+def mac_of_field(value: int) -> MacAddr:
+    """The MacAddr of a 48-bit header field, which is in range by its
+    width, so the constructor's range check is skipped."""
+    addr = _new(MacAddr)
+    _set_value(addr, value)
+    return addr
+
+
+def ipv4_of_field(value: int) -> IPv4Addr:
+    """The IPv4Addr of a 32-bit header field, which is in range by its
+    width, so the constructor's range check is skipped."""
+    addr = _new(IPv4Addr)
+    _set_value(addr, value)
+    return addr
 
 
 AddrLike = Union[str, int, IPv4Addr]

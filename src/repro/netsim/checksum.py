@@ -21,11 +21,6 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def pseudo_header(src: bytes, dst: bytes, proto: int, length: int) -> bytes:
-    """Build the IPv4 pseudo header used by TCP/UDP checksums."""
-    return src + dst + bytes([0, proto]) + length.to_bytes(2, "big")
-
-
 def verify_checksum(data: bytes) -> bool:
     """True when ``data`` (checksum field included) sums to zero."""
     return internet_checksum(data) == 0

@@ -16,11 +16,36 @@ core. The calibration targets the *shapes* reported in the LinuxFP paper
 All values are plain attributes so experiments and tests can override them on
 an instance without monkey-patching the module. Whole-ns costs are ints, so
 the clock converts them to femtoseconds by an integer multiply.
+
+Each model keeps a femtosecond table, :meth:`CostModel.fs`: a cost's
+:func:`~repro.netsim.clock.to_fs` is computed on its first charge and kept,
+so a named charge (:meth:`~repro.kernel.kernel.Kernel.costs_charge`) and a
+program run's entry, tail-call and per-instruction charges read one dict
+entry instead of converting. Writing a field drops its entry, so the next
+charge converts the new value, and a value :func:`to_fs` refuses (a
+negative cost) raises where it is charged, never where it is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from repro.netsim.clock import to_fs
+
+
+class _FsTable(dict):
+    """name → ``to_fs`` of that cost of one model, filled on first read."""
+
+    __slots__ = ("_costs",)
+
+    def __init__(self, costs: "CostModel") -> None:
+        super().__init__()
+        self._costs = costs
+
+    def __missing__(self, name: str) -> int:
+        fs = self[name] = to_fs(getattr(self._costs, name))
+        return fs
+
 
 @dataclass
 class CostModel:
@@ -105,13 +130,26 @@ class CostModel:
     # --- Containers ---
     app_rr_turnaround_ns: float = 18000.0  # netperf-style app think time per RR
 
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        table = self.__dict__.get("_fs_table")
+        if table is not None:
+            table.pop(name, None)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fs_table", _FsTable(self))
+
+    def fs(self, name: str) -> int:
+        """``to_fs`` of the cost ``name``, from the table."""
+        return self._fs_table[name]
+
     def line_rate_pps(self, frame_len: int) -> float:
         """Maximum packets/s at line rate for a given frame length."""
         bits = (frame_len + self.framing_overhead_bytes) * 8
         return self.line_rate_gbps * 1e9 / bits
 
     def copy(self) -> "CostModel":
-        return CostModel(**vars(self))
+        return CostModel(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 DEFAULT_COSTS = CostModel()

@@ -4,6 +4,12 @@ Each header is a dataclass with ``pack()`` → bytes and ``parse(data)`` →
 (header, remainder). :class:`Packet` is the convenience container used by the
 simulator: it assembles a full frame from stacked headers and can re-parse a
 frame from raw bytes, which is what the eBPF fast path operates on.
+
+The Ethernet, IPv4, UDP, TCP and ICMP codecs read and write each header
+with one module-level :class:`struct.Struct`, straight from the frame's
+memoryview, and carry addresses as the integers of their fields: a parse
+builds each address from its unpacked field, and a pack writes each
+address's ``value``.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ import struct
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
-from repro.netsim.addresses import IPv4Addr, MacAddr, ipv4, mac
-from repro.netsim.checksum import internet_checksum, pseudo_header
+from repro.netsim.addresses import IPv4Addr, MacAddr, ipv4, ipv4_of_field, mac, mac_of_field
+from repro.netsim.checksum import internet_checksum
 
 # EtherTypes
 ETH_P_IP = 0x0800
@@ -39,6 +45,26 @@ class PacketError(ValueError):
     """Raised when a frame cannot be parsed."""
 
 
+# each MAC as its high 16 and low 32 bits, then the ethertype
+_ETH = struct.Struct("!HIHIH")
+# version/IHL, TOS, total length, ident, flags/fragment offset, TTL,
+# protocol, header checksum, src, dst
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_UDP = struct.Struct("!HHHH")
+# ports, seq, ack, data offset byte, flags, window, checksum, urgent pointer
+_TCP = struct.Struct("!HHIIBBHHH")
+_ICMP = struct.Struct("!BBHHH")
+# the IPv4 pseudo header the TCP and UDP checksums cover: src, dst, a zero
+# byte, protocol, L4 length
+_PSEUDO = struct.Struct("!IIxBH")
+_U16 = struct.Struct("!H")
+
+
+def _pack_eth(dst: MacAddr, src: MacAddr, ethertype: int) -> bytes:
+    d, s = dst.value, src.value
+    return _ETH.pack(d >> 32, d & 0xFFFFFFFF, s >> 32, s & 0xFFFFFFFF, ethertype)
+
+
 @dataclass
 class Ethernet:
     """Ethernet II header (14 bytes)."""
@@ -50,15 +76,14 @@ class Ethernet:
     HDR_LEN = 14
 
     def pack(self) -> bytes:
-        return self.dst.to_bytes() + self.src.to_bytes() + struct.pack("!H", self.ethertype)
+        return _pack_eth(self.dst, self.src, self.ethertype)
 
     @classmethod
     def parse(cls, data: bytes) -> Tuple["Ethernet", bytes]:
         if len(data) < cls.HDR_LEN:
             raise PacketError("truncated Ethernet header")
-        dst = MacAddr.from_bytes(data[0:6])
-        src = MacAddr.from_bytes(data[6:12])
-        (ethertype,) = struct.unpack("!H", data[12:14])
+        dst_hi, dst_lo, src_hi, src_lo, ethertype = _ETH.unpack_from(data)
+        dst, src = mac_of_field(dst_hi << 32 | dst_lo), mac_of_field(src_hi << 32 | src_lo)
         return cls(dst, src, ethertype), data[14:]
 
 
@@ -157,8 +182,7 @@ class IPv4:
         header_len = self.header_len
         total = self.total_length or (header_len + payload_len)
         flags_frag = (self.flags << 13) | self.frag_offset
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
+        header = _IPV4.pack(
             (4 << 4) | (header_len >> 2),
             self.tos,
             total,
@@ -167,11 +191,11 @@ class IPv4:
             self.ttl,
             self.proto,
             0,
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            self.src.value,
+            self.dst.value,
         ) + self.options
         checksum = internet_checksum(header)
-        return header[:10] + struct.pack("!H", checksum) + header[12:]
+        return header[:10] + _U16.pack(checksum) + header[12:]
 
     @classmethod
     def parse(cls, data: bytes) -> Tuple["IPv4", bytes]:
@@ -183,18 +207,7 @@ class IPv4:
             raise PacketError(f"not IPv4 (version={version})")
         if ihl < cls.HDR_LEN or len(data) < ihl:
             raise PacketError("bad IPv4 IHL")
-        (
-            __,
-            tos,
-            total,
-            ident,
-            flags_frag,
-            ttl,
-            proto,
-            __,
-            src,
-            dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[0:20])
+        __, tos, total, ident, flags_frag, ttl, proto, __, src, dst = _IPV4.unpack_from(data)
         if internet_checksum(data[:ihl]) != 0:
             raise PacketError("bad IPv4 checksum")
         if total < ihl:  # ip_rcv drops these
@@ -202,8 +215,8 @@ class IPv4:
         if total > len(data):  # and these, as truncated
             raise PacketError("IPv4 total length past the end of the frame")
         hdr = cls(
-            src=IPv4Addr.from_bytes(src),
-            dst=IPv4Addr.from_bytes(dst),
+            src=ipv4_of_field(src),
+            dst=ipv4_of_field(dst),
             proto=proto,
             ttl=ttl,
             tos=tos,
@@ -240,18 +253,18 @@ class UDP:
 
     def pack(self, payload: bytes = b"", src: Optional[IPv4Addr] = None, dst: Optional[IPv4Addr] = None) -> bytes:
         length = self.length or (self.HDR_LEN + len(payload))
-        header = struct.pack("!HHHH", self.sport, self.dport, length, 0)
+        header = _UDP.pack(self.sport, self.dport, length, 0)
         checksum = 0
         if src is not None and dst is not None:
-            pseudo = pseudo_header(src.to_bytes(), dst.to_bytes(), IPPROTO_UDP, length)
+            pseudo = _PSEUDO.pack(src.value, dst.value, IPPROTO_UDP, length)
             checksum = internet_checksum(pseudo + header + payload) or 0xFFFF
-        return header[:6] + struct.pack("!H", checksum)
+        return header[:6] + _U16.pack(checksum)
 
     @classmethod
     def parse(cls, data: bytes) -> Tuple["UDP", bytes]:
         if len(data) < cls.HDR_LEN:
             raise PacketError("truncated UDP header")
-        sport, dport, length, __ = struct.unpack("!HHHH", data[0:8])
+        sport, dport, length, __ = _UDP.unpack_from(data)
         return cls(sport, dport, length), data[8:]
 
 
@@ -275,8 +288,7 @@ class TCP:
     ACK = 0x10
 
     def pack(self, payload: bytes = b"", src: Optional[IPv4Addr] = None, dst: Optional[IPv4Addr] = None) -> bytes:
-        header = struct.pack(
-            "!HHIIBBHHH",
+        header = _TCP.pack(
             self.sport,
             self.dport,
             self.seq,
@@ -289,17 +301,15 @@ class TCP:
         )
         checksum = 0
         if src is not None and dst is not None:
-            pseudo = pseudo_header(src.to_bytes(), dst.to_bytes(), IPPROTO_TCP, len(header) + len(payload))
+            pseudo = _PSEUDO.pack(src.value, dst.value, IPPROTO_TCP, len(header) + len(payload))
             checksum = internet_checksum(pseudo + header + payload)
-        return header[:16] + struct.pack("!H", checksum) + header[18:]
+        return header[:16] + _U16.pack(checksum) + header[18:]
 
     @classmethod
     def parse(cls, data: bytes) -> Tuple["TCP", bytes]:
         if len(data) < cls.HDR_LEN:
             raise PacketError("truncated TCP header")
-        sport, dport, seq, ack, offset_byte, flags, window, __, __ = struct.unpack(
-            "!HHIIBBHHH", data[0:20]
-        )
+        sport, dport, seq, ack, offset_byte, flags, window, __, __ = _TCP.unpack_from(data)
         data_offset = (offset_byte >> 4) * 4
         if data_offset < cls.HDR_LEN or len(data) < data_offset:
             raise PacketError("bad TCP data offset")
@@ -321,15 +331,15 @@ class ICMP:
     HDR_LEN = 8
 
     def pack(self, payload: bytes = b"") -> bytes:
-        header = struct.pack("!BBHHH", self.icmp_type, self.code, 0, self.ident, self.seq)
+        header = _ICMP.pack(self.icmp_type, self.code, 0, self.ident, self.seq)
         checksum = internet_checksum(header + payload)
-        return header[:2] + struct.pack("!H", checksum) + header[4:]
+        return header[:2] + _U16.pack(checksum) + header[4:]
 
     @classmethod
     def parse(cls, data: bytes) -> Tuple["ICMP", bytes]:
         if len(data) < cls.HDR_LEN:
             raise PacketError("truncated ICMP header")
-        icmp_type, code, __, ident, seq = struct.unpack("!BBHHH", data[0:8])
+        icmp_type, code, __, ident, seq = _ICMP.unpack_from(data)
         return cls(icmp_type, code, ident, seq), data[8:]
 
 
@@ -386,11 +396,11 @@ class Packet:
             inner_type = ETH_P_IP
         elif inner_type == ETH_P_8021Q and self.vlan is not None:
             inner_type = self.vlan.ethertype
+        eth = self.eth
         if self.vlan is not None:
-            eth = Ethernet(self.eth.dst, self.eth.src, ETH_P_8021Q)
             tag = replace(self.vlan, ethertype=inner_type)
-            return eth.pack() + tag.pack() + inner
-        return Ethernet(self.eth.dst, self.eth.src, inner_type).pack() + inner
+            return _pack_eth(eth.dst, eth.src, ETH_P_8021Q) + tag.pack() + inner
+        return _pack_eth(eth.dst, eth.src, inner_type) + inner
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":

@@ -94,12 +94,6 @@ class HistogramSet:
     def __init__(self) -> None:
         self.hists: Dict[str, Log2Histogram] = {}
 
-    def record(self, name: str, value: int) -> None:
-        hist = self.hists.get(name)
-        if hist is None:
-            hist = self.hists[name] = Log2Histogram()
-        hist.record(value)
-
     def __len__(self) -> int:
         return len(self.hists)
 

@@ -181,6 +181,10 @@ class PacketTracer:
         self.overflowed = 0  # completed traces evicted from the full ring
         self.matched = 0
         self._active: List[PacketTrace] = []
+        #: True while a matched packet is in flight (events are welcome):
+        #: ``bool(self._active)``, kept current by every method that
+        #: changes the in-flight stack
+        self.recording = False
         self._next_id = 1
 
     # -------------------------------------------------------------- control
@@ -198,16 +202,12 @@ class PacketTracer:
         self.armed = False
         self.filter = None
         self._active.clear()
+        self.recording = False
 
     def clear(self) -> None:
         self.ring.clear()
         self.overflowed = 0
         self.matched = 0
-
-    @property
-    def recording(self) -> bool:
-        """True while a matched packet is in flight (events are welcome)."""
-        return bool(self._active)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -227,6 +227,7 @@ class PacketTracer:
         self._next_id += 1
         self.matched += 1
         self._active.append(trace)
+        self.recording = True
         return trace
 
     def event(self, stage: str, detail: str = "") -> None:
@@ -248,16 +249,19 @@ class PacketTracer:
         """Take an in-flight trace off the stack until :meth:`resume`; a
         burst runs every frame's program before it dispatches a verdict."""
         self._active.remove(trace)
+        self.recording = bool(self._active)
 
     def resume(self, trace: PacketTrace) -> None:
         """Make a trace set aside by :meth:`set_aside` current again."""
         self._active.append(trace)
+        self.recording = True
 
     def end(self, trace: PacketTrace) -> None:
         """Close a trace and commit it to the ring."""
         if trace not in self._active:
             return
         self._active.remove(trace)
+        self.recording = bool(self._active)
         trace.end_ns = self.clock.now_ns
         while len(self.ring) >= self.capacity:
             self.ring.popleft()

@@ -12,8 +12,9 @@ keeps stack slots in Python locals, a router burst spills nothing through
 the stack region and calls ``charge_ns`` only for its driver, the Python
 lines one forwarded frame executes stay under a pinned ceiling, the
 packet tracer names the executor that served each run, set-up compiles
-nothing, each program compiles once and is analyzed once, and a retired
-program is freed by reference counting alone.
+nothing, each program compiles once and is analyzed once, a served
+program keeps no constant facts, a warm router burst converts one cost to
+femtoseconds, and a retired program is freed by reference counting alone.
 """
 
 import contextlib
@@ -542,6 +543,18 @@ class TestDeployedPrograms:
         assert topo.dut.jit.stats["jit_runs"] - runs == 64
         assert calls[topo.dut.hostname] == 1
 
+    def test_router_burst_calls_to_fs_once(self, to_fs_calls):
+        # Named charges and program runs read the cost model's femtosecond
+        # table, so a warm 64-frame burst converts only receive_batch's one
+        # driver charge (the parent called to_fs 641 times, 385 on the DUT).
+        topo = setup_router("linuxfp", hook="xdp")
+        _send_bursts(topo, bursts=1, size=64)  # resolves the next hop, fills the table
+        del to_fs_calls[:]
+        sent = topo.sink_eth.nic.stats.rx_packets
+        _send_bursts(topo, bursts=1, size=64)
+        assert topo.sink_eth.nic.stats.rx_packets - sent == 64
+        assert to_fs_calls == [topo.dut.costs.driver_rx * 64]
+
     @pytest.mark.parametrize("setup,ceiling", [(setup_router, (4, 30)), (setup_gateway, (4, 38))],
                              ids=["router", "router+iptables"])
     def test_python_lines_per_forwarded_frame(self, setup, ceiling):
@@ -650,6 +663,29 @@ class TestDeployedPrograms:
             (2, (2, 6, 2, 2)),  # a structural change: two new fast paths
             (0, (0, 0, 0, 0)),
         ]
+
+    def test_a_served_program_keeps_no_constant_facts(self):
+        # Only the JIT's one compile reads the verifier's constant facts:
+        # a served program holds neither, still runs compiled, and a later
+        # compile of it proves it afresh into the same code.
+        topo = setup_router("linuxfp", hook="xdp")
+        _send_bursts(topo, bursts=1)
+        entry = topo.controller.deployer.deployed["eth0"]
+        programs = [entry.dispatcher.program, entry.current.program]
+        for program in programs:
+            assert program.jit[0] is not None
+            assert program.analysis.consts is None
+            assert program.analysis.results is None
+        stats = dict(topo.dut.jit.stats)
+        sent = topo.sink_eth.nic.stats.rx_packets
+        _send_bursts(topo, bursts=1)
+        assert topo.sink_eth.nic.stats.rx_packets - sent == 32
+        assert topo.dut.jit.stats["jit_runs"] - stats["jit_runs"] == 32
+        assert topo.dut.jit.stats["interp_runs"] == stats["interp_runs"]
+        for program in programs:
+            unit, report = compile_program(program)
+            assert report.status == "compiled"
+            assert unit.source == program.jit[0].source
 
     def test_retired_program_freed_without_cyclic_gc(self):
         topo = setup_router("linuxfp")

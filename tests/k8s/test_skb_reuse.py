@@ -7,7 +7,9 @@ Two pairs talk within a node (veth → TC redirect → veth) and two across
 nodes (veth → TC redirect → vxlan → eth0 → TC → decap → forward → cni0).
 Per transaction, the frames that pods and the vxlan device build are
 serialised (3 on average), and each frame a kernel consumes or forwards
-after a header read is parsed (4).
+after a header read is parsed (4). Every named charge reads the cost
+model's femtosecond table, so a transaction converts ns to fs only for its
+two local deliveries' charge sums.
 """
 
 import pytest
@@ -85,6 +87,18 @@ class TestParseOnce:
         assert len(responses) == txns
         assert calls["from_bytes"] <= 4 * txns
         assert calls["to_bytes"] <= 3 * txns
+
+    def test_a_transaction_converts_only_its_charge_sums(self, warm, to_fs_calls):
+        # Named charges and program runs read the cost model's femtosecond
+        # table; only the two local deliveries' charge_ns sums convert (the
+        # parent called to_fs 66 times per transaction).
+        cluster, pairs, responses = warm
+        del to_fs_calls[:]
+        transact(pairs, ROUNDS)
+        txns = ROUNDS * len(pairs)
+        assert len(responses) == txns
+        costs = cluster.nodes[0].kernel.costs
+        assert to_fs_calls == [costs.local_deliver + costs.conntrack_lookup] * (2 * txns)
 
     def test_redirected_frames_are_never_parsed(self, warm):
         cluster, pairs, responses = warm

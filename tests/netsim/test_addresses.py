@@ -1,5 +1,9 @@
 """Tests for MAC/IPv4 address and prefix types."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +91,67 @@ class TestIPv4Addr:
     def test_text_round_trip_property(self, value):
         a = IPv4Addr(value)
         assert IPv4Addr.parse(str(a)) == a
+
+
+# each class with a value, one wrong byte length and one out-of-range value
+ADDRESS_CLASSES = {
+    "mac": (MacAddr, 0x020000000001, 5, 1 << 48),
+    "ipv4": (IPv4Addr, 0x0A000001, 3, 1 << 32),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ADDRESS_CLASSES))
+class TestValueSemantics:
+    """Both address classes keep the semantics of a frozen, ordered
+    dataclass of their one ``value`` field."""
+
+    def test_assignment_and_deletion_raise(self, kind):
+        cls, value, __, __ = ADDRESS_CLASSES[kind]
+        addr = cls(value)
+        with pytest.raises(FrozenInstanceError):
+            addr.value = 1
+        with pytest.raises(FrozenInstanceError):
+            addr.other = 1
+        with pytest.raises(FrozenInstanceError):
+            del addr.value
+        assert addr.value == value
+
+    def test_hash_is_the_value_tuple_hash(self, kind):
+        cls, value, __, __ = ADDRESS_CLASSES[kind]
+        for v in (0, 1, value):
+            assert hash(cls(v)) == hash((v,))
+
+    def test_compare_within_one_type_only(self, kind):
+        cls, value, __, __ = ADDRESS_CLASSES[kind]
+        low, high = cls(value), cls(value + 1)
+        assert low == cls(value) and low != high
+        assert low < high and low <= high and high > low and high >= low
+        assert not (low > high or low >= high or high < low or high <= low)
+        other_cls = next(c for c, *__ in ADDRESS_CLASSES.values() if c is not cls)
+        for other in (other_cls(5), 5):  # the same value in another type
+            assert (cls(5) == other) is False and (cls(5) != other) is True
+            for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+                with pytest.raises(TypeError):
+                    compare(cls(5), other)
+
+    def test_from_bytes_rejects_a_wrong_length(self, kind):
+        cls, value, wrong, __ = ADDRESS_CLASSES[kind]
+        assert cls.from_bytes(cls(value).to_bytes()) == cls(value)
+        with pytest.raises(AddressError):
+            cls.from_bytes(bytes(wrong))
+
+    def test_constructor_rejects_out_of_range(self, kind):
+        cls, __, __, past = ADDRESS_CLASSES[kind]
+        assert cls(past - 1).value == past - 1
+        for bad in (past, -1):
+            with pytest.raises(AddressError):
+                cls(bad)
+
+    def test_copies_and_pickles_keep_the_value(self, kind):
+        cls, value, __, __ = ADDRESS_CLASSES[kind]
+        addr = cls(value)
+        for clone in (copy.copy(addr), copy.deepcopy(addr), pickle.loads(pickle.dumps(addr))):
+            assert clone == addr and clone.__class__ is cls
 
 
 class TestIPv4Prefix:

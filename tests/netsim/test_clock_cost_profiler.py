@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ebpf.vm import DEFAULT_INSN_LIMIT
+from repro.ebpf.isa import exit_, mov_imm
+from repro.ebpf.memory import Pointer, Region
+from repro.ebpf.program import Program
+from repro.ebpf.vm import DEFAULT_INSN_LIMIT, Env
 from repro.kernel import Kernel
 from repro.measure.k8s_bench import container_cost_model
 from repro.netsim.clock import FS_PER_NS, Clock, to_fs
@@ -149,6 +152,58 @@ class TestCostModel:
             + c.helper_fib_lookup + c.xdp_redirect + c.driver_tx
         )
         assert 1.5 <= linux_ns / xdp_ns <= 2.2
+
+
+class TestFsTable:
+    """Charges read each cost's fs from the model's table, which follows
+    every write to the model."""
+
+    @staticmethod
+    def charged(kernel, charge):
+        before = kernel.clock._fs
+        charge()
+        return kernel.clock._fs - before
+
+    @staticmethod
+    def run_program(kernel):
+        program = Program(name="ret", insns=[mov_imm(0, 2), exit_()], hook="xdp")
+        args = [Pointer(Region("pkt", bytearray(64)), 0), 64, 1]
+        assert kernel.jit.execute(program, args, Env(kernel, 4)) == (2, 2)
+
+    @pytest.mark.parametrize("model", sorted(COST_MODELS))
+    def test_a_write_reaches_the_next_charge(self, model):
+        kernel = Kernel("fs-table", costs=COST_MODELS[model]())
+        costs = kernel.costs
+        assert self.charged(kernel, lambda: kernel.costs_charge("fib_lookup")) == to_fs(costs.fib_lookup)
+        run = self.charged(kernel, lambda: self.run_program(kernel))
+        assert run == to_fs(costs.ebpf_prog_entry) + 2 * to_fs(costs.ebpf_insn)
+        costs.fib_lookup = costs.fib_lookup * 3 + 0.25
+        costs.ebpf_prog_entry = costs.ebpf_prog_entry + 7
+        costs.ebpf_insn = costs.ebpf_insn * 2 + 0.1
+        assert self.charged(kernel, lambda: kernel.costs_charge("fib_lookup")) == to_fs(costs.fib_lookup)
+        run = self.charged(kernel, lambda: self.run_program(kernel))
+        assert run == to_fs(costs.ebpf_prog_entry) + 2 * to_fs(costs.ebpf_insn)
+        assert costs.fs("ebpf_insn") == to_fs(costs.ebpf_insn)
+
+    @pytest.mark.parametrize("model", sorted(COST_MODELS))
+    def test_copy_equals_its_source(self, model):
+        costs = COST_MODELS[model]()
+        costs.fs("fib_lookup")
+        copy = costs.copy()
+        assert copy == costs
+        copy.fib_lookup += 1
+        assert copy.fs("fib_lookup") == to_fs(costs.fib_lookup + 1)
+        assert costs.fs("fib_lookup") == to_fs(costs.fib_lookup)
+
+    def test_a_negative_cost_raises_where_it_is_charged(self):
+        kernel = Kernel("fs-table")
+        kernel.costs_charge("fib_lookup")
+        kernel.costs.fib_lookup = -1
+        before = kernel.clock._fs
+        for __ in range(2):
+            with pytest.raises(ValueError):
+                kernel.costs_charge("fib_lookup")
+        assert kernel.clock._fs == before
 
 
 class TestProfiler:

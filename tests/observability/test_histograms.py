@@ -1,6 +1,7 @@
 """Tests for the log2 latency histograms."""
 
-from repro.observability.histogram import HistogramSet, Log2Histogram, _fmt_pow2
+from repro.kernel import Kernel
+from repro.observability.histogram import Log2Histogram, _fmt_pow2
 
 
 class TestLog2Histogram:
@@ -77,20 +78,26 @@ class TestLog2Histogram:
 
 
 class TestHistogramSet:
+    """The monitor records each stage exit and program run into the named
+    histogram of its family, made on the name's first record."""
+
     def test_record_creates_and_accumulates(self):
-        hs = HistogramSet()
-        hs.record("ip_rcv", 100)
-        hs.record("ip_rcv", 200)
-        hs.record("fib", 50)
-        assert len(hs) == 2
-        assert hs["ip_rcv"].count == 2
-        assert "fib" in hs
-        assert hs.names() == ["fib", "ip_rcv"]
+        obs = Kernel("hists").observability
+        for record, family in ((obs.record_stage, obs.stage_latency), (obs.record_fpm, obs.fpm_latency)):
+            before = set(family.names())
+            record("ip_rcv", 100)
+            record("ip_rcv", 200)
+            record("fib", 50)
+            assert set(family.names()) - before == {"fib", "ip_rcv"}
+            assert family["ip_rcv"].count == 2
+            assert family["ip_rcv"].total == 300
+            assert "fib" in family
+        assert len(obs.fpm_latency) == 2
 
     def test_as_dict_and_render(self):
-        hs = HistogramSet()
-        hs.record("rx", 1000)
-        data = hs.as_dict()
+        obs = Kernel("hists").observability
+        obs.record_fpm("rx", 1000)
+        data = obs.fpm_latency.as_dict()
         assert data["rx"]["count"] == 1
-        lines = hs.render()
+        lines = obs.fpm_latency.render()
         assert any("rx: n=1" in line for line in lines)

@@ -140,6 +140,37 @@ class TestPacketTracer:
         tracer.end(token)  # already evicted from the active stack: no-op
         assert tracer.traces() == []
 
+    def test_recording_is_a_trace_in_flight(self):
+        # An armed burst runs two frames' programs, setting each trace
+        # aside, then resumes and ends each in turn.
+        tracer = PacketTracer(Clock())
+        tracer.arm()
+
+        def check(expected):
+            assert tracer.recording is expected is bool(tracer._active)
+
+        first = tracer.begin("rx", "eth0", udp(sport=1))
+        check(True)
+        tracer.set_aside(first)
+        check(False)
+        second = tracer.begin("rx", "eth0", udp(sport=2))
+        check(True)
+        tracer.resume(first)  # two traces in flight
+        check(True)
+        tracer.set_aside(second)
+        check(True)
+        tracer.end(first)
+        check(False)
+        tracer.resume(second)
+        check(True)
+        tracer.end(second)
+        check(False)
+        tracer.begin("rx", "eth0", udp(sport=3))
+        tracer.begin("rx", "eth0", udp(sport=4))
+        check(True)
+        tracer.disarm()
+        check(False)
+
     def test_clear_resets_ring_and_counters(self):
         tracer = PacketTracer(Clock())
         tracer.arm(capacity=1)
