@@ -182,7 +182,7 @@ class Analysis:
     #: ``[c, c]``); a packet or stack pointer's is its constant offset,
     #: which is the integer compiled code holds for it. Copies of the
     #: packet length, whose range the walk keeps per path, are left out.
-    #: None once the JIT engine has compiled the program, the one reader.
+    #: None once the JIT has compiled the program: it is the one reader.
     consts: Optional[Dict[int, Tuple[Tuple[Optional[int], ...], Dict[int, int]]]] = field(default_factory=dict)
     #: For each reached ALU op, load and helper call: the value it writes
     #: (to ``dst``, or r0 for a call), as above, when that is one constant

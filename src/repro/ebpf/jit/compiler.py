@@ -81,7 +81,10 @@ program on its own fresh frame too.
 (typing, storage, CFG, liveness, block layout),
 :mod:`repro.ebpf.jit.emit` emits the source and
 :mod:`repro.ebpf.jit.values` holds its compile-time value algebra; this
-module runs them and compiles the source.
+module runs them and compiles the source. The compile is the only reader
+of the verifier's constant facts (``Analysis.consts`` and
+``Analysis.results``), so it releases them once the source is emitted; a
+later compile of the same program proves it afresh.
 """
 
 from __future__ import annotations
@@ -147,22 +150,27 @@ def _compile(program: Program) -> Tuple[CompiledUnit, JitReport]:
     try:
         facts = analyze(program)
         if facts.consts is None:
-            # a served program's engine released the constant facts after
-            # its compile: prove the program afresh
+            # an earlier compile released the constant facts: prove the
+            # program afresh
             program.analysis = None
             facts = analyze(program)
     except VerifierError as exc:
         raise JitError("verification failed: %s" % (exc,)) from exc
-    layout = Layout(program, facts)
-    report = JitReport(
-        status="compiled",
-        insns=len(program.insns),
-        inline_mem_ops=layout.inline_mem_ops,
-        stack_locals=len(layout.locals),
-        guards=len(layout.guarded),
-    )
-    emitter = Emitter(program, facts, layout, report)
-    source = emitter.source()
+    try:
+        layout = Layout(program, facts)
+        report = JitReport(
+            status="compiled",
+            insns=len(program.insns),
+            inline_mem_ops=layout.inline_mem_ops,
+            stack_locals=len(layout.locals),
+            guards=len(layout.guarded),
+        )
+        emitter = Emitter(program, facts, layout, report)
+        source = emitter.source()
+    finally:
+        # the compile is the constant facts' only reader, declined or
+        # not; lint and later verifies read the rest of the proof
+        facts.consts = facts.results = None
     namespace = dict(emitter.ns)
     namespace.update(
         _Ptr=Pointer,

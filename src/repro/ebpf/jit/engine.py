@@ -4,9 +4,7 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
 
 - compiles each program once, on its first run, and keeps the unit on the
   program itself (``Program.jit``), so a retired program takes its unit
-  with it. The compile is the only reader of the verifier's constant
-  facts (``Analysis.consts`` and ``Analysis.results``), so the engine
-  releases them once ``Program.jit`` is stored;
+  with it;
 - runs the loop that chains compiled units across tail calls, resuming in
   the interpreter mid-chain when a tail target failed to compile. Every
   program in a chain starts on a fresh zeroed stack frame, compiled or
@@ -18,7 +16,7 @@ One :class:`JitEngine` hangs off each kernel (``kernel.jit``). It
 - charges a run in whole femtoseconds through
   :meth:`~repro.kernel.kernel.Kernel.charge_fs`: it reads
   ``costs.ebpf_insn`` in femtoseconds from the cost model's table
-  (:meth:`~repro.netsim.cost.CostModel.fs`) once per run and hands the
+  (``costs.fs``, :mod:`repro.netsim.cost`) once per run and hands the
   compiled code ``charge_fs`` and that count, so a flush of n
   instructions charges ``n * insn_fs``, as the interpreter does; the
   entry and tail-call costs come from the same table.
@@ -69,11 +67,6 @@ class JitEngine:
         if record is None:
             record = program.jit = compile_program(program)
             self.stats["compiled" if record[0] is not None else "fallbacks"] += 1
-            analysis = program.analysis
-            if analysis is not None:
-                # only this compile reads the constant facts; lint and
-                # later verifies read the rest of the proof
-                analysis.consts = analysis.results = None
         return record
 
     def unit_for(self, program) -> Optional[CompiledUnit]:
@@ -114,7 +107,7 @@ class JitEngine:
 
         self.stats["jit_runs"] += 1
         self.served = "jit"
-        fs_table = kernel.costs._fs_table
+        fs_table = kernel.costs.fs
         charge_fs = kernel.charge_fs
         insn_fs = fs_table["ebpf_insn"]
         charge_fs(fs_table["ebpf_prog_entry"])

@@ -41,8 +41,8 @@ class Program:
     jit: Optional[Tuple[object, object]] = field(default=None, compare=False, repr=False)
     #: The verifier's hook-ABI :class:`~repro.ebpf.analysis.interp.Analysis`,
     #: kept by the first successful verification and read by every later
-    #: verify, by lint and by the JIT, whose engine releases the constant
-    #: facts only its compile reads. Like ``jit``, it takes no part in
+    #: verify, by lint and by the JIT, whose compile releases the constant
+    #: facts only it reads. Like ``jit``, it takes no part in
     #: ``==`` or ``repr``.
     analysis: Optional["Analysis"] = field(default=None, compare=False, repr=False)
 

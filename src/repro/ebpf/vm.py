@@ -113,7 +113,7 @@ class VM:
         entry_args = list(args)
 
         if not _entry_charged:
-            kernel.charge_fs(costs.fs("ebpf_prog_entry"))
+            kernel.charge_fs(costs.fs["ebpf_prog_entry"])
 
         regs = _entry_regs(entry_args)
 
@@ -122,7 +122,7 @@ class VM:
         pc = 0
         executed = _executed
         tail_calls = _tail_calls
-        insn_fs = costs.fs("ebpf_insn")
+        insn_fs = costs.fs["ebpf_insn"]
         budget = self.insn_limit
 
         # Instruction costs accrue and flush as one ``charge_fs(k *
@@ -239,7 +239,7 @@ class VM:
                     tail_calls += 1
                     if tail_calls > TAIL_CALL_LIMIT:
                         raise VMError(f"{program.name}@{pc}: tail call limit exceeded")
-                    kernel.charge_fs(costs.fs("ebpf_tail_call"))
+                    kernel.charge_fs(costs.fs["ebpf_tail_call"])
                     program = getattr(target, "program", target)
                     insns = program.insns
                     maps = program.maps

@@ -141,8 +141,8 @@ class Kernel:
     def costs_charge(self, name: str) -> None:
         """Charge one named operation's cost, as :meth:`charge_ns` does,
         in the whole fs the cost model's table holds for it
-        (:meth:`~repro.netsim.cost.CostModel.fs`)."""
-        fs = self.costs._fs_table[name]
+        (``costs.fs[name]``, :mod:`repro.netsim.cost`)."""
+        fs = self.costs.fs[name]
         self.clock._fs += fs
         cpus = self.cpus
         if cpus._active:
@@ -160,7 +160,7 @@ class Kernel:
         which is what multi-core throughput is measured from. Both get the
         same fs, added here rather than through a call on each. The eBPF
         executors charge instruction counts here, each count times
-        ``costs.fs("ebpf_insn")``."""
+        ``costs.fs["ebpf_insn"]``."""
         self.clock._fs += fs
         cpus = self.cpus
         if cpus._active:

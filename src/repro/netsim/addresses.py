@@ -57,6 +57,15 @@ class _Value:
             return self.value < other.value
         return NotImplemented
 
+    @classmethod
+    def of_field(cls, value: int):
+        """The address of a field as wide as the type (a header field, or
+        ``from_bytes``' bytes), which is in range by its width, so the
+        constructor's range check is skipped."""
+        addr = _new(cls)
+        _set_value(addr, value)
+        return addr
+
 
 _new = object.__new__
 #: stores ``value`` past the refusing ``__setattr__``
@@ -96,9 +105,7 @@ class MacAddr(_Value):
     def from_bytes(cls, data: bytes) -> "MacAddr":
         if len(data) != 6:
             raise AddressError(f"MAC needs 6 bytes, got {len(data)}")
-        addr = _new(cls)
-        _set_value(addr, int.from_bytes(data, "big"))  # 6 bytes are in range
-        return addr
+        return cls.of_field(int.from_bytes(data, "big"))
 
     @classmethod
     def broadcast(cls) -> "MacAddr":
@@ -157,9 +164,7 @@ class IPv4Addr(_Value):
     def from_bytes(cls, data: bytes) -> "IPv4Addr":
         if len(data) != 4:
             raise AddressError(f"IPv4 needs 4 bytes, got {len(data)}")
-        addr = _new(cls)
-        _set_value(addr, int.from_bytes(data, "big"))  # 4 bytes are in range
-        return addr
+        return cls.of_field(int.from_bytes(data, "big"))
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(4, "big")
@@ -183,20 +188,9 @@ class IPv4Addr(_Value):
         return f"IPv4Addr({str(self)!r})"
 
 
-def mac_of_field(value: int) -> MacAddr:
-    """The MacAddr of a 48-bit header field, which is in range by its
-    width, so the constructor's range check is skipped."""
-    addr = _new(MacAddr)
-    _set_value(addr, value)
-    return addr
-
-
-def ipv4_of_field(value: int) -> IPv4Addr:
-    """The IPv4Addr of a 32-bit header field, which is in range by its
-    width, so the constructor's range check is skipped."""
-    addr = _new(IPv4Addr)
-    _set_value(addr, value)
-    return addr
+#: the addresses of 48- and 32-bit header fields, bound once for the codecs
+mac_of_field = MacAddr.of_field
+ipv4_of_field = IPv4Addr.of_field
 
 
 AddrLike = Union[str, int, IPv4Addr]

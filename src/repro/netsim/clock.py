@@ -11,9 +11,9 @@ clock is an exact integer sum: the same charges give the same clock in any
 grouping. :func:`to_fs` is the one ns → fs rule. A kernel's charges
 (:meth:`~repro.kernel.kernel.Kernel.charge_ns`) add its result to ``_fs``.
 A named cost is converted once and kept in its cost model's femtosecond
-table (:meth:`~repro.netsim.cost.CostModel.fs`) until the field is written,
+table (``costs.fs``, :mod:`repro.netsim.cost`) until the field is written,
 so :meth:`~repro.kernel.kernel.Kernel.costs_charge` converts nothing, and
-the eBPF executors charge n instructions as ``n * costs.fs("ebpf_insn")``
+the eBPF executors charge n instructions as ``n * costs.fs["ebpf_insn"]``
 whole fs through :meth:`~repro.kernel.kernel.Kernel.charge_fs`. The
 profiler's stage frames and the hooks read ``_fs`` without a call.
 """

@@ -17,11 +17,11 @@ All values are plain attributes so experiments and tests can override them on
 an instance without monkey-patching the module. Whole-ns costs are ints, so
 the clock converts them to femtoseconds by an integer multiply.
 
-Each model keeps a femtosecond table, :meth:`CostModel.fs`: a cost's
-:func:`~repro.netsim.clock.to_fs` is computed on its first charge and kept,
-so a named charge (:meth:`~repro.kernel.kernel.Kernel.costs_charge`) and a
-program run's entry, tail-call and per-instruction charges read one dict
-entry instead of converting. Writing a field drops its entry, so the next
+Each model keeps a femtosecond table, ``CostModel.fs`` (``costs.fs[name]``):
+a cost's :func:`~repro.netsim.clock.to_fs` is computed on its first charge
+and kept, so a named charge (:meth:`~repro.kernel.kernel.Kernel.costs_charge`)
+and a program run's entry, tail-call and per-instruction charges read one
+dict entry instead of converting. Writing a field drops its entry, so the next
 charge converts the new value, and a value :func:`to_fs` refuses (a
 negative cost) raises where it is charged, never where it is written.
 """
@@ -132,16 +132,13 @@ class CostModel:
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        table = self.__dict__.get("_fs_table")
+        table = self.__dict__.get("fs")
         if table is not None:
             table.pop(name, None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_fs_table", _FsTable(self))
-
-    def fs(self, name: str) -> int:
-        """``to_fs`` of the cost ``name``, from the table."""
-        return self._fs_table[name]
+        # the femtosecond table, name → whole fs of that cost; not a field
+        object.__setattr__(self, "fs", _FsTable(self))
 
     def line_rate_pps(self, frame_len: int) -> float:
         """Maximum packets/s at line rate for a given frame length."""

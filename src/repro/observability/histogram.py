@@ -88,17 +88,33 @@ class Log2Histogram:
         return {"count": self.count, "sum": self.total, "buckets": dict(self.rows())}
 
 
+class _Hists(dict):
+    """name → :class:`Log2Histogram`, made on the name's first subscript,
+    so a recorder updates its histogram in one step:
+    ``hists[name].record(value)``."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> Log2Histogram:
+        hist = self[name] = Log2Histogram()
+        return hist
+
+
 class HistogramSet:
     """A labelled family of histograms (per stage, per FPM, …)."""
 
     def __init__(self) -> None:
-        self.hists: Dict[str, Log2Histogram] = {}
+        self.hists: Dict[str, Log2Histogram] = _Hists()
 
     def __len__(self) -> int:
         return len(self.hists)
 
     def __getitem__(self, name: str) -> Log2Histogram:
-        return self.hists[name]
+        """The histogram of ``name``; KeyError when nothing recorded it."""
+        hist = self.hists.get(name)
+        if hist is None:
+            raise KeyError(name)
+        return hist
 
     def __contains__(self, name: str) -> bool:
         return name in self.hists

@@ -9,7 +9,7 @@ from collections import Counter
 from typing import List, Optional, Tuple
 
 from repro.observability.drop_reasons import DropReason
-from repro.observability.histogram import HistogramSet, Log2Histogram
+from repro.observability.histogram import HistogramSet
 from repro.observability.tracer import PacketTracer
 
 
@@ -55,17 +55,7 @@ class Observability:
         self.fpm_latency = HistogramSet()
 
     def record_stage(self, name: str, elapsed_ns: int) -> None:
-        """Add one stage's elapsed ns to its histogram, made on first use."""
-        hists = self.stage_latency.hists
-        hist = hists.get(name)
-        if hist is None:
-            hist = hists[name] = Log2Histogram()
-        hist.record(elapsed_ns)
+        self.stage_latency.hists[name].record(elapsed_ns)
 
     def record_fpm(self, name: str, elapsed_ns: int) -> None:
-        """Add one program run's elapsed ns to its histogram, made on first use."""
-        hists = self.fpm_latency.hists
-        hist = hists.get(name)
-        if hist is None:
-            hist = hists[name] = Log2Histogram()
-        hist.record(elapsed_ns)
+        self.fpm_latency.hists[name].record(elapsed_ns)

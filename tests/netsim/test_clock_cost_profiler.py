@@ -183,17 +183,17 @@ class TestFsTable:
         assert self.charged(kernel, lambda: kernel.costs_charge("fib_lookup")) == to_fs(costs.fib_lookup)
         run = self.charged(kernel, lambda: self.run_program(kernel))
         assert run == to_fs(costs.ebpf_prog_entry) + 2 * to_fs(costs.ebpf_insn)
-        assert costs.fs("ebpf_insn") == to_fs(costs.ebpf_insn)
+        assert costs.fs["ebpf_insn"] == to_fs(costs.ebpf_insn)
 
     @pytest.mark.parametrize("model", sorted(COST_MODELS))
     def test_copy_equals_its_source(self, model):
         costs = COST_MODELS[model]()
-        costs.fs("fib_lookup")
+        costs.fs["fib_lookup"]
         copy = costs.copy()
         assert copy == costs
         copy.fib_lookup += 1
-        assert copy.fs("fib_lookup") == to_fs(costs.fib_lookup + 1)
-        assert costs.fs("fib_lookup") == to_fs(costs.fib_lookup)
+        assert copy.fs["fib_lookup"] == to_fs(costs.fib_lookup + 1)
+        assert costs.fs["fib_lookup"] == to_fs(costs.fib_lookup)
 
     def test_a_negative_cost_raises_where_it_is_charged(self):
         kernel = Kernel("fs-table")
